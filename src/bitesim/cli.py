@@ -2,7 +2,8 @@
 
 Subcommands: trial, suite, wrist-study, offsets, export. Exit codes:
 0 success, 2 config error, 3 trial aborted by the safety stop,
-4 study invalid (convergence below the statistics gate).
+4 study invalid (convergence below the statistics gate), 5 sensor fault
+(a non-finite force measurement during a trial).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import time
 from pathlib import Path
 
 from .comfort import StudyInvalidError, run_wrist_study
+from .controller import SensorFault
 from .harness import (ConfigError, Scenario, build_study_inputs, export_trajectory,
                       run_suite, run_trial, save_log)
 from .perception import EmptyCloudError, compute_offsets, food_bounding_box, load_cloud
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ABORTED = 3
 EXIT_STUDY_INVALID = 4
+EXIT_SENSOR_FAULT = 5
 
 
 def _out_dir(args) -> Path:
@@ -45,6 +48,9 @@ def cmd_trial(args) -> int:
         t0 = time.perf_counter()
         report = run_trial(scenario)
         wall = time.perf_counter() - t0
+    except SensorFault as e:
+        print(f"sensor fault: {e}", file=sys.stderr)
+        return EXIT_SENSOR_FAULT
     except (ConfigError, EmptyCloudError, ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -72,6 +78,9 @@ def cmd_suite(args) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         report = run_suite(cfg)
+    except SensorFault as e:
+        print(f"sensor fault: {e}", file=sys.stderr)
+        return EXIT_SENSOR_FAULT
     except (ConfigError, EmptyCloudError, ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,8 +12,8 @@ import numpy as np
 from scipy import stats
 
 from .geometry import Pose, quat_from_axis_angle, quat_mul
-from .kinematics import (ChainModel, IkParams, ik_damped_least_squares,
-                         joint_displacement, link_points)
+from .kinematics import (ChainModel, IkBatchResult, IkParams,
+                         ik_damped_least_squares_batch, joint_displacement, link_points)
 
 ARM_JOINT_COUNT = 7
 
@@ -103,7 +103,7 @@ class ComfortParams:
         object.__setattr__(self, "axis", ax)
 
 
-def comfort_cost(chain: ChainModel, q, params: ComfortParams) -> float:
+def comfort_cost(chain: ChainModel, q, params: ComfortParams):
     """Sum of cone-penetration depths over the arm link frames and tip.
 
     A point at axial distance s inside the cone contributes
@@ -111,18 +111,21 @@ def comfort_cost(chain: ChainModel, q, params: ComfortParams) -> float:
     behind the apex or past the cone length contributes nothing. Only
     the arm joint origins (first 7) plus the tool tip are scored, so a
     chain with extra tool-side joints is compared on the same point set
-    as the bare mount.
+    as the bare mount. One configuration (N,) gives a float; a stack
+    (B, N) gives one cost per row, each with the bits of its lone call.
     """
+    q = np.asarray(q, dtype=float)
     pts = link_points(chain, q)
-    if pts.shape[0] > ARM_JOINT_COUNT + 1:
-        pts = np.vstack([pts[:ARM_JOINT_COUNT], pts[-1]])
+    if pts.shape[-2] > ARM_JOINT_COUNT + 1:
+        pts = np.concatenate([pts[..., :ARM_JOINT_COUNT, :], pts[..., -1:, :]], axis=-2)
     rel = pts - params.head_position
     s = rel @ params.axis
-    radial = np.linalg.norm(rel - np.outer(s, params.axis), axis=1)
+    radial = np.linalg.norm(rel - s[..., None] * params.axis, axis=-1)
     cone_r = s * np.tan(params.half_angle)
     inside = (s >= 0.0) & (s <= params.length)
     depth = np.where(inside, np.maximum(0.0, cone_r - radial), 0.0)
-    return float(params.weight * depth.sum())
+    cost = params.weight * depth.sum(axis=-1)
+    return float(cost) if q.ndim == 1 else cost
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,9 @@ class StudyReport:
     p_displacement: float
     p_comfort: float
     samples: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # sorted tip position residuals (mm) of the poses each chain failed on
+    failure_residuals_mm_with: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    failure_residuals_mm_without: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def to_dict(self) -> dict:
         return {
@@ -163,6 +169,9 @@ class StudyReport:
             "max_comfort_without": self.max_comfort_without,
             "p_displacement": self.p_displacement,
             "p_comfort": self.p_comfort,
+            "failure_residuals_mm_with": [float(x) for x in self.failure_residuals_mm_with],
+            "failure_residuals_mm_without": [float(x)
+                                             for x in self.failure_residuals_mm_without],
         }
 
     def to_json(self) -> str:
@@ -195,6 +204,20 @@ def _one_sided_less(diff: np.ndarray) -> float:
     return float(stats.wilcoxon(d, alternative="less").pvalue)
 
 
+def _arm_displacement(result: IkBatchResult, home: np.ndarray):
+    """Per-joint |q - home| over the arm joints and its mean, per row;
+    zero for rows that did not converge."""
+    delta, mean = joint_displacement(result.q[:, :ARM_JOINT_COUNT], home[:ARM_JOINT_COUNT])
+    ok = result.converged
+    return np.where(ok[:, None], delta, 0.0), np.where(ok, mean, 0.0)
+
+
+def _failure_residuals_mm(result: IkBatchResult) -> np.ndarray:
+    """Sorted tip position residuals (mm) of the rows that failed."""
+    failed = result.residual[~result.converged, :3]
+    return np.sort(1000.0 * np.linalg.norm(failed, axis=1))
+
+
 def run_wrist_study(chain_with: ChainModel, chain_without: ChainModel,
                     dist: PoseDistribution, ik_params: IkParams,
                     comfort: ComfortParams, home=None,
@@ -213,34 +236,16 @@ def run_wrist_study(chain_with: ChainModel, chain_without: ChainModel,
         raise ValueError("home must match the without-wrist chain DOF")
     home_with = np.concatenate([
         home_without, chain_with.home[chain_without.dof:]])
-    arm_idx = list(range(ARM_JOINT_COUNT))
 
     poses = sample_fork_poses(dist)
     n = len(poses)
-    conv_w = np.zeros(n, dtype=bool)
-    conv_wo = np.zeros(n, dtype=bool)
-    disp_w = np.zeros(n)
-    disp_wo = np.zeros(n)
-    per_joint_w = np.zeros((n, ARM_JOINT_COUNT))
-    per_joint_wo = np.zeros((n, ARM_JOINT_COUNT))
-    cost_w = np.zeros(n)
-    cost_wo = np.zeros(n)
-
-    for i, pose in enumerate(poses):
-        rw = ik_damped_least_squares(chain_with, pose, home_with, ik_params)
-        rwo = ik_damped_least_squares(chain_without, pose, home_without, ik_params)
-        conv_w[i] = rw.converged
-        conv_wo[i] = rwo.converged
-        if rw.converged:
-            per_joint_w[i], disp_w[i] = joint_displacement(rw.q[:ARM_JOINT_COUNT],
-                                                           home_with[:ARM_JOINT_COUNT],
-                                                           arm_idx)
-            cost_w[i] = comfort_cost(chain_with, rw.q, comfort)
-        if rwo.converged:
-            per_joint_wo[i], disp_wo[i] = joint_displacement(rwo.q[:ARM_JOINT_COUNT],
-                                                             home_without[:ARM_JOINT_COUNT],
-                                                             arm_idx)
-            cost_wo[i] = comfort_cost(chain_without, rwo.q, comfort)
+    rw = ik_damped_least_squares_batch(chain_with, poses, home_with, ik_params)
+    rwo = ik_damped_least_squares_batch(chain_without, poses, home_without, ik_params)
+    conv_w, conv_wo = rw.converged, rwo.converged
+    per_joint_w, disp_w = _arm_displacement(rw, home_with)
+    per_joint_wo, disp_wo = _arm_displacement(rwo, home_without)
+    cost_w = np.where(conv_w, comfort_cost(chain_with, rw.q, comfort), 0.0)
+    cost_wo = np.where(conv_wo, comfort_cost(chain_without, rwo.q, comfort), 0.0)
 
     rate_w = float(conv_w.mean())
     rate_wo = float(conv_wo.mean())
@@ -280,4 +285,6 @@ def run_wrist_study(chain_with: ChainModel, chain_without: ChainModel,
         p_displacement=_one_sided_less(disp_w[used] - disp_wo[used]),
         p_comfort=_one_sided_less(cost_w[used] - cost_wo[used]),
         samples=samples,
+        failure_residuals_mm_with=_failure_residuals_mm(rw),
+        failure_residuals_mm_without=_failure_residuals_mm(rwo),
     )

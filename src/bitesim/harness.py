@@ -718,12 +718,27 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
     )
 
 
+def _check_keys(cfg: dict, known: dict, path: str = "") -> None:
+    """Reject a key of cfg that known lacks, at any nesting level."""
+    for key, value in cfg.items():
+        if key not in known:
+            raise ConfigError(f"unknown study key {path + str(key)!r}")
+        if isinstance(value, dict) and isinstance(known[key], dict):
+            _check_keys(value, known[key], f"{path}{key}.")
+
+
 def build_study_inputs(study_cfg: dict | None = None):
-    """Resolve a study config dict into run_wrist_study arguments."""
+    """Resolve a study config dict into run_wrist_study arguments.
+
+    Keys must be those of default_study_dict(), plus an optional
+    "mouth_facing"; an unknown key raises ConfigError with its path.
+    """
     from .comfort import ComfortParams, PoseDistribution
     from .transfer import transfer_orientation
 
-    cfg = _merge(default_study_dict(), study_cfg or {})
+    defaults = default_study_dict()
+    _check_keys(study_cfg or {}, {**defaults, "mouth_facing": None})
+    cfg = _merge(defaults, study_cfg or {})
     chain_with = _resolve_chain(cfg["chain_with"])
     chain_without = _resolve_chain(cfg["chain_without"])
 

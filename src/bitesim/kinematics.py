@@ -8,23 +8,27 @@ scoop/twirl wrist ahead of the fork).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .geometry import Pose, quat_to_matrix, quat_to_rotvec
+from .geometry import Pose, quat_to_matrix
 
 __all__ = [
     "JointSpec",
     "ChainModel",
     "IkParams",
     "IkResult",
+    "IkBatchResult",
     "forward_kinematics",
     "fk_frames",
+    "fk_frames_batch",
     "jacobian",
     "ik_damped_least_squares",
+    "ik_damped_least_squares_batch",
     "joint_displacement",
     "link_points",
     "load_chain",
@@ -73,14 +77,15 @@ class ChainModel:
         self.lower.setflags(write=False)
         self.upper.setflags(write=False)
 
-        # cached per-joint arrays for the FK hot loop
+        # cached per-joint arrays for the FK hot loop, shaped for the
+        # (joint, sample) layout of fk_frames_batch
         self._r_off = [quat_to_matrix(j.offset.orientation) for j in self.joints]
-        self._t_off = [np.array(j.offset.position) for j in self.joints]
-        self._axes = [np.array(j.axis) for j in self.joints]
-        skews = [np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-                 for a in self._axes]
+        self._t_off = np.array([j.offset.position for j in self.joints]).reshape(-1, 3, 1)
+        self._axes = np.array([j.axis for j in self.joints]).reshape(-1, 3, 1)
+        skews = np.array([[[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]]
+                          for a in self._axes[:, :, 0]]).reshape(-1, 1, 3, 3)
         self._skew = skews
-        self._skew2 = [k @ k for k in skews]
+        self._skew2 = skews @ skews
         self._r_tool = quat_to_matrix(tool_tip.orientation)
         self._t_tool = np.array(tool_tip.position)
 
@@ -105,52 +110,124 @@ class ChainModel:
         return f"ChainModel({self.name!r}, dof={self.dof}, has_wrist={self.has_wrist})"
 
 
+_EYE3 = np.eye(3)
+_EYE6 = np.eye(6)
+# cross product a x b = a[_ROLL1] * b[_ROLL2] - a[_ROLL2] * b[_ROLL1]
+_ROLL1 = np.array([1, 2, 0])
+_ROLL2 = np.array([2, 0, 1])
+
+# Shepperd's branches, one row per branch: 0 for a positive trace, else
+# 1 + the index of the largest diagonal entry. A row names, for each
+# quaternion slot, the column of the term table built in
+# _mat_to_quat_batch that fills it; column 6 holds s / 4.
+_SHEPPERD_SLOTS = np.array([[6, 0, 1, 2], [0, 6, 3, 4], [1, 3, 6, 5], [2, 4, 5, 6]])
+# signs of (r00, r11, r22) under the square root, by largest diagonal entry
+_SHEPPERD_SIGNS = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+# the six off-diagonal terms as flat indices into a row-major 3x3:
+# r21 - r12, r02 - r20, r10 - r01, r01 + r10, r02 + r20, r12 + r21
+_TERM_A = np.array([7, 2, 3, 1, 2, 5])
+_TERM_B = np.array([5, 6, 1, 3, 6, 7])
+_TERM_SIGN = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+
+
+def _mat_to_quat_batch(r: np.ndarray) -> np.ndarray:
+    """Rotation matrices (B,3,3) to (w, x, y, z) rows (B,4), Shepperd's
+    branch selection per row, rounding exactly as the branch-by-branch
+    scalar form does: x - y is taken as x + (-1 * y), which rounds the
+    same, and sums run left to right."""
+    b = r.shape[0]
+    rf = r.reshape(b, 9)
+    d = rf[:, ::4]
+    t = d[:, 0] + d[:, 1] + d[:, 2]
+    positive = t > 0.0
+    all_positive = np.count_nonzero(positive) == b
+    arg = t + 1.0
+    if not all_positive:
+        i = d.argmax(axis=1)
+        sd = _SHEPPERD_SIGNS[i] * d
+        np.copyto(arg, 1.0 + sd[:, 0] + sd[:, 1] + sd[:, 2], where=~positive)
+    s = np.sqrt(arg)
+    s *= 2.0
+    terms = np.empty((b, 7))
+    np.divide(rf[:, _TERM_A] + _TERM_SIGN * rf[:, _TERM_B], s[:, None], out=terms[:, :6])
+    np.multiply(s, 0.25, out=terms[:, 6])
+    if all_positive:
+        return terms[:, _SHEPPERD_SLOTS[0]]
+    i += 1
+    i *= ~positive
+    return terms.take(_SHEPPERD_SLOTS[i] + 7 * np.arange(b)[:, None])
+
+
 def _mat_to_quat(r: np.ndarray) -> np.ndarray:
     """Rotation matrix to (w, x, y, z), Shepperd's branch selection."""
-    t = np.trace(r)
-    if t > 0.0:
-        s = np.sqrt(t + 1.0) * 2.0
-        return np.array([0.25 * s,
-                         (r[2, 1] - r[1, 2]) / s,
-                         (r[0, 2] - r[2, 0]) / s,
-                         (r[1, 0] - r[0, 1]) / s])
-    i = int(np.argmax(np.diag(r)))
-    if i == 0:
-        s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = [(r[2, 1] - r[1, 2]) / s, 0.25 * s,
-             (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
-    elif i == 1:
-        s = np.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2]) * 2.0
-        q = [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s,
-             0.25 * s, (r[1, 2] + r[2, 1]) / s]
-    else:
-        s = np.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2]) * 2.0
-        q = [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s,
-             (r[1, 2] + r[2, 1]) / s, 0.25 * s]
-    return np.array(q)
+    return _mat_to_quat_batch(np.asarray(r, dtype=float).reshape(1, 3, 3))[0]
+
+
+def _norms3(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the 3-vectors along v's last axis, bit for bit
+    the value np.linalg.norm gives each one alone. That call takes BLAS
+    ddot; norm(axis=-1) and einsum round differently in the last bit."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def _rotvec_batch(q: np.ndarray) -> np.ndarray:
+    """quat_to_rotvec of each row of q (B,4); flips signs in q."""
+    flip = q[:, 0] < 0.0
+    if np.count_nonzero(flip):
+        q[flip] = -q[flip]
+    v = q[:, 1:]
+    s = _norms3(v)
+    angle = 2.0 * np.arctan2(s, q[:, 0])
+    small = s < 1e-12
+    if not np.count_nonzero(small):
+        return (angle / s)[:, None] * v
+    # small-angle limit
+    return np.where(small[:, None], 2.0 * v, (angle / np.where(small, 1.0, s))[:, None] * v)
+
+
+def fk_frames_batch(chain: ChainModel, q) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                   np.ndarray]:
+    """Forward kinematics of a stack of configurations q (B, N).
+
+    Returns world joint origins (B,N,3), world joint axes (B,N,3), tip
+    positions (B,3) and tip rotations (B,3,3). Each row carries the bits
+    of a lone configuration: a product with a fixed link transform runs
+    as one 2-D BLAS call over all B frames stacked row-wise, and the
+    per-row joint rotations as a stacked matmul; both round like the
+    single 3x3 product.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[1] != chain.dof:
+        raise ValueError(f"configs of shape {q.shape} do not match chain DOF {chain.dof}")
+    b, n = q.shape
+    # Rodrigues about each local joint axis, all joints at once, (N,B,3,3)
+    qt = q.T[..., None, None]
+    rot = _EYE3 + np.sin(qt) * chain._skew + (1.0 - np.cos(qt)) * chain._skew2
+    # pre[i]: world frame of joint i's parent link; post[i]: joint i's
+    # frame before its own rotation; pre[n]: the last link. Each holds B
+    # frames as a (3B, 3) stack of rows.
+    pre = np.empty((n + 1, 3 * b, 3))
+    post = np.empty((n, 3 * b, 3))
+    pre3 = pre.reshape(n + 1, b, 3, 3)
+    post3 = post.reshape(n, b, 3, 3)
+    pre3[0] = _EYE3
+    for i in range(n):
+        np.dot(pre[i], chain._r_off[i], out=post[i])
+        np.matmul(post3[i], rot[i], out=pre3[i + 1])
+    axes = (post @ chain._axes).reshape(n, b, 3)
+    # origins accumulate from the world origin, one offset at a time
+    steps = np.zeros((n + 1, 3 * b, 1))
+    np.matmul(pre[:n], chain._t_off, out=steps[1:])
+    origins = steps.cumsum(axis=0).reshape(n + 1, b, 3)
+    tip_p = origins[n] + pre[n].dot(chain._t_tool).reshape(b, 3)
+    tip_r = pre[n].dot(chain._r_tool).reshape(b, 3, 3)
+    return origins[1:].swapaxes(0, 1), axes.swapaxes(0, 1), tip_p, tip_r
 
 
 def fk_frames(chain: ChainModel, q) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """World joint origins (N,3), world joint axes (N,3), tip position, tip rotation."""
-    q = chain.check_config(q)
-    n = chain.dof
-    origins = np.empty((n, 3))
-    axes = np.empty((n, 3))
-    r = np.eye(3)
-    p = np.zeros(3)
-    eye = np.eye(3)
-    for i in range(n):
-        p = p + r @ chain._t_off[i]
-        r = r @ chain._r_off[i]
-        origins[i] = p
-        axes[i] = r @ chain._axes[i]
-        # Rodrigues about the local joint axis
-        c = np.cos(q[i])
-        s = np.sin(q[i])
-        r = r @ (eye + s * chain._skew[i] + (1.0 - c) * chain._skew2[i])
-    tip_p = p + r @ chain._t_tool
-    tip_r = r @ chain._r_tool
-    return origins, axes, tip_p, tip_r
+    origins, axes, tip_p, tip_r = fk_frames_batch(chain, chain.check_config(q)[None])
+    return origins[0], axes[0], tip_p[0], tip_r[0]
 
 
 def forward_kinematics(chain: ChainModel, q) -> Pose:
@@ -160,18 +237,30 @@ def forward_kinematics(chain: ChainModel, q) -> Pose:
 
 
 def link_points(chain: ChainModel, q) -> np.ndarray:
-    """Joint origins plus the tool tip, (N+1, 3); used by the comfort cost."""
-    origins, _, tip_p, _ = fk_frames(chain, q)
-    return np.vstack([origins, tip_p])
+    """Joint origins plus the tool tip, (N+1, 3), or (B, N+1, 3) for a
+    stack of configurations (B, N); used by the comfort cost."""
+    q = np.asarray(q, dtype=float)
+    stack = q if q.ndim == 2 else chain.check_config(q)[None]
+    origins, _, tip_p, _ = fk_frames_batch(chain, stack)
+    pts = np.concatenate([origins, tip_p[:, None]], axis=1)
+    return pts if q.ndim == 2 else pts[0]
+
+
+def _jacobian(origins: np.ndarray, axes: np.ndarray, tip_p: np.ndarray) -> np.ndarray:
+    """Geometric Jacobian (..., 6, N) from fk frames with any leading axes."""
+    lever = tip_p[..., None, :] - origins
+    jac = np.empty(axes.shape[:-2] + (6, axes.shape[-2]))
+    # axes x lever, with the products and difference np.cross takes
+    jac[..., :3, :] = (axes[..., _ROLL1] * lever[..., _ROLL2]
+                       - axes[..., _ROLL2] * lever[..., _ROLL1]).swapaxes(-1, -2)
+    jac[..., 3:, :] = axes.swapaxes(-1, -2)
+    return jac
 
 
 def jacobian(chain: ChainModel, q) -> np.ndarray:
     """Geometric Jacobian at the fork tip, 6xN (linear rows first)."""
     origins, axes, tip_p, _ = fk_frames(chain, q)
-    jac = np.empty((6, chain.dof))
-    jac[:3] = np.cross(axes, tip_p - origins).T
-    jac[3:] = axes.T
-    return jac
+    return _jacobian(origins, axes, tip_p)
 
 
 @dataclass(frozen=True)
@@ -192,6 +281,8 @@ class IkParams:
             raise ValueError("damping must be > 0")
         if self.pos_tol <= 0 or self.rot_tol <= 0:
             raise ValueError("tolerances must be > 0")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -200,14 +291,193 @@ class IkResult:
     converged: bool
     iterations: int
     residual: np.ndarray
+    restarts: int = 0
 
 
-def _tip_error(target: Pose, tip_p: np.ndarray, tip_r: np.ndarray) -> np.ndarray:
-    e = np.empty(6)
-    e[:3] = target.position - tip_p
-    r_rel = quat_to_matrix(target.orientation) @ tip_r.T
-    e[3:] = quat_to_rotvec(_mat_to_quat(r_rel))
+@dataclass(frozen=True)
+class IkBatchResult:
+    """IK results for a stack of targets, one row each; [i] gives row i."""
+
+    q: np.ndarray  # (B, N)
+    converged: np.ndarray  # (B,) bool
+    iterations: np.ndarray  # (B,) int
+    residual: np.ndarray  # (B, 6)
+    restarts: np.ndarray  # (B,) int
+
+    def __len__(self) -> int:
+        return self.q.shape[0]
+
+    def __getitem__(self, i: int) -> IkResult:
+        return IkResult(self.q[i], bool(self.converged[i]), int(self.iterations[i]),
+                        self.residual[i], int(self.restarts[i]))
+
+
+@functools.lru_cache(maxsize=16)
+def _restart_draws(seed: int, dof: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `count` re-seed draws of the restart stream.
+
+    Restart k (1-based) takes the uniforms in row k-1 and, on odd k, the
+    base-yaw jitter yaw[k-1] (NaN on even k). Every solve replays the
+    same stream, so one table serves every row of every batch.
+    """
+    rng = np.random.default_rng(seed)
+    uniforms = np.empty((count, dof))
+    yaw = np.full(count, np.nan)
+    for k in range(count):
+        uniforms[k] = rng.random(dof)
+        if k % 2 == 0:
+            yaw[k] = rng.normal(0.0, 0.3)
+    uniforms.setflags(write=False)
+    yaw.setflags(write=False)
+    return uniforms, yaw
+
+
+def _dls_step(jac: np.ndarray, step: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    """Damped least-squares joint steps J^T (J J^T + damping)^-1 e, per row."""
+    jt = jac.swapaxes(-1, -2)
+    return (jt @ np.linalg.solve(jac @ jt + damping, step[..., None]))[..., 0]
+
+
+def _tip_error(target_p: np.ndarray, target_r: np.ndarray, tip_p: np.ndarray,
+               tip_r: np.ndarray) -> np.ndarray:
+    """Position error and rotation vector to the targets, (B, 6)."""
+    e = np.empty((tip_p.shape[0], 6))
+    np.subtract(target_p, tip_p, out=e[:, :3])
+    e[:, 3:] = _rotvec_batch(_mat_to_quat_batch(target_r @ tip_r.swapaxes(1, 2)))
     return e
+
+
+def ik_damped_least_squares_batch(chain: ChainModel, targets, seeds,
+                                  params: IkParams = IkParams()) -> IkBatchResult:
+    """ik_damped_least_squares for a sequence of B target poses, in lock step.
+
+    ``seeds`` is one configuration (N,) shared by every target, or one
+    per target (B, N). All rows advance through the same iterations as
+    one array program: per iteration one stacked FK, Jacobian and linear
+    solve, with per-row masks for convergence, stall restarts and pinned
+    joints. A row leaves the stack when it converges and sits out the
+    step of an iteration in which it restarts. Each row gets exactly the
+    bits a lone solve of it gets.
+    """
+    n = chain.dof
+    b = len(targets)
+    target_p = np.array([t.position for t in targets], dtype=float).reshape(b, 3)
+    target_r = np.array([quat_to_matrix(t.orientation) for t in targets],
+                        dtype=float).reshape(b, 3, 3)
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.ndim not in (1, 2) or seeds.shape[-1] != n:
+        raise ValueError(f"seeds of shape {seeds.shape} do not match chain DOF {n}")
+    lower, upper = chain.lower, chain.upper
+    q = np.empty((b, n))
+    np.minimum(np.maximum(seeds, lower), upper, out=q)
+
+    out_q = np.empty((b, n))
+    out_err = np.empty((b, 6))
+    converged = np.zeros(b, dtype=bool)
+    iterations = np.full(b, params.max_iter)
+    restarts = np.zeros(b, dtype=int)
+
+    damping = params.damping ** 2 * _EYE6
+    near_lower = lower + 1e-9
+    near_upper = upper - 1e-9
+    # restarts come at least max(stall_window, 1) iterations apart
+    uniforms, yaw = _restart_draws(params.restart_seed, n,
+                                   params.max_iter // max(params.stall_window, 1) + 1)
+
+    # state of the rows still iterating; idx maps them to output rows
+    idx = np.arange(b)
+    azimuth = np.arctan2(target_p[:, 1], target_p[:, 0])
+    best_q = q.copy()
+    best_err = np.full((b, 6), np.nan)
+    best_score = np.full(b, np.inf)
+    attempt_best = np.full(b, np.inf)
+    since_improve = np.zeros(b, dtype=int)
+    n_restarts = np.zeros(b, dtype=int)
+
+    for it in range(params.max_iter + 1 if b else 0):  # an empty stack has no work
+        origins, axes, tip_p, tip_r = fk_frames_batch(chain, q)
+        err = _tip_error(target_p, target_r, tip_p, tip_r)
+        pos_n, rot_n = _norms3(err.reshape(-1, 2, 3)).T
+        done = (pos_n <= params.pos_tol) & (rot_n <= params.rot_tol)
+        n_done = np.count_nonzero(done)
+        if n_done:
+            sel = slice(None) if n_done == idx.size else done
+            rows = idx[sel]
+            out_q[rows] = q[sel]
+            out_err[rows] = err[sel]
+            converged[rows] = True
+            iterations[rows] = it
+            restarts[rows] = n_restarts[sel]
+            if n_done == idx.size:
+                break
+            keep = ~done
+            (idx, q, target_p, target_r, azimuth, best_q, best_err, best_score,
+             attempt_best, since_improve, n_restarts, origins, axes, tip_p, err,
+             pos_n, rot_n) = (
+                a[keep] for a in (idx, q, target_p, target_r, azimuth, best_q, best_err,
+                                  best_score, attempt_best, since_improve, n_restarts,
+                                  origins, axes, tip_p, err, pos_n, rot_n))
+        score = pos_n + 0.1 * rot_n
+        better = score < best_score
+        np.copyto(best_score, score, where=better)
+        np.copyto(best_q, q, where=better[:, None])
+        np.copyto(best_err, err, where=better[:, None])
+        improved = score < attempt_best * 0.99 - 1e-12
+        np.copyto(attempt_best, score, where=improved)
+        since_improve += 1
+        np.copyto(since_improve, 0, where=improved)
+        if it == params.max_iter:
+            # out of budget: the rest fail with their best iterate
+            out_q[idx] = best_q
+            out_err[idx] = best_err
+            restarts[idx] = n_restarts
+            break
+
+        restart = since_improve >= params.stall_window
+        n_restart = np.count_nonzero(restart)
+        if n_restart:
+            # re-seed, alternating a base yaw aimed at the target azimuth
+            # with a plain uniform draw; these rows take no step this time
+            n_restarts += restart
+            k = n_restarts[restart] - 1
+            q_new = lower + uniforms[k] * (upper - lower)
+            odd = k % 2 == 0
+            q_new[odd, 0] = np.minimum(np.maximum(azimuth[restart][odd] + yaw[k[odd]],
+                                                  lower[0]), upper[0])
+            q[restart] = q_new
+            attempt_best[restart] = np.inf
+            since_improve[restart] = 0
+            if n_restart == idx.size:
+                continue
+            go = ~restart
+            q_go, origins, axes, tip_p, step, pos_n, rot_n = (
+                a[go] for a in (q, origins, axes, tip_p, err, pos_n, rot_n))
+        else:
+            go = None
+            q_go, step = q, err
+
+        far = pos_n > params.max_lin_step
+        if np.count_nonzero(far):
+            step[far, :3] *= (params.max_lin_step / pos_n[far])[:, None]
+        far = rot_n > params.max_ang_step
+        if np.count_nonzero(far):
+            step[far, 3:] *= (params.max_ang_step / rot_n[far])[:, None]
+
+        jac = _jacobian(origins, axes, tip_p)
+        dq = _dls_step(jac, step, damping)
+        # joints pinned at a limit that still push outward leave the step
+        pinned = ((q_go <= near_lower) & (dq < 0)) | ((q_go >= near_upper) & (dq > 0))
+        if np.count_nonzero(pinned):
+            held = pinned.any(axis=1)
+            jac_held = np.where(pinned[held][:, None, :], 0.0, jac[held])
+            dq[held] = _dls_step(jac_held, step[held], damping)
+        q_go = np.minimum(np.maximum(q_go + dq, lower), upper)
+        if go is None:
+            q = q_go
+        else:
+            q[go] = q_go
+
+    return IkBatchResult(out_q, converged, iterations, out_err, restarts)
 
 
 def ik_damped_least_squares(chain: ChainModel, target: Pose, seed,
@@ -221,86 +491,37 @@ def ik_damped_least_squares(chain: ChainModel, target: Pose, seed,
     alternating between aiming the base yaw at the target azimuth and a
     uniform configuration. The iterate sequence is a pure function of
     the inputs. On failure the best iterate seen is returned with
-    converged=False.
+    converged=False; ``restarts`` counts the re-seeds either way.
+
+    This is the B = 1 case of ik_damped_least_squares_batch, which runs
+    a stack of targets in lock step and gives each the bits of its lone
+    solve. Every solve draws its re-seeds from one shared stream,
+    ``default_rng(params.restart_seed)``: restart k takes ``random(N)``
+    and then, on odd k, ``normal(0, 0.3)`` for the base yaw. Restart k
+    thus draws the same numbers in every solve, and one cached table of
+    them serves a whole batch.
     """
-    q = chain.clamp(seed)
-    lam2 = params.damping ** 2
-    eye6 = np.eye(6)
-    rng = np.random.default_rng(params.restart_seed)
-    azimuth = np.arctan2(target.position[1], target.position[0])
-
-    best_q = q
-    best_err = None
-    best_score = np.inf
-    attempt_best = np.inf
-    since_improve = 0
-    n_restarts = 0
-
-    for it in range(params.max_iter + 1):
-        origins, axes, tip_p, tip_r = fk_frames(chain, q)
-        err = _tip_error(target, tip_p, tip_r)
-        pos_n = np.linalg.norm(err[:3])
-        rot_n = np.linalg.norm(err[3:])
-        if pos_n <= params.pos_tol and rot_n <= params.rot_tol:
-            return IkResult(q, True, it, err)
-        score = pos_n + 0.1 * rot_n
-        if score < best_score:
-            best_score = score
-            best_q = q
-            best_err = err
-        if score < attempt_best * 0.99 - 1e-12:
-            attempt_best = score
-            since_improve = 0
-        else:
-            since_improve += 1
-        if it == params.max_iter:
-            break
-
-        if since_improve >= params.stall_window:
-            n_restarts += 1
-            q = chain.lower + rng.random(chain.dof) * (chain.upper - chain.lower)
-            if n_restarts % 2 == 1:
-                q[0] = np.clip(azimuth + rng.normal(0.0, 0.3),
-                               chain.lower[0], chain.upper[0])
-            attempt_best = np.inf
-            since_improve = 0
-            continue
-
-        step = err.copy()
-        if pos_n > params.max_lin_step:
-            step[:3] *= params.max_lin_step / pos_n
-        if rot_n > params.max_ang_step:
-            step[3:] *= params.max_ang_step / rot_n
-
-        jac = np.empty((6, chain.dof))
-        jac[:3] = np.cross(axes, tip_p - origins).T
-        jac[3:] = axes.T
-        dq = jac.T @ np.linalg.solve(jac @ jac.T + lam2 * eye6, step)
-        at_lo = q <= chain.lower + 1e-9
-        at_hi = q >= chain.upper - 1e-9
-        pinned = (at_lo & (dq < 0)) | (at_hi & (dq > 0))
-        if pinned.any():
-            jac = jac.copy()
-            jac[:, pinned] = 0.0
-            dq = jac.T @ np.linalg.solve(jac @ jac.T + lam2 * eye6, step)
-        q = np.clip(q + dq, chain.lower, chain.upper)
-
-    return IkResult(best_q, False, params.max_iter, best_err)
+    return ik_damped_least_squares_batch(chain, (target,), chain.check_config(seed),
+                                         params)[0]
 
 
-def joint_displacement(q_a, q_b, joint_subset=None) -> tuple[np.ndarray, float]:
-    """Per-joint |delta| (rad) over the subset, plus the arithmetic mean."""
-    q_a = np.asarray(q_a, dtype=float).reshape(-1)
-    q_b = np.asarray(q_b, dtype=float).reshape(-1)
-    if q_a.shape != q_b.shape:
-        raise ValueError(f"config lengths differ: {q_a.shape[0]} vs {q_b.shape[0]}")
+def joint_displacement(q_a, q_b, joint_subset=None):
+    """Per-joint |delta| (rad) over the subset, plus the arithmetic mean.
+
+    Either config may be a stack (B, N); the mean is then one per row.
+    """
+    q_a = np.asarray(q_a, dtype=float)
+    q_b = np.asarray(q_b, dtype=float)
+    if q_a.shape[-1] != q_b.shape[-1]:
+        raise ValueError(f"config lengths differ: {q_a.shape[-1]} vs {q_b.shape[-1]}")
     delta = np.abs(q_a - q_b)
     if joint_subset is not None:
         idx = np.asarray(joint_subset, dtype=int)
-        if idx.size and (idx.min() < 0 or idx.max() >= q_a.shape[0]):
+        if idx.size and (idx.min() < 0 or idx.max() >= q_a.shape[-1]):
             raise ValueError("joint subset index out of range")
-        delta = delta[idx]
-    return delta, float(np.mean(delta))
+        delta = delta[..., idx]
+    mean = delta.mean(axis=-1)
+    return delta, float(mean) if mean.ndim == 0 else mean
 
 
 def _pose_from_flat(vals) -> Pose:

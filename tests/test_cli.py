@@ -40,6 +40,18 @@ class TestTrialCommand:
         scen = write_json(tmp_path / "s.json", {"food": "pizza"})
         assert main(["trial", scen, "--out-dir", str(tmp_path)]) == 2
 
+    def test_sensor_fault_exit_code(self, tmp_path, capsys):
+        trace = np.zeros((100, 6))
+        trace[50] = np.nan  # a non-finite force reading 50 ms into the trial
+        scen = write_json(tmp_path / "s.json", {
+            **SHORT_SCENARIO,
+            "disturbance": {"kind": "array", "trace": trace.tolist()},
+        })
+        assert main(["trial", scen, "--out-dir", str(tmp_path)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("sensor fault: ")
+        assert "config error" not in err
+
     def test_preset_flag(self, tmp_path):
         scen = write_json(tmp_path / "s.json", SHORT_SCENARIO)
         code = main(["trial", scen, "--preset", "less_reactive",
@@ -91,6 +103,17 @@ class TestWristStudyCommand:
             "ik": {"damping": 0.02, "pos_tol": 1e-3, "rot_tol": 1e-2, "max_iter": 30},
         })
         assert main(["wrist-study", study, "--out-dir", str(tmp_path)]) == 4
+
+    def test_unknown_key_exit_code(self, tmp_path, capsys):
+        study = write_json(tmp_path / "study.json", {"cout": 60, "seed": 3})
+        assert main(["wrist-study", study, "--out-dir", str(tmp_path)]) == 2
+        assert "config error: unknown study key 'cout'" in capsys.readouterr().err
+
+    def test_unknown_nested_key_exit_code(self, tmp_path, capsys):
+        study = write_json(tmp_path / "study.json", {"count": 60, "ik": {"max_itr": 5}})
+        assert main(["wrist-study", study, "--out-dir", str(tmp_path)]) == 2
+        assert "config error: unknown study key 'ik.max_itr'" in capsys.readouterr().err
+        assert not (tmp_path / "study_report.json").exists()
 
 
 class TestOffsetsCommand:

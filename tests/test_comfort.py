@@ -4,7 +4,7 @@ import pytest
 from bitesim.comfort import (ComfortParams, PoseDistribution, StudyInvalidError,
                              comfort_cost, run_wrist_study, sample_fork_poses)
 from bitesim.geometry import Pose
-from bitesim.harness import build_study_inputs
+from bitesim.harness import ConfigError, build_study_inputs
 from bitesim.kinematics import (ChainModel, IkParams, JointSpec,
                                 ik_damped_least_squares, joint_displacement)
 
@@ -87,10 +87,37 @@ class TestComfortCost:
                                half_angle=np.deg2rad(30), length=0.5)
         assert comfort_cost(point_chain([0.9, 0.0, 0.0]), [0.0], params) == 0.0
 
+    def test_stack_matches_lone_calls(self):
+        chain_with, _, _, _, comfort, _ = small_study_inputs(1)
+        qs = chain_with.lower + np.random.default_rng(2).random((40, 9)) * (
+            chain_with.upper - chain_with.lower)
+        costs = comfort_cost(chain_with, qs, comfort)
+        assert costs.shape == (40,)
+        assert [float(c) for c in costs] == [comfort_cost(chain_with, q, comfort) for q in qs]
+        assert isinstance(comfort_cost(chain_with, qs[0], comfort), float)
+
     def test_invalid_half_angle(self):
         with pytest.raises(ValueError):
             ComfortParams(head_position=np.zeros(3), axis=np.array([1.0, 0, 0]),
                           half_angle=np.pi / 2)
+
+
+class TestStudyConfig:
+    def test_unknown_top_level_key(self):
+        with pytest.raises(ConfigError, match="unknown study key 'cout'"):
+            build_study_inputs({"cout": 400})
+
+    def test_unknown_nested_key(self):
+        with pytest.raises(ConfigError, match="unknown study key 'ik.max_itr'"):
+            build_study_inputs({"count": 400, "ik": {"max_itr": 5}})
+        with pytest.raises(ConfigError, match="unknown study key 'comfort.wieght'"):
+            build_study_inputs({"comfort": {"wieght": 2.0}})
+
+    def test_known_keys_accepted(self):
+        _, _, dist, ik_params, _, _ = build_study_inputs(
+            {"count": 5, "mouth_facing": [1.0, 0.0, 0.0], "ik": {"max_iter": 50}})
+        assert dist.count == 5
+        assert ik_params.max_iter == 50
 
 
 class TestRunWristStudy:
@@ -172,6 +199,20 @@ class TestRunWristStudy:
         assert rep.mean_comfort_with < rep.mean_comfort_without
         assert rep.p_displacement < 0.01
         assert rep.p_comfort < 0.01
+
+    def test_failure_residuals_reported(self):
+        chain_with, chain_without, dist, ik_params, comfort, home = small_study_inputs(
+            300, seed=11)
+        rep = run_wrist_study(chain_with, chain_without, dist, ik_params, comfort, home)
+        d = rep.to_dict()
+        for side, col in (("with", 8), ("without", 9)):
+            res = d[f"failure_residuals_mm_{side}"]
+            assert len(res) == int((rep.samples[:, col] == 0.0).sum())
+            assert res == sorted(res)
+            assert all(r >= 0.0 for r in res)
+        # the fixed mount misses some poses by millimetres: infeasible, not unlucky
+        assert d["failure_residuals_mm_without"]
+        assert d["failure_residuals_mm_without"][-1] > 1.0
 
     def test_samples_csv(self, tmp_path):
         chain_with, chain_without, dist, ik_params, comfort, home = small_study_inputs(20)

@@ -154,6 +154,8 @@ class TestIk:
             IkParams(damping=0.0)
         with pytest.raises(ValueError):
             IkParams(pos_tol=-1.0)
+        with pytest.raises(ValueError):
+            IkParams(max_iter=-1)
 
 
 class TestJointDisplacement:
