@@ -12,21 +12,25 @@ only. Every run is seed-deterministic end to end.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (Pose, pose_error, quat_conj, quat_from_rotvec, quat_mul,
-                       quat_to_rotvec)
+                       quat_normalize, quat_rotate, quat_to_matrix, quat_to_rotvec)
 from .kinematics import (ChainModel, IkParams, bundled_chain, ik_damped_least_squares,
                          load_chain, _mat_to_quat)
 from .controller import (ControllerState, ImpedanceParams, ReactivityGains, SafetyLatch,
-                         TICK_PERIOD, Wrench, desired_wrench, phase_gains, reactive_term)
+                         SensorFault, TICK_PERIOD, Wrench, desired_wrench, phase_gains,
+                         reactive_term, safety_check)
 from .transfer import (BiteDetector, FsmState, TransferPhase, EXIT_SIDE_PHASES,
-                       build_fixed_pose_plan, build_transfer_plan, step)
+                       _segment_or_none, build_fixed_pose_plan, build_transfer_plan, step)
 from .perception import compute_offsets, food_bounding_box, synth_depth_scan, target_pose
-from .humansim import (BiteScript, FoodAttachmentState, MouthModel, bite_force,
-                       contact_force, load_food_presets, perturbation_trace)
+from .humansim import (HEAD_MOTION_PARAMS, BiteScript, FoodAttachmentState, MouthModel,
+                       bite_force, contact_force, load_food_presets, perturbation_trace,
+                       signal_trace)
 from .presets import GAIN_PRESETS, default_scenario_dict, default_study_dict
 
 CSV_HEADER = ("t_s,px,py,pz,qw,qx,qy,qz,fx,fy,fz,tau_x,tau_y,tau_z,phase,"
@@ -69,6 +73,30 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _check_keys(cfg: dict, known: dict, kind: str, path: str = "") -> None:
+    """Reject a key of cfg that known lacks, at any nesting level; the
+    message names the kind of config and the key's path."""
+    for key, value in cfg.items():
+        if key not in known:
+            raise ConfigError(f"unknown {kind} key {path + str(key)!r}")
+        if isinstance(value, dict) and isinstance(known[key], dict):
+            _check_keys(value, known[key], kind, f"{path}{key}.")
+
+
+def _scenario_keys(cfg: dict) -> dict:
+    """Keys a scenario may set: the defaults', a gain preset's, the
+    optional mouth facing, and the parameters of the disturbance and
+    head-motion kinds that cfg selects."""
+    known = _merge(default_scenario_dict(), GAIN_PRESETS["ours"])
+    known["mouth"]["facing"] = None
+    for key, kinds in (("disturbance", DISTURBANCE_PARAMS),
+                       ("head_perturbation", HEAD_MOTION_PARAMS)):
+        if not isinstance(cfg[key], dict):
+            raise ConfigError(f"scenario key {key!r} must be an object")
+        known[key] = {"kind": None, **kinds.get(cfg[key].get("kind", "none"), {})}
+    return known
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Resolved trial description; the unit of reproducibility."""
@@ -90,6 +118,7 @@ class Scenario:
             cfg["gain_preset"] = preset
         if overrides:
             cfg = _merge(cfg, overrides)
+            _check_keys(overrides, _scenario_keys(cfg), "scenario")
         if cfg.get("seed") is None:
             raise ConfigError("scenario seed is mandatory")
         return cls(cfg)
@@ -334,6 +363,8 @@ class TrialReport:
     n_ticks: int
     food_detached: bool
     food_taken_by_bite: bool
+    final_phase: str  # phase of the last tick
+    completed: bool  # the trial reached DONE within its horizon
     log: TickLog = field(repr=False, compare=False, default=None)
 
     def to_dict(self) -> dict:
@@ -350,6 +381,8 @@ class TrialReport:
             "n_ticks": self.n_ticks,
             "food_detached": self.food_detached,
             "food_taken_by_bite": self.food_taken_by_bite,
+            "final_phase": self.final_phase,
+            "completed": self.completed,
         }
 
     def to_json(self) -> str:
@@ -365,8 +398,19 @@ def _resolve_chain(name: str) -> ChainModel:
         raise ConfigError(f"cannot resolve chain {name!r}: {e}") from e
 
 
+# parameters and defaults of the injected-disturbance kinds (forces in N)
+DISTURBANCE_PARAMS = {
+    "none": {},
+    "sinusoid": {"amplitude_n": 0.5, "period_s": 1.0, "direction": [1.0, 0.0, 0.0]},
+    "random-walk": {"sigma_n": 1.0, "amplitude_n": 0.8},  # sigma in N / sqrt(s)
+    "array": {"trace": None},  # (n, 6) rows; the last row holds past its end
+}
+
+
 def _disturbance_trace(cfg: dict, n: int, dt: float, seed: int) -> np.ndarray:
     kind = cfg.get("kind", "none")
+    if kind not in DISTURBANCE_PARAMS:
+        raise ConfigError(f"unknown disturbance kind {kind!r}")
     if kind == "none":
         return np.zeros((1, 6))
     if kind == "array":
@@ -374,30 +418,43 @@ def _disturbance_trace(cfg: dict, n: int, dt: float, seed: int) -> np.ndarray:
         if arr.ndim != 2 or arr.shape[1] != 6:
             raise ConfigError("disturbance trace must be (n, 6)")
         return arr
-    if kind == "sinusoid":
-        amp = float(cfg.get("amplitude_n", 0.5))
-        period = float(cfg.get("period_s", 1.0))
-        direction = np.asarray(cfg.get("direction", [1.0, 0.0, 0.0]), dtype=float)
-        direction = direction / np.linalg.norm(direction)
-        t = np.arange(n) * dt
-        out = np.zeros((n, 6))
-        out[:, :3] = np.outer(amp * np.sin(2 * np.pi * t / period), direction)
-        return out
-    if kind == "random-walk":
-        sigma = float(cfg.get("sigma_n", 1.0))
-        amp = float(cfg.get("amplitude_n", 0.8))
-        rng = np.random.default_rng(seed)
-        stepsv = rng.standard_normal((n, 3)) * sigma * np.sqrt(dt)
-        stepsv[0] = 0.0
-        walk = np.clip(np.cumsum(stepsv, axis=0), -amp, amp)
-        out = np.zeros((n, 6))
-        out[:, :3] = walk
-        return out
-    raise ConfigError(f"unknown disturbance kind {kind!r}")
+    p = {**DISTURBANCE_PARAMS[kind], **cfg}
+    out = np.zeros((n, 6))
+    out[:, :3] = signal_trace(kind, n, dt, seed, float(p["amplitude_n"]),
+                              period=float(p.get("period_s", 1.0)),
+                              direction=p.get("direction", (1.0, 0.0, 0.0)),
+                              sigma=float(p.get("sigma_n", 0.0)))
+    return out
 
 
-def run_trial(scenario: Scenario, chain: ChainModel | None = None) -> TrialReport:
-    """Execute scan, targeting, and the full transfer FSM for one trial."""
+@dataclass
+class TrialSetup:
+    """Everything run_trial builds from a scenario before the first tick."""
+
+    cfg: dict
+    world: WorldState
+    fsm: FsmState
+    ctrl: ControllerState
+    robot: VirtualRobotState
+    n_ticks: int
+    chain: ChainModel | None
+    mouth_error_mm: np.ndarray
+
+
+@dataclass
+class TickRun:
+    """What the tick loop hands to joint logging and classification."""
+
+    log: TickLog
+    bite_time: float | None
+    timeout_time: float | None
+    phase_at_trip: str | None
+    exit_completed_at: float | None
+    ik_targets: list[tuple[int, Pose]]  # robot pose at each joint-log tick
+
+
+def _prepare_trial(scenario: Scenario, chain: ChainModel | None = None) -> TrialSetup:
+    """Scan, targeting, plan, traces and the initial states of one trial."""
     cfg = scenario.raw
     dt = TICK_PERIOD
     seed = int(cfg["seed"])
@@ -528,87 +585,511 @@ def run_trial(scenario: Scenario, chain: ChainModel | None = None) -> TrialRepor
     robot = VirtualRobotState(plan.start_pose, np.zeros(6), mass)
     ctrl = ControllerState(gains=world.gains_entry, exit_axis=world.exit_axis,
                            integral_cap=float(cfg.get("integral_cap_n", 10.0)))
+    return TrialSetup(cfg, world, fsm, ctrl, robot, n_ticks, chain, err_mm)
 
-    log = TickLog(
-        t=np.empty(n_ticks), position=np.empty((n_ticks, 3)),
-        orientation=np.empty((n_ticks, 4)), force=np.empty((n_ticks, 3)),
-        torque=np.empty((n_ticks, 3)), phase=np.empty(n_ticks, dtype=np.int8),
-        set_position=np.empty((n_ticks, 3)), set_orientation=np.empty((n_ticks, 4)),
-        events=[],
-    )
 
-    stride = int(cfg.get("joint_log_stride", 0))
-    joints_rows = []
-    joint_ticks = []
-    q_guess = chain.home if chain is not None else None
-    ik_params = IkParams(max_iter=60)
+# column layout of the kernel's per-tick record rows: t, position,
+# orientation, force, torque, phase, setpoint position and orientation
+_REC_T, _REC_POS, _REC_ORI, _REC_FORCE, _REC_TORQUE = 0, 1, 4, 8, 11
+_REC_PHASE, _REC_SET_POS, _REC_SET_ORI, _REC_WIDTH = 14, 15, 18, 22
 
-    prev_setpoint = None
-    bite_time = None
-    timeout_time = None
-    phase_at_trip = None
-    exit_completed_at = None
+
+def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
+                 robot: VirtualRobotState, n_ticks: int, dt: float = TICK_PERIOD,
+                 ik_stride: int = 0) -> TickRun:
+    """The 1 kHz loop of run_trial as one flat kernel.
+
+    Tick for tick it computes, to the bit, what a loop over simulate_tick
+    computes from the same states, but it builds no Pose, Wrench or state
+    object per tick: the plant, controller and filter state live in float
+    locals and preallocated float64 arrays, the FSM is an integer phase
+    with its start times and the detector's counters, and each tick
+    writes one row of a preallocated record array. Plain floats carry
+    only +, -, *, /, comparisons, min and max, which round exactly as
+    numpy does. Every dot product and norm stays a BLAS call on a float64
+    array (BLAS fuses multiply-adds, so a Python sum can differ in the
+    last bit), the integral clamp stays np.clip, and the trigonometric
+    functions stay numpy's.
+
+    World state that classification reads (the safety latch, the food
+    attachment and the measurement filter) is updated in place. Joint
+    logging is left to the caller: every ``ik_stride`` ticks the run
+    keeps the robot pose, which simulate_tick builds as
+    Pose(position, unnormalised orientation).
+    """
+    if abs(dt - ctrl.tick_period) > 1e-12:
+        raise ValueError(f"dt {dt} does not match the tick period {ctrl.tick_period}")
+    safety = world.safety
+    safety_check(Wrench.zero(), safety.limit, safety.mode)  # a bad limit or mode raises
+    tripped = safety.tripped
+    norm_mode = safety.mode == "norm"
+    limit = safety.limit
+
+    b3 = np.empty(3)
+    b4 = np.empty(4)
+
+    def norm3(x, y, z):
+        b3[0] = x
+        b3[1] = y
+        b3[2] = z
+        return math.sqrt(b3.dot(b3))
+
+    def unit(w, x, y, z):
+        # quat_normalize
+        b4[0] = w
+        b4[1] = x
+        b4[2] = y
+        b4[3] = z
+        n = math.sqrt(b4.dot(b4))
+        if n == 0.0 or not math.isfinite(n):
+            raise ValueError("cannot normalize zero or non-finite quaternion")
+        return w / n, x / n, y / n, z / n
+
+    def rotvec(w, x, y, z):
+        # quat_to_rotvec
+        if w < 0.0:
+            w, x, y, z = -w, -x, -y, -z
+        s = norm3(x, y, z)
+        if s < 1e-12:
+            return 2.0 * x, 2.0 * y, 2.0 * z
+        c = float(2.0 * np.arctan2(s, w)) / s
+        return c * x, c * y, c * z
+
+    # mouth frames: as given, and as Pose() renormalises it when the head
+    # moves; columns of the rotation matrix for contact, the quaternion's
+    # z axis for the lip test and the quaternion itself for the bite
+    mouth = world.mouth
+    lip, cavity = mouth.lip_margin, mouth.cavity_depth
+    half_aperture = mouth.aperture / 2.0
+    k_mouth, c_mouth, lateral = mouth.stiffness, mouth.damping, mouth.lateral_halfwidth
+    mx0, my0, mz0 = mouth.center.position.tolist()
+    frames = []
+    for q in (mouth.center.orientation, quat_normalize(mouth.center.orientation)):
+        rot = quat_to_matrix(q)
+        frames.append((rot[:, 0], rot[:, 1], rot[:, 2], quat_rotate(q, np.array([0.0, 0.0, 1.0])),
+                       q, rot[:, 0].tolist(), rot[:, 1].tolist()))
+    head = world.perturb_trace
+    if not np.all(np.isfinite(head[:n_ticks])):
+        raise ValueError("pose position must be finite")
+    head_moves = (head != 0.0).any(axis=1).tolist()
+    last_head = len(head) - 1
+    dist = world.disturbance_trace
+    dist_on = dist.any(axis=1).tolist()
+    last_dist = len(dist) - 1
+
+    script = world.bite
+    attachment = world.attachment
+    detached = attachment.detached
+    alpha = world.lowpass_alpha
+    filt = world.filtered.tolist()
+
+    # the two gain sets: force matrices, torque gains, clamp of the integral
+    def gain_set(g):
+        cap = ctrl.integral_cap * g._cap_per_newton
+        return g.p_force, g.i_force, g.p_torque.tolist(), g.i_torque.tolist(), -cap, cap
+    gains = {False: gain_set(world.gains_entry), True: gain_set(world.gains_exit)}
+    exit_gains = ctrl.gains is world.gains_exit
+    p_force, i_force, p_torque, i_torque, cap_lo, cap_hi = gains[exit_gains]
+    integral = np.array(ctrl.integral)
+    integral_force = integral[:3]
+    acc = np.empty(6)
+    f_meas = np.empty(6)
+    f_meas_force = f_meas[:3]
+    stiff = world.impedance.stiffness.tolist()
+    damp = world.impedance.damping.tolist()
+    mass = robot.mass.tolist()
+
+    # plan: waypoints and, per waypoint interval, slerp's constants
+    plan = fsm.plan
+    times = plan.times.tolist()
+    t_first, t_last = times[0], times[-1]
+    last_wp = len(times) - 1
+    waypoints = [(*p.position.tolist(), *p.orientation.tolist()) for p in plan.poses]
+    intervals = []
+    for j in range(last_wp):
+        a, b = plan.poses[j].orientation, plan.poses[j + 1].orientation
+        dot = float(np.dot(a, b))
+        if dot < 0.0:
+            b = -b
+            dot = -dot
+        if dot > 0.9995:
+            intervals.append((times[j + 1] - times[j], (b - a).tolist(), None, None, None))
+        else:
+            theta = np.arccos(np.clip(dot, -1.0, 1.0))
+            intervals.append((times[j + 1] - times[j], None, theta, np.sin(theta), b.tolist()))
+
+    def interpolate_at(t):
+        # transfer.interpolate, as a 7-tuple
+        t = min(max(t, t_first), t_last)
+        j = bisect_right(times, t) - 1
+        if j >= last_wp:
+            return waypoints[-1]
+        if t == times[j]:
+            return waypoints[j]
+        span, delta, theta, sin_theta, b = intervals[j]
+        frac = (t - times[j]) / span
+        ax, ay, az, aw, aqx, aqy, aqz = waypoints[j]
+        bx, by, bz = waypoints[j + 1][:3]
+        if delta is not None:
+            qw, qx, qy, qz = unit(aw + frac * delta[0], aqx + frac * delta[1],
+                                  aqy + frac * delta[2], aqz + frac * delta[3])
+        else:
+            ca = float(np.sin((1.0 - frac) * theta) / sin_theta)
+            cb = float(np.sin(frac * theta) / sin_theta)
+            qw, qx, qy, qz = (ca * aw + cb * b[0], ca * aqx + cb * b[1],
+                              ca * aqy + cb * b[2], ca * aqz + cb * b[3])
+        return ((1.0 - frac) * ax + frac * bx, (1.0 - frac) * ay + frac * by,
+                (1.0 - frac) * az + frac * bz, *unit(qw, qx, qy, qz))
+
+    # FSM: integer phase, start times, detector counters
+    SCAN, FACE, APPROACH, ENTRY, WAIT, EXIT, RETRACT, DONE, ABORTED = range(9)
+    names = [p.name for p in TransferPhase]
+    arc = _segment_or_none(plan, "arc")
+    entry = _segment_or_none(plan, "linear-entry") or _segment_or_none(plan, "dwell")
+    exit_seg = _segment_or_none(plan, "linear-exit") or _segment_or_none(plan, "arc-return")
+    approach = arc if arc is not None else entry
+    approach_dur = approach.t_end - approach.t_start
+    entry_dur = entry.t_end - entry.t_start
+    exit_dur = exit_seg.t_end - exit_seg.t_start
+    retract_dur = fsm.retract_duration
+    start_sp = waypoints[0]
+    detector = fsm.detector
+    axis = detector.axis
+    timeout_at = detector.timeout - 1e-9
+    phase = int(fsm.phase)
+    t_phase_start = fsm.t_phase_start
+    wait_started_at = fsm.wait_started_at
+    fsm_bite_time = fsm.bite_time
+    hold = None if fsm.hold_pose is None else (*fsm.hold_pose.position.tolist(),
+                                               *fsm.hold_pose.orientation.tolist())
+    elapsed, above = detector.elapsed, detector.above_count
+
+    px, py, pz = robot.pose.position.tolist()
+    qw, qx, qy, qz = robot.pose.orientation.tolist()
+    raw_q = None  # orientation before its last normalisation, once integrated
+    tw = robot.twist.tolist()
+    prev_sp = None
+
+    rec = np.empty((n_ticks, _REC_WIDTH))
+    events: list[dict] = []
+    ik_ticks = []
+    bite_time = timeout_time = phase_at_trip = exit_completed_at = None
 
     for i in range(n_ticks):
-        tripped_before = world.safety.tripped
-        robot, ctrl, fsm, rec = simulate_tick(robot, ctrl, fsm, world, i, dt,
-                                              prev_setpoint)
-        prev_setpoint = rec["setpoint"]
-        if world.safety.tripped and not tripped_before:
-            phase_at_trip = rec["events"][0]["phase_from"] if rec["events"] else rec["phase"].name
+        t = i * dt
+        jh = i if i < last_head else last_head
+        if head_moves[jh]:
+            ox, oy, oz = head[jh].tolist()
+            mx, my, mz = mx0 + ox, my0 + oy, mz0 + oz
+            x_hat, y_hat, z_hat, z_axis, mouth_q, xh, yh = frames[1]
+        else:
+            mx, my, mz = mx0, my0, mz0
+            x_hat, y_hat, z_hat, z_axis, mouth_q, xh, yh = frames[0]
 
-        for ev in rec["events"]:
-            log.events.append(ev)
-            if ev["event"] == "bite":
-                bite_time = ev["t"]
-            elif ev["event"] == "timeout":
-                timeout_time = ev["t"]
-            if ev["phase_from"] == "EXIT" and ev["phase_to"] == "RETRACT_ARC":
-                exit_completed_at = ev["t"]
+        # forces on the fork: penalty contact, then the bite, then the
+        # injected disturbance (humansim.contact_force and bite_force)
+        b3[0] = px - mx
+        b3[1] = py - my
+        b3[2] = pz - mz
+        z_m = float(b3.dot(z_hat))
+        f0 = f1 = f2 = 0.0
+        if not (z_m > lip or z_m < -cavity):
+            x_m = float(b3.dot(x_hat))
+            y_m = float(b3.dot(y_hat))
+            v = np.array(tw[:3])
+            v_x = float(v.dot(x_hat))
+            v_y = float(v.dot(y_hat))
+            if y_m < -half_aperture:
+                mag = max(0.0, k_mouth * (-half_aperture - y_m) + c_mouth * (-v_y))
+                f0, f1, f2 = f0 + mag * yh[0], f1 + mag * yh[1], f2 + mag * yh[2]
+            elif y_m > half_aperture:
+                mag = max(0.0, k_mouth * (y_m - half_aperture) + c_mouth * v_y)
+                f0, f1, f2 = f0 - mag * yh[0], f1 - mag * yh[1], f2 - mag * yh[2]
+            if x_m > lateral:
+                mag = max(0.0, k_mouth * (x_m - lateral) + c_mouth * v_x)
+                f0, f1, f2 = f0 - mag * xh[0], f1 - mag * xh[1], f2 - mag * xh[2]
+            elif x_m < -lateral:
+                mag = max(0.0, k_mouth * (-lateral - x_m) + c_mouth * (-v_x))
+                f0, f1, f2 = f0 + mag * xh[0], f1 + mag * xh[1], f2 + mag * xh[2]
+        bite_n = 0.0
+        if not detached and not script.refuse:
+            t_in_bite = None
+            if phase == WAIT:
+                t_in_bite = t - t_phase_start
+            elif (phase == EXIT and fsm_bite_time is not None and wait_started_at is not None
+                  and float(b3.dot(z_axis)) <= lip):
+                t_in_bite = t - wait_started_at
+            if t_in_bite is not None and t_in_bite >= script.t_bite:
+                frac = (min(1.0, (t_in_bite - script.t_bite) / script.ramp)
+                        if script.ramp > 0 else 1.0)
+                bite_y = -frac * script.peak_force
+                if bite_y != 0.0:
+                    bite_n = abs(bite_y)
+                    bf = quat_rotate(mouth_q, np.array([0.0, bite_y, 0.0])).tolist()
+                    f0, f1, f2 = f0 + bf[0], f1 + bf[1], f2 + bf[2]
+        jd = i if i < last_dist else last_dist
+        if dist_on[jd]:
+            d = dist[jd].tolist()
+            f0, f1, f2 = f0 + d[0], f1 + d[1], f2 + d[2]
+            m0, m1, m2 = 0.0 + d[3], 0.0 + d[4], 0.0 + d[5]
+        else:
+            m0 = m1 = m2 = 0.0
+        # the sensor reads the tool-applied wrench
+        fm0, fm1, fm2, tm0, tm1, tm2 = -f0, -f1, -f2, -m0, -m1, -m2
 
-        # food attachment bookkeeping, on-fork forces split by source
-        t_now = rec["t"]
-        bite_mag = rec["bite_n"]
-        transport = float(np.linalg.norm(rec["on_fork"].force)) - bite_mag
-        world.attachment.update(max(0.0, transport), t_now, bite_engaged=False)
-        if bite_mag > 0.0:
-            world.attachment.update(bite_mag, t_now, bite_engaged=True)
+        if not tripped:
+            if norm_mode:
+                tripped = norm3(fm0, fm1, fm2) > limit
+            else:
+                tripped = abs(fm0) > limit or abs(fm1) > limit or abs(fm2) > limit
+            if tripped:
+                phase_at_trip = names[phase]
 
-        log.t[i] = t_now
-        log.position[i] = rec["pose"].position
-        log.orientation[i] = rec["pose"].orientation
-        log.force[i] = rec["f_m"].force
-        log.torque[i] = rec["f_m"].torque
-        log.phase[i] = int(rec["phase"])
-        log.set_position[i] = rec["setpoint"].position
-        log.set_orientation[i] = rec["setpoint"].orientation
+        # transfer.step: chain through elapsed phases to this tick's setpoint
+        tick_events = []
+        f_y = None
+        if tripped and phase != ABORTED:
+            b3[0], b3[1], b3[2] = fm0, fm1, fm2
+            f_y = float(np.dot(b3, axis))
+            tick_events.append((phase, ABORTED, "safety_abort"))
+            phase = ABORTED
+            t_phase_start = t
+        while phase != ABORTED:
+            t_in = t - t_phase_start
+            if phase == SCAN or phase == FACE:
+                dur = fsm.scan_duration if phase == SCAN else fsm.face_duration
+                if t_in >= dur:
+                    tick_events.append((phase, phase + 1, None))
+                    phase += 1
+                    t_phase_start = t - (t_in - dur)
+                    continue
+                sp = start_sp
+            elif phase == APPROACH:
+                if t_in >= approach_dur:
+                    tick_events.append((phase, ENTRY, None))
+                    phase = ENTRY
+                    t_phase_start = t - (t_in - approach_dur)
+                    continue
+                sp = interpolate_at(approach.t_start + t_in)
+            elif phase == ENTRY:
+                if t_in >= entry_dur:
+                    hold = interpolate_at(entry.t_end)
+                    tick_events.append((phase, WAIT, None))
+                    phase = WAIT
+                    t_phase_start = wait_started_at = t - (t_in - entry_dur)
+                    continue
+                sp = interpolate_at(entry.t_start + t_in)
+            elif phase == WAIT:
+                # transfer.detect_bite
+                b3[0], b3[1], b3[2] = fm0, fm1, fm2
+                f_y = float(np.dot(b3, axis))
+                status = None
+                if abs(f_y) > detector.threshold:
+                    above += 1
+                    if above >= detector.debounce_ticks:
+                        status = "bite"
+                else:
+                    above = 0
+                if status is None:
+                    elapsed = elapsed + dt
+                    if elapsed >= timeout_at:
+                        status = "timeout"
+                if status is not None:
+                    tick_events.append((phase, EXIT, status))
+                    phase = EXIT
+                    t_phase_start = t
+                    if status == "bite":
+                        fsm_bite_time = t
+                sp = hold
+            elif phase == EXIT:
+                if t_in >= exit_dur:
+                    tick_events.append((phase, RETRACT, None))
+                    phase = RETRACT
+                    t_phase_start = t - (t_in - exit_dur)
+                    continue
+                sp = interpolate_at(exit_seg.t_start + t_in)
+            elif phase == RETRACT:
+                if arc is None or retract_dur <= 0 or t_in >= retract_dur:
+                    hold = start_sp if arc is None else interpolate_at(arc.t_start)
+                    tick_events.append((phase, DONE, None))
+                    phase = DONE
+                    t_phase_start = t
+                    continue
+                frac = t_in / retract_dur
+                sp = interpolate_at(arc.t_end - frac * (arc.t_end - arc.t_start))
+            else:  # DONE
+                sp = hold if hold is not None else waypoints[-1]
+            break
+        for p_from, p_to, kind in tick_events:
+            if f_y is None:
+                b3[0], b3[1], b3[2] = fm0, fm1, fm2
+                f_y = float(np.dot(b3, axis))
+            events.append({"t": t, "phase_from": names[p_from], "phase_to": names[p_to],
+                           "event": kind, "f_y": f_y})
+            if kind == "bite":
+                bite_time = t
+            elif kind == "timeout":
+                timeout_time = t
+            if p_from == EXIT and p_to == RETRACT:
+                exit_completed_at = t
 
-        if stride and chain is not None and i % stride == 0:
-            sol = ik_damped_least_squares(chain, rec["pose"], q_guess, ik_params)
-            q_guess = sol.q
-            joints_rows.append(sol.q)
-            joint_ticks.append(i)
+        # exit-side gains; the integral resets when the exit side begins
+        want_exit = phase == EXIT or phase == RETRACT
+        if want_exit != exit_gains:
+            exit_gains = want_exit
+            p_force, i_force, p_torque, i_torque, cap_lo, cap_hi = gains[exit_gains]
+            if exit_gains:
+                integral[:] = 0.0
 
-    if joints_rows:
-        log.joints = np.array(joints_rows)
-        log.joint_ticks = np.array(joint_ticks, dtype=np.int64)
+        if phase == ABORTED:
+            # the plant freezes where it is
+            tw = [0.0] * 6
+            sp = (px, py, pz, qw, qx, qy, qz)
+        else:
+            # impedance wrench from the setpoint error (geometry.pose_error,
+            # controller.desired_wrench)
+            spx, spy, spz, sqw, sqx, sqy, sqz = sp
+            e0, e1, e2 = spx - px, spy - py, spz - pz
+            cw, cx, cy, cz = qw, -qx, -qy, -qz
+            e3, e4, e5 = rotvec(sqw * cw - sqx * cx - sqy * cy - sqz * cz,
+                                sqw * cx + sqx * cw + sqy * cz - sqz * cy,
+                                sqw * cy - sqx * cz + sqy * cw + sqz * cx,
+                                sqw * cz + sqx * cy - sqy * cx + sqz * cw)
+            if prev_sp is None:
+                vd = (0.0,) * 6
+            else:
+                ppx, ppy, ppz, pqw, pqx, pqy, pqz = prev_sp
+                cw, cx, cy, cz = pqw, -pqx, -pqy, -pqz
+                r3, r4, r5 = rotvec(sqw * cw - sqx * cx - sqy * cy - sqz * cz,
+                                    sqw * cx + sqx * cw + sqy * cz - sqz * cy,
+                                    sqw * cy - sqx * cz + sqy * cw + sqz * cx,
+                                    sqw * cz + sqx * cy - sqy * cx + sqz * cw)
+                vd = ((spx - ppx) / dt, (spy - ppy) / dt, (spz - ppz) / dt,
+                      r3 / dt, r4 / dt, r5 / dt)
+            err = (e0, e1, e2, e3, e4, e5)
+            v_err = [v - w for v, w in zip(vd, tw)]
+            f_cmd = [k * e + c * v for k, e, c, v in zip(stiff, err, damp, v_err)]
+            # a non-finite error makes its wrench component non-finite too
+            if not math.isfinite(sum(f_cmd)):
+                if not all(map(math.isfinite, (*err, *v_err))):
+                    raise ValueError("pose/velocity errors must be finite")
 
-    # classify the outcome
+            # reactive PI term on the (optionally low-passed) measurement
+            # (controller.reactive_term)
+            fm = (fm0, fm1, fm2, tm0, tm1, tm2)
+            if alpha is not None:
+                filt = [y + alpha * (x - y) for x, y in zip(fm, filt)]
+                fm = filt
+            if not math.isfinite(sum(fm)):
+                if not all(map(math.isfinite, fm)):
+                    raise SensorFault("non-finite force measurement")
+            f_meas[:] = fm
+            np.multiply(f_meas, dt, out=acc)
+            np.add(integral, acc, out=acc)
+            np.clip(acc, cap_lo, cap_hi, out=integral)
+            bar_f = (p_force.dot(f_meas_force) + i_force.dot(integral_force)).tolist()
+            it = integral.tolist()
+            f_bar = (*bar_f, p_torque[0] * fm[3] + i_torque[0] * it[3],
+                     p_torque[1] * fm[4] + i_torque[1] * it[4],
+                     p_torque[2] * fm[5] + i_torque[2] * it[5])
+
+            # semi-implicit Euler through the virtual mass
+            on_fork = (f0, f1, f2, m0, m1, m2)
+            tw = [w + dt * ((c - b + f) / m)
+                  for w, c, b, f, m in zip(tw, f_cmd, f_bar, on_fork, mass)]
+            px, py, pz = px + dt * tw[0], py + dt * tw[1], pz + dt * tw[2]
+            if not math.isfinite(px + py + pz + sum(tw)):
+                if not all(map(math.isfinite, (px, py, pz, *tw))):
+                    raise ValueError("robot state must be finite")
+            r0, r1, r2 = dt * tw[3], dt * tw[4], dt * tw[5]
+            if r0 != 0.0 or r1 != 0.0 or r2 != 0.0:
+                # geometry.quat_from_rotvec, then quat_mul onto the pose
+                angle = norm3(r0, r1, r2)
+                if angle < 1e-12:
+                    aw, ax, ay, az = unit(1.0 - angle * angle / 8.0, 0.5 * r0, 0.5 * r1,
+                                          0.5 * r2)
+                else:
+                    u0, u1, u2 = r0 / angle, r1 / angle, r2 / angle
+                    n = norm3(u0, u1, u2)
+                    half = 0.5 * angle
+                    aw = float(np.cos(half))
+                    s = float(np.sin(half)) / n
+                    ax, ay, az = s * u0, s * u1, s * u2
+                raw_q = (aw * qw - ax * qx - ay * qy - az * qz,
+                         aw * qx + ax * qw + ay * qz - az * qy,
+                         aw * qy - ax * qz + ay * qw + az * qx,
+                         aw * qz + ax * qy - ay * qx + az * qw)
+            else:
+                raw_q = (qw, qx, qy, qz)
+            qw, qx, qy, qz = unit(*raw_q)
+        prev_sp = sp
+
+        # food attachment, on-fork forces split by source
+        transport = (norm3(f0, f1, f2) if f0 != 0.0 or f1 != 0.0 or f2 != 0.0
+                     else 0.0) - bite_n
+        if not detached:
+            detached = attachment.update(max(0.0, transport), t, bite_engaged=False)
+            if bite_n > 0.0:
+                detached = attachment.update(bite_n, t, bite_engaged=True)
+
+        rec[i] = (t, px, py, pz, qw, qx, qy, qz, fm0, fm1, fm2, tm0, tm1, tm2, phase, *sp)
+        if ik_stride and i % ik_stride == 0:
+            ik_ticks.append((i, (px, py, pz), raw_q))
+
+    safety.tripped = tripped
+    world.filtered[:] = filt
+
+    # the log's float arrays are column views of the record rows
+    log = TickLog(
+        t=rec[:, _REC_T], position=rec[:, _REC_POS:_REC_ORI],
+        orientation=rec[:, _REC_ORI:_REC_FORCE], force=rec[:, _REC_FORCE:_REC_TORQUE],
+        torque=rec[:, _REC_TORQUE:_REC_PHASE], phase=rec[:, _REC_PHASE].astype(np.int8),
+        set_position=rec[:, _REC_SET_POS:_REC_SET_ORI],
+        set_orientation=rec[:, _REC_SET_ORI:_REC_WIDTH], events=events,
+    )
+    ik_targets = [(i, robot.pose if q is None else Pose(np.array(p), np.array(q)))
+                  for i, p, q in ik_ticks]
+    return TickRun(log, bite_time, timeout_time, phase_at_trip, exit_completed_at,
+                   ik_targets)
+
+
+def _log_joints(run: TickRun, chain: ChainModel) -> None:
+    """Joint configurations at the logged ticks, each IK solve warm-started
+    from the one before."""
+    if not run.ik_targets:
+        return
+    q_guess = chain.home
+    ik_params = IkParams(max_iter=60)
+    rows = []
+    for _, pose in run.ik_targets:
+        q_guess = ik_damped_least_squares(chain, pose, q_guess, ik_params).q
+        rows.append(q_guess)
+    run.log.joints = np.array(rows)
+    run.log.joint_ticks = np.array([i for i, _ in run.ik_targets], dtype=np.int64)
+
+
+def _finish_trial(setup: TrialSetup, run: TickRun) -> TrialReport:
+    """Classify the outcome and build the report."""
+    cfg = setup.cfg
+    mcfg = cfg["mouth"]
+    err_mm = setup.mouth_error_mm
+    world = setup.world
+    log = run.log
     att = world.attachment
     mcfg_l = float(mcfg.get("lateral_halfwidth_m", 0.025)) * 1000.0
     aperture_mm = float(mcfg.get("aperture_m", 0.030)) * 1000.0
     imprecise = (abs(err_mm[0]) > mcfg_l) or (abs(err_mm[1]) > aperture_mm / 2.0)
-    exit_deadline = exit_completed_at if exit_completed_at is not None else np.inf
+    exit_deadline = run.exit_completed_at if run.exit_completed_at is not None else np.inf
     dropped = (att.detached and not att.taken_by_bite
                and att.detach_time is not None and att.detach_time <= exit_deadline)
 
     # most specific root cause first: a lost food item explains a missing
     # bite, a mislocated mouth explains a crash, the bare abort comes last
-    if world.safety.tripped and phase_at_trip == "BITE_WAIT":
+    if world.safety.tripped and run.phase_at_trip == "BITE_WAIT":
         outcome = "bite_failure"
     elif dropped:
         outcome = "drop"
-    elif timeout_time is not None:
+    elif run.timeout_time is not None:
         outcome = "bite_failure"
     elif imprecise:
         outcome = "imprecise"
@@ -617,22 +1098,35 @@ def run_trial(scenario: Scenario, chain: ChainModel | None = None) -> TrialRepor
     else:
         outcome = "success"
 
+    final_phase = TransferPhase(int(log.phase[-1])).name
     abs_f = np.abs(log.force)
     return TrialReport(
         scenario_name=cfg.get("name", "trial"),
-        seed=seed,
+        seed=int(cfg["seed"]),
         outcome=outcome,
         events=log.events,
-        bite_time=bite_time,
-        timeout_time=timeout_time,
+        bite_time=run.bite_time,
+        timeout_time=run.timeout_time,
         peak_force_n=float(np.linalg.norm(log.force, axis=1).max()),
         peak_force_components=tuple(float(x) for x in abs_f.max(axis=0)),
         mean_deviation_m=float(log.deviation().mean()),
-        n_ticks=n_ticks,
+        n_ticks=setup.n_ticks,
         food_detached=att.detached,
         food_taken_by_bite=att.taken_by_bite,
+        final_phase=final_phase,
+        completed=final_phase == "DONE",
         log=log,
     )
+
+
+def run_trial(scenario: Scenario, chain: ChainModel | None = None) -> TrialReport:
+    """Execute scan, targeting, and the full transfer FSM for one trial."""
+    setup = _prepare_trial(scenario, chain)
+    stride = int(setup.cfg.get("joint_log_stride", 0)) if setup.chain is not None else 0
+    run = _tick_kernel(setup.world, setup.fsm, setup.ctrl, setup.robot, setup.n_ticks,
+                       ik_stride=stride)
+    _log_joints(run, setup.chain)
+    return _finish_trial(setup, run)
 
 
 def _trial_seed(suite_seed: int, index: int) -> int:
@@ -682,7 +1176,12 @@ class SuiteReport:
 
 
 def run_suite(suite_cfg: dict) -> SuiteReport:
-    """Run every scenario x repetition with seeds derived from the suite seed."""
+    """Run every scenario x repetition with seeds derived from the suite seed.
+
+    Every key and every trial's scenario is checked before the first
+    trial runs."""
+    _check_keys(suite_cfg, {"name": None, "seed": None, "repetitions": None,
+                            "trials": None}, "suite")
     if "seed" not in suite_cfg:
         raise ConfigError("suite seed is mandatory")
     suite_seed = int(suite_cfg["seed"])
@@ -691,40 +1190,32 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
     if not entries:
         raise ConfigError("suite needs a non-empty trials list")
 
-    per_method: dict[str, dict[str, int]] = {}
-    outcomes = []
-    idx = 0
-    for entry in entries:
+    trials = []
+    for n, entry in enumerate(entries):
+        _check_keys(entry, {"method": None, "scenario": None}, "suite", f"trials[{n}].")
         overrides = dict(entry.get("scenario", {}))
         method = entry.get("method", overrides.get("gain_preset", "ours"))
         overrides.setdefault("gain_preset", method)
         for _ in range(reps):
-            overrides_i = dict(overrides)
-            overrides_i["seed"] = _trial_seed(suite_seed, idx)
-            scenario = Scenario.from_dict(overrides_i)
-            report = run_trial(scenario)
-            bucket = per_method.setdefault(method, {k: 0 for k in OUTCOMES})
-            bucket[report.outcome] += 1
-            outcomes.append({"index": idx, "method": method, "seed": report.seed,
-                             "outcome": report.outcome})
-            idx += 1
+            seed = _trial_seed(suite_seed, len(trials))
+            trials.append((method, Scenario.from_dict({**overrides, "seed": seed})))
+
+    per_method: dict[str, dict[str, int]] = {}
+    outcomes = []
+    for idx, (method, scenario) in enumerate(trials):
+        report = run_trial(scenario)
+        bucket = per_method.setdefault(method, {k: 0 for k in OUTCOMES})
+        bucket[report.outcome] += 1
+        outcomes.append({"index": idx, "method": method, "seed": report.seed,
+                         "outcome": report.outcome})
 
     return SuiteReport(
         name=suite_cfg.get("name", "suite"),
         seed=suite_seed,
-        total=idx,
+        total=len(trials),
         per_method=per_method,
         trial_outcomes=outcomes,
     )
-
-
-def _check_keys(cfg: dict, known: dict, path: str = "") -> None:
-    """Reject a key of cfg that known lacks, at any nesting level."""
-    for key, value in cfg.items():
-        if key not in known:
-            raise ConfigError(f"unknown study key {path + str(key)!r}")
-        if isinstance(value, dict) and isinstance(known[key], dict):
-            _check_keys(value, known[key], f"{path}{key}.")
 
 
 def build_study_inputs(study_cfg: dict | None = None):
@@ -737,7 +1228,7 @@ def build_study_inputs(study_cfg: dict | None = None):
     from .transfer import transfer_orientation
 
     defaults = default_study_dict()
-    _check_keys(study_cfg or {}, {**defaults, "mouth_facing": None})
+    _check_keys(study_cfg or {}, {**defaults, "mouth_facing": None}, "study")
     cfg = _merge(defaults, study_cfg or {})
     chain_with = _resolve_chain(cfg["chain_with"])
     chain_without = _resolve_chain(cfg["chain_without"])

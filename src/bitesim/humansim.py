@@ -276,29 +276,49 @@ def head_perturbation(kind: str, params: dict, t: float, seed: int = 0) -> Pose:
     raise ValueError(f"unknown perturbation kind {kind!r}")
 
 
-def perturbation_trace(kind: str, params: dict, n_ticks: int, dt: float,
-                       seed: int = 0) -> np.ndarray:
-    """Displacement trace (n_ticks, 3) sampled on the tick grid."""
-    if kind == "none":
-        return np.zeros((n_ticks, 3))
+# parameters and defaults of the head-motion kinds (amplitudes in m)
+HEAD_MOTION_PARAMS = {
+    "none": {},
+    "sinusoid": {"amplitude": 0.005, "period": 2.0, "direction": [1.0, 0.0, 0.0]},
+    "random-walk": {"sigma": 0.002, "amplitude": 0.010},  # sigma in m / sqrt(s)
+}
+
+
+def signal_trace(kind: str, n_ticks: int, dt: float, seed: int, amplitude: float,
+                 period: float = 1.0, direction=(1.0, 0.0, 0.0),
+                 sigma: float = 0.0) -> np.ndarray:
+    """A 3-vector signal (n_ticks, 3) on the tick grid.
+
+    ``sinusoid`` swings ``amplitude`` along ``direction`` with ``period``;
+    ``random-walk`` integrates white noise of ``sigma`` per sqrt(s) from
+    zero, clipped per axis to +-``amplitude``.
+    """
     if kind == "sinusoid":
-        amp = float(params.get("amplitude", 0.005))
-        period = float(params.get("period", 2.0))
-        direction = np.asarray(params.get("direction", [1.0, 0.0, 0.0]), dtype=float)
-        _check_amplitude(amp)
-        d = direction / np.linalg.norm(direction)
+        d = np.asarray(direction, dtype=float)
+        d = d / np.linalg.norm(d)
         t = np.arange(n_ticks) * dt
-        return np.outer(amp * np.sin(2.0 * np.pi * t / period), d)
+        return np.outer(amplitude * np.sin(2.0 * np.pi * t / period), d)
     if kind == "random-walk":
-        sigma = float(params.get("sigma", 0.002))  # m / sqrt(s)
-        amp = float(params.get("amplitude", 0.010))
-        _check_amplitude(amp)
         rng = np.random.default_rng(seed)
         steps = rng.standard_normal((n_ticks, 3)) * sigma * np.sqrt(dt)
         steps[0] = 0.0
-        walk = np.cumsum(steps, axis=0)
-        return np.clip(walk, -amp, amp)
-    raise ValueError(f"unknown perturbation kind {kind!r}")
+        return np.clip(np.cumsum(steps, axis=0), -amplitude, amplitude)
+    raise ValueError(f"unknown signal kind {kind!r}")
+
+
+def perturbation_trace(kind: str, params: dict, n_ticks: int, dt: float,
+                       seed: int = 0) -> np.ndarray:
+    """Displacement trace (n_ticks, 3) sampled on the tick grid."""
+    if kind not in HEAD_MOTION_PARAMS:
+        raise ValueError(f"unknown perturbation kind {kind!r}")
+    if kind == "none":
+        return np.zeros((n_ticks, 3))
+    p = {**HEAD_MOTION_PARAMS[kind], **params}
+    amp = float(p["amplitude"])
+    _check_amplitude(amp)
+    return signal_trace(kind, n_ticks, dt, seed, amp, period=float(p.get("period", 1.0)),
+                        direction=p.get("direction", (1.0, 0.0, 0.0)),
+                        sigma=float(p.get("sigma", 0.0)))
 
 
 def _check_amplitude(amp: float):

@@ -52,6 +52,11 @@ class TestTrialCommand:
         assert err.startswith("sensor fault: ")
         assert "config error" not in err
 
+    def test_unknown_key_exit_code(self, tmp_path, capsys):
+        scen = write_json(tmp_path / "s.json", {**SHORT_SCENARIO, "horizn_s": 3})
+        assert main(["trial", scen, "--out-dir", str(tmp_path)]) == 2
+        assert "unknown scenario key 'horizn_s'" in capsys.readouterr().err
+
     def test_preset_flag(self, tmp_path):
         scen = write_json(tmp_path / "s.json", SHORT_SCENARIO)
         code = main(["trial", scen, "--preset", "less_reactive",
@@ -82,6 +87,15 @@ class TestSuiteCommand:
         assert data["total"] == 4
         assert data["per_method"]["ours"]["success"] == 2
         assert data["per_method"]["ours"]["bite_failure"] == 2
+
+    def test_unknown_key_exit_code(self, tmp_path, capsys):
+        suite = write_json(tmp_path / "suite.json", {
+            "name": "mini", "seed": 5, "repetitons": 2,
+            "trials": [{"method": "ours", "scenario": SHORT_SCENARIO}],
+        })
+        assert main(["suite", suite, "--out-dir", str(tmp_path)]) == 2
+        assert "unknown suite key 'repetitons'" in capsys.readouterr().err
+        assert not (tmp_path / "mini_suite.json").exists()
 
     def test_suite_config_error(self, tmp_path):
         suite = write_json(tmp_path / "suite.json", {"trials": []})

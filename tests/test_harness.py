@@ -240,6 +240,71 @@ class TestRunTrialOutcomes:
         assert sc["exit_gains"]["k_i"] == [30.0] * 3 + [0.0] * 3
 
 
+class TestFinalPhase:
+    def test_nominal_horizon_ends_inside_exit(self, nominal_report):
+        # the bite comes at about 8.56 s, so the 10 s horizon cuts the exit
+        assert nominal_report.final_phase == "EXIT"
+        assert nominal_report.completed is False
+        d = nominal_report.to_dict()
+        assert (d["final_phase"], d["completed"]) == ("EXIT", False)
+        assert nominal_report.outcome == "success"
+
+    def test_zero_horizon_ends_in_the_approach(self):
+        rep = run_trial(Scenario.from_dict({"horizon_s": 0, "joint_log_stride": 0}))
+        assert rep.n_ticks == 1
+        assert rep.final_phase == "APPROACH_ARC"
+        assert rep.completed is False
+
+    def test_horizon_past_the_retract_completes(self):
+        rep = run_trial(Scenario.from_dict({**SHORT_SEGMENTS, "horizon_s": 4.0}))
+        assert rep.final_phase == "DONE"
+        assert rep.completed is True
+
+
+class TestConfigKeys:
+    def test_top_level_typo(self):
+        with pytest.raises(ConfigError, match="unknown scenario key 'horizn_s'"):
+            Scenario.from_dict({"horizn_s": 3})
+
+    def test_nested_typo(self):
+        with pytest.raises(ConfigError, match="unknown scenario key 'bite.refuze'"):
+            Scenario.from_dict({"bite": {"refuze": True}})
+
+    def test_parameter_of_another_kind(self):
+        with pytest.raises(ConfigError,
+                           match="unknown scenario key 'disturbance.sigma_n'"):
+            Scenario.from_dict({"disturbance": {"kind": "sinusoid", "sigma_n": 1.0}})
+        with pytest.raises(ConfigError,
+                           match="unknown scenario key 'head_perturbation.period'"):
+            Scenario.from_dict({"head_perturbation": {"kind": "random-walk",
+                                                      "period": 1.0}})
+
+    def test_optional_keys_accepted(self):
+        Scenario.from_dict({
+            "mode": "phased",
+            "mouth": {"facing": [-1.0, 0.0, 0.0]},
+            "disturbance": {"kind": "array", "trace": [[0.0] * 6]},
+            "head_perturbation": {"kind": "sinusoid", "amplitude": 0.004,
+                                  "period": 1.0, "direction": [0.0, 1.0, 0.0]},
+        })
+        Scenario.from_dict({"disturbance": {"kind": "random-walk", "sigma_n": 0.5,
+                                            "amplitude_n": 1.0},
+                            "head_perturbation": {"kind": "random-walk",
+                                                  "sigma": 0.001, "amplitude": 0.005}})
+
+    def test_suite_typo(self):
+        with pytest.raises(ConfigError, match="unknown suite key 'repetiton'"):
+            run_suite({"seed": 1, "repetiton": 2, "trials": [{"method": "ours"}]})
+        with pytest.raises(ConfigError, match=r"unknown suite key 'trials\[1\].scenaro'"):
+            run_suite({"seed": 1, "trials": [{"method": "ours"},
+                                             {"method": "ours", "scenaro": {}}]})
+
+    def test_suite_checks_every_scenario_before_running(self):
+        with pytest.raises(ConfigError, match="unknown scenario key 'horizn_s'"):
+            run_suite({"seed": 1, "trials": [{"method": "ours"},
+                                             {"scenario": {"horizn_s": 1.0}}]})
+
+
 class TestDeterminism:
     def test_trial_replay_bit_identical(self, nominal_report, tmp_path):
         rep2 = run_trial(Scenario.from_dict({}))
