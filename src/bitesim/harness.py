@@ -595,8 +595,7 @@ _REC_PHASE, _REC_SET_POS, _REC_SET_ORI, _REC_WIDTH = 14, 15, 18, 22
 
 
 def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
-                 robot: VirtualRobotState, n_ticks: int, dt: float = TICK_PERIOD,
-                 ik_stride: int = 0) -> TickRun:
+                 robot: VirtualRobotState, n_ticks: int, ik_stride: int = 0) -> TickRun:
     """The 1 kHz loop of run_trial as one flat kernel.
 
     Tick for tick it computes, to the bit, what a loop over simulate_tick
@@ -605,11 +604,11 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
     locals and preallocated float64 arrays, the FSM is an integer phase
     with its start times and the detector's counters, and each tick
     writes one row of a preallocated record array. Plain floats carry
-    only +, -, *, /, comparisons, min and max, which round exactly as
-    numpy does. Every dot product and norm stays a BLAS call on a float64
-    array (BLAS fuses multiply-adds, so a Python sum can differ in the
-    last bit), the integral clamp stays np.clip, and the trigonometric
-    functions stay numpy's.
+    only +, -, *, /, square roots, comparisons, abs, min and max, which
+    round exactly as numpy does. Every dot product and norm stays a BLAS
+    call on a float64 array (BLAS fuses multiply-adds, so a Python sum
+    can differ in the last bit), the integral clamp stays np.clip, and
+    the trigonometric functions stay numpy's.
 
     World state that classification reads (the safety latch, the food
     attachment and the measurement filter) is updated in place. Joint
@@ -617,6 +616,7 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
     keeps the robot pose, which simulate_tick builds as
     Pose(position, unnormalised orientation).
     """
+    dt = TICK_PERIOD
     if abs(dt - ctrl.tick_period) > 1e-12:
         raise ValueError(f"dt {dt} does not match the tick period {ctrl.tick_period}")
     safety = world.safety
@@ -998,9 +998,6 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
             tw = [w + dt * ((c - b + f) / m)
                   for w, c, b, f, m in zip(tw, f_cmd, f_bar, on_fork, mass)]
             px, py, pz = px + dt * tw[0], py + dt * tw[1], pz + dt * tw[2]
-            if not math.isfinite(px + py + pz + sum(tw)):
-                if not all(map(math.isfinite, (px, py, pz, *tw))):
-                    raise ValueError("robot state must be finite")
             r0, r1, r2 = dt * tw[3], dt * tw[4], dt * tw[5]
             if r0 != 0.0 or r1 != 0.0 or r2 != 0.0:
                 # geometry.quat_from_rotvec, then quat_mul onto the pose
@@ -1022,6 +1019,12 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
             else:
                 raw_q = (qw, qx, qy, qz)
             qw, qx, qy, qz = unit(*raw_q)
+            # the checks of Pose and VirtualRobotState, in their order
+            if not math.isfinite(px + py + pz + sum(tw)):
+                if not all(map(math.isfinite, (px, py, pz))):
+                    raise ValueError("pose position must be finite")
+                if not all(map(math.isfinite, tw)):
+                    raise ValueError("twist must be finite")
         prev_sp = sp
 
         # food attachment, on-fork forces split by source

@@ -7,16 +7,20 @@ same setup objects, run_trial must give the same bits.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bitesim.controller import TICK_PERIOD
-from bitesim.harness import (Scenario, TickLog, TickRun, _finish_trial, _prepare_trial,
-                             run_trial, simulate_tick)
+from bitesim.geometry import quat_from_axis_angle, quat_mul
+from bitesim.harness import (Scenario, TickLog, TickRun, VirtualRobotState, _finish_trial,
+                             _prepare_trial, _tick_kernel, run_trial, simulate_tick)
 from bitesim.kinematics import IkParams, ik_damped_least_squares
 from bitesim.presets import GAIN_PRESETS
+from bitesim.transfer import (concat_plans, entry_segment, interpolate, linear_segment,
+                              plan_arc)
 
 FOODS = ("carrot", "strawberry", "blueberry", "pineapple",
          "cherry_tomato", "broccoli", "cheesecake", "tofu")
@@ -172,3 +176,38 @@ def test_nominal_trial_equals_reference_loop():
     report = run_trial(scenario)
     assert_same_trial(report, expected)
     assert report.log.joints.shape == (101, 9)
+
+
+def test_turning_plan_equals_reference_loop():
+    # run_trial's plans hold one fork orientation; this one turns it by
+    # 90 degrees over waypoints 0.2 s apart, which takes slerp's far
+    # branch and gives the plant orientation errors to correct
+    scenario = Scenario.from_dict({
+        "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 0.5},
+        "horizon_s": 3.5, "joint_log_stride": 0})
+    setups = []
+    for _ in range(2):
+        setup = _prepare_trial(scenario)
+        plan = setup.fsm.plan
+        pre = interpolate(plan, plan.segment("arc").t_end)
+        mouth = setup.world.perceived_mouth
+        turned = quat_mul(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2),
+                          pre.orientation)
+        entry = entry_segment(pre, mouth, duration=0.5, sample_rate=5.0)
+        plan = concat_plans([
+            plan_arc(pre, mouth.z_axis, duration=1.0, sample_rate=5.0,
+                     start_orientation=turned),
+            entry,
+            linear_segment(entry.end_pose, pre, 0.5, 5.0, label="linear-exit"),
+        ])
+        setup.fsm = replace(setup.fsm, plan=plan)
+        setup.robot = VirtualRobotState(plan.start_pose, np.zeros(6), setup.robot.mass)
+        setups.append(setup)
+    ref = setups[0]
+    expected = _finish_trial(ref, reference_run(ref))
+    new = setups[1]
+    report = _finish_trial(new, _tick_kernel(new.world, new.fsm, new.ctrl, new.robot,
+                                             new.n_ticks))
+    assert report.final_phase == "DONE"
+    assert np.abs(report.log.orientation - report.log.set_orientation).max() > 1e-3
+    assert_same_trial(report, expected)
