@@ -7,6 +7,10 @@ wrench minus the reactive correction, plus the physical contact forces,
 integrates through the virtual mass with semi-implicit Euler. Joint
 configurations are recovered by IK at a configurable stride for logging
 only. Every run is seed-deterministic end to end.
+
+run_trial runs its ticks in _tick_kernel, a flat loop over floats;
+simulate_tick is the same tick as a pipeline of Pose, Wrench and state
+objects, kept as the reference the kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -190,7 +194,8 @@ class WorldState:
 def simulate_tick(robot: VirtualRobotState, ctrl: ControllerState, fsm: FsmState,
                   world: WorldState, t_idx: int, dt: float = TICK_PERIOD,
                   prev_setpoint: Pose | None = None):
-    """One 1 kHz tick; returns (robot', ctrl', fsm', record).
+    """One 1 kHz tick; returns (robot', ctrl', fsm', record). The
+    reference for _tick_kernel, which run_trial uses.
 
     Tick order: sense forces (contact + bite + injected disturbance,
     with the head perturbation applied to the mouth), run the safety
@@ -645,6 +650,13 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
             raise ValueError("cannot normalize zero or non-finite quaternion")
         return w / n, x / n, y / n, z / n
 
+    def qmul(aw, ax, ay, az, bw, bx, by, bz):
+        # quat_mul
+        return (aw * bw - ax * bx - ay * by - az * bz,
+                aw * bx + ax * bw + ay * bz - az * by,
+                aw * by - ax * bz + ay * bw + az * bx,
+                aw * bz + ax * by - ay * bx + az * bw)
+
     def rotvec(w, x, y, z):
         # quat_to_rotvec
         if w < 0.0:
@@ -950,20 +962,12 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
             # controller.desired_wrench)
             spx, spy, spz, sqw, sqx, sqy, sqz = sp
             e0, e1, e2 = spx - px, spy - py, spz - pz
-            cw, cx, cy, cz = qw, -qx, -qy, -qz
-            e3, e4, e5 = rotvec(sqw * cw - sqx * cx - sqy * cy - sqz * cz,
-                                sqw * cx + sqx * cw + sqy * cz - sqz * cy,
-                                sqw * cy - sqx * cz + sqy * cw + sqz * cx,
-                                sqw * cz + sqx * cy - sqy * cx + sqz * cw)
+            e3, e4, e5 = rotvec(*qmul(sqw, sqx, sqy, sqz, qw, -qx, -qy, -qz))
             if prev_sp is None:
                 vd = (0.0,) * 6
             else:
                 ppx, ppy, ppz, pqw, pqx, pqy, pqz = prev_sp
-                cw, cx, cy, cz = pqw, -pqx, -pqy, -pqz
-                r3, r4, r5 = rotvec(sqw * cw - sqx * cx - sqy * cy - sqz * cz,
-                                    sqw * cx + sqx * cw + sqy * cz - sqz * cy,
-                                    sqw * cy - sqx * cz + sqy * cw + sqz * cx,
-                                    sqw * cz + sqx * cy - sqy * cx + sqz * cw)
+                r3, r4, r5 = rotvec(*qmul(sqw, sqx, sqy, sqz, pqw, -pqx, -pqy, -pqz))
                 vd = ((spx - ppx) / dt, (spy - ppy) / dt, (spz - ppz) / dt,
                       r3 / dt, r4 / dt, r5 / dt)
             err = (e0, e1, e2, e3, e4, e5)
@@ -1012,10 +1016,7 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
                     aw = float(np.cos(half))
                     s = float(np.sin(half)) / n
                     ax, ay, az = s * u0, s * u1, s * u2
-                raw_q = (aw * qw - ax * qx - ay * qy - az * qz,
-                         aw * qx + ax * qw + ay * qz - az * qy,
-                         aw * qy - ax * qz + ay * qw + az * qx,
-                         aw * qz + ax * qy - ay * qx + az * qw)
+                raw_q = qmul(aw, ax, ay, az, qw, qx, qy, qz)
             else:
                 raw_q = (qw, qx, qy, qz)
             qw, qx, qy, qz = unit(*raw_q)
