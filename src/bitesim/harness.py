@@ -678,8 +678,9 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
     frames = []
     for q in (mouth.center.orientation, quat_normalize(mouth.center.orientation)):
         rot = quat_to_matrix(q)
-        frames.append((rot[:, 0], rot[:, 1], rot[:, 2], quat_rotate(q, np.array([0.0, 0.0, 1.0])),
-                       q, rot[:, 0].tolist(), rot[:, 1].tolist()))
+        z_axis = quat_rotate(q, np.array([0.0, 0.0, 1.0]))
+        frames.append((rot[:, 0], rot[:, 1], rot[:, 2], z_axis, q,
+                       rot[:, 0].tolist(), rot[:, 1].tolist()))
     head = world.perturb_trace
     if not np.all(np.isfinite(head[:n_ticks])):
         raise ValueError("pose position must be finite")
@@ -724,11 +725,12 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
         if dot < 0.0:
             b = -b
             dot = -dot
+        span = times[j + 1] - times[j]
         if dot > 0.9995:
-            intervals.append((times[j + 1] - times[j], (b - a).tolist(), None, None, None))
+            intervals.append((span, (b - a).tolist(), None, None, None))
         else:
             theta = np.arccos(np.clip(dot, -1.0, 1.0))
-            intervals.append((times[j + 1] - times[j], None, theta, np.sin(theta), b.tolist()))
+            intervals.append((span, None, theta, np.sin(theta), b.tolist()))
 
     def interpolate_at(t):
         # transfer.interpolate, as a 7-tuple
@@ -828,8 +830,8 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
             t_in_bite = None
             if phase == WAIT:
                 t_in_bite = t - t_phase_start
-            elif (phase == EXIT and fsm_bite_time is not None and wait_started_at is not None
-                  and float(b3.dot(z_axis)) <= lip):
+            elif (phase == EXIT and fsm_bite_time is not None
+                  and wait_started_at is not None and float(b3.dot(z_axis)) <= lip):
                 t_in_bite = t - wait_started_at
             if t_in_bite is not None and t_in_bite >= script.t_bite:
                 frac = (min(1.0, (t_in_bite - script.t_bite) / script.ramp)

@@ -299,7 +299,9 @@ class TestConfigKeys:
             run_suite({"seed": 1, "trials": [{"method": "ours"},
                                              {"method": "ours", "scenaro": {}}]})
 
-    def test_suite_checks_every_scenario_before_running(self):
+    def test_suite_checks_every_scenario_before_running(self, monkeypatch):
+        import bitesim.harness as harness
+        monkeypatch.setattr(harness, "run_trial", lambda *a: pytest.fail("a trial ran"))
         with pytest.raises(ConfigError, match="unknown scenario key 'horizn_s'"):
             run_suite({"seed": 1, "trials": [{"method": "ours"},
                                              {"scenario": {"horizn_s": 1.0}}]})

@@ -160,7 +160,7 @@ def scenarios(draw):
     return sc
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
 def test_kernel_equals_reference_loop(sc):
     scenario = Scenario.from_dict(sc)
