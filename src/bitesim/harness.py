@@ -1198,6 +1198,8 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
 
     trials = []
     for n, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"suite trials[{n}] must be an object")
         _check_keys(entry, {"method": None, "scenario": None}, "suite", f"trials[{n}].")
         overrides = dict(entry.get("scenario", {}))
         method = entry.get("method", overrides.get("gain_preset", "ours"))

@@ -298,6 +298,8 @@ class TestConfigKeys:
         with pytest.raises(ConfigError, match=r"unknown suite key 'trials\[1\].scenaro'"):
             run_suite({"seed": 1, "trials": [{"method": "ours"},
                                              {"method": "ours", "scenaro": {}}]})
+        with pytest.raises(ConfigError, match=r"suite trials\[0\] must be an object"):
+            run_suite({"seed": 1, "trials": ["ours"]})
 
     def test_suite_checks_every_scenario_before_running(self, monkeypatch):
         import bitesim.harness as harness
