@@ -2,7 +2,8 @@
 
 The study and joint-log values were recorded before the IK kernel was
 batched; the tick, event, report and suite values were recorded before
-the 1 kHz tick loop became a flat kernel. A change that alters any of
+the 1 kHz tick loop became a flat kernel; the trajectory CSV value was
+recorded before the CSV writer formatted rows in chunks. A change that alters any of
 them changes the study or the trial log and has to be recorded, with
 its reason, in CHANGES.md.
 """
@@ -14,11 +15,13 @@ import numpy as np
 import pytest
 
 from bitesim.comfort import run_wrist_study
-from bitesim.harness import Scenario, build_study_inputs, run_suite, run_trial
+from bitesim.harness import (Scenario, build_study_inputs, export_trajectory, run_suite,
+                             run_trial)
 
 STUDY_SAMPLES_SHA256 = "455ed03ac9dec2551a947634b9e7433e1890d0f45a0ecb9641b06c34cf225d0d"
 STUDY_DICT_SHA256 = "d6773a5f2e9b88bd653f32fc3c9a84262df0ac1ecd44f1eb7a485f2c87bcb274"
 NOMINAL_JOINTS_SHA256 = "36a638aa80223c8a1d622725b53d500b3c526726890dc6ae007c3dbd41f9f4e2"
+NOMINAL_CSV_SHA256 = "eee466a86000d8747ba9d59febe6391faec10f663091b6f8ec53f420c3dbdc87"
 
 # the report keys the digest covers; keys added later are left out
 STUDY_DICT_KEYS = (
@@ -233,6 +236,12 @@ def test_nominal_events_digest(nominal):
 
 def test_nominal_report_digest(nominal):
     assert sha256(report_dict_json(nominal).encode()) == NOMINAL_SHA256["report"]
+
+
+def test_nominal_trajectory_csv_digest(nominal, tmp_path):
+    path = tmp_path / "nominal.csv"
+    export_trajectory(nominal.log, path)
+    assert sha256(path.read_bytes()) == NOMINAL_CSV_SHA256
 
 
 @pytest.mark.parametrize("preset", sorted(PRESET_SHA256))
