@@ -2,10 +2,10 @@
 software safety stop, evaluated at a fixed 1 kHz tick.
 
 The reactive term turns measured tool forces into a wrench correction
-that is subtracted from the impedance wrench before the Jacobian
-transpose, so the tool yields to the user. Entry-side phases run high
-gains on all force axes; exit-side phases reduce the gains along the
-exit direction only, keeping the orthogonal directions compliant.
+that is subtracted from the impedance wrench, so the tool yields to the
+user. Entry-side phases run high gains on all force axes; exit-side
+phases reduce the gains along the exit direction only, keeping the
+orthogonal directions compliant.
 """
 
 from __future__ import annotations
@@ -65,15 +65,6 @@ class Wrench:
 
     def __add__(self, other: "Wrench") -> "Wrench":
         return Wrench(self.force + other.force, self.torque + other.torque)
-
-    def __sub__(self, other: "Wrench") -> "Wrench":
-        return Wrench(self.force - other.force, self.torque - other.torque)
-
-    def __neg__(self) -> "Wrench":
-        return Wrench(-self.force, -self.torque)
-
-    def scaled(self, c: float) -> "Wrench":
-        return Wrench(c * self.force, c * self.torque)
 
 
 @dataclass(frozen=True)
@@ -165,15 +156,14 @@ class ControllerState:
 
     gains: ReactivityGains
     integral: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    exit_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     tick_period: float = TICK_PERIOD
     integral_cap: float = DEFAULT_INTEGRAL_CAP
 
     def __post_init__(self):
+        if not (np.isfinite(self.integral_cap) and self.integral_cap > 0):
+            raise ValueError(f"integral cap must be finite and > 0, got {self.integral_cap!r}")
         acc = np.asarray(self.integral, dtype=float).reshape(6)
-        axis = np.asarray(self.exit_axis, dtype=float).reshape(3)
         object.__setattr__(self, "integral", _ro(acc))
-        object.__setattr__(self, "exit_axis", _ro(axis))
 
     def with_gains(self, gains: ReactivityGains, reset_integral: bool = False) -> "ControllerState":
         acc = np.zeros(6) if reset_integral else self.integral
@@ -210,14 +200,6 @@ def reactive_term(state: ControllerState, f_m: Wrench, dt: float) -> tuple[Wrenc
     out_f = g.p_force @ f_m.force + g.i_force @ acc[:3]
     out_t = g.p_torque * f_m.torque + g.i_torque * acc[3:]
     return Wrench(out_f, out_t), replace(state, integral=acc)
-
-
-def joint_torques(jac: np.ndarray, f: Wrench, f_reactive: Wrench) -> np.ndarray:
-    """Joint torques J^T (f - f_reactive)."""
-    jac = np.asarray(jac, dtype=float)
-    if jac.ndim != 2 or jac.shape[0] != 6:
-        raise ValueError("Jacobian must be 6xN")
-    return jac.T @ (f.as_vector() - f_reactive.as_vector())
 
 
 def phase_gains(phase, exit_axis,

@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_QUAT_NORM_TOL = 1e-9
-
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
@@ -145,25 +143,6 @@ class Pose:
         q.setflags(write=False)
         object.__setattr__(self, "position", p)
         object.__setattr__(self, "orientation", q)
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls()
-
-    @classmethod
-    def from_parts(cls, position, orientation) -> "Pose":
-        return cls(np.asarray(position, dtype=float), np.asarray(orientation, dtype=float))
-
-    def compose(self, other: "Pose") -> "Pose":
-        """self then other (other expressed in self's frame)."""
-        return Pose(
-            self.position + quat_rotate(self.orientation, other.position),
-            quat_mul(self.orientation, other.orientation),
-        )
-
-    def inverse(self) -> "Pose":
-        qi = quat_conj(self.orientation)
-        return Pose(-quat_rotate(qi, self.position), qi)
 
     def transform_point(self, p: np.ndarray) -> np.ndarray:
         return self.position + quat_rotate(self.orientation, np.asarray(p, dtype=float))

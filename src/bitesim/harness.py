@@ -40,6 +40,10 @@ from .presets import GAIN_PRESETS, default_scenario_dict, default_study_dict
 CSV_HEADER = ("t_s,px,py,pz,qw,qx,qy,qz,fx,fy,fz,tau_x,tau_y,tau_z,phase,"
               "set_px,set_py,set_pz,set_qw,set_qx,set_qy,set_qz,deviation_m")
 
+# one trajectory CSV row: 14 floats, the phase name, 8 floats
+_CSV_ROW = "%.17g," * 14 + "%s" + ",%.17g" * 8 + "\n"
+_CSV_CHUNK_ROWS = 1000
+
 OUTCOMES = ("success", "bite_failure", "drop", "imprecise", "aborted")
 
 
@@ -97,7 +101,7 @@ def _scenario_keys(cfg: dict) -> dict:
                        ("head_perturbation", HEAD_MOTION_PARAMS)):
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"scenario key {key!r} must be an object")
-        known[key] = {"kind": None, **kinds.get(cfg[key].get("kind", "none"), {})}
+        known[key] = {"kind": None, **kinds.get(cfg[key]["kind"], {})}
     return known
 
 
@@ -110,7 +114,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, overrides: dict | None = None) -> "Scenario":
         cfg = default_scenario_dict()
-        preset = cfg.get("gain_preset")
+        preset = cfg["gain_preset"]
         if overrides and overrides.get("gain_preset") is not None:
             preset = overrides["gain_preset"]
         if preset is not None:
@@ -123,24 +127,12 @@ class Scenario:
         if overrides:
             cfg = _merge(cfg, overrides)
             _check_keys(overrides, _scenario_keys(cfg), "scenario")
-        if cfg.get("seed") is None:
+        if cfg["seed"] is None:
             raise ConfigError("scenario seed is mandatory")
         return cls(cfg)
 
-    @classmethod
-    def from_file(cls, path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
-
     def __getitem__(self, key):
         return self.raw[key]
-
-    def get(self, key, default=None):
-        return self.raw.get(key, default)
-
-    def to_json(self) -> str:
-        clean = {k: v for k, v in self.raw.items() if not isinstance(v, np.ndarray)}
-        return json.dumps(clean, sort_keys=True, indent=2, default=str) + "\n"
 
 
 @dataclass(frozen=True)
@@ -337,19 +329,25 @@ def load_log(path) -> TickLog:
 
 
 def export_trajectory(log: TickLog | str, path):
-    """Write the tick log as CSV (documented schema, one row per tick)."""
+    """Write the tick log as CSV (documented schema, one row per tick).
+
+    Values are written with %.17g, so every float reads back exactly;
+    -0.0 is written as 0. Rows are formatted and written in chunks, so
+    the file's text is never held whole in memory."""
     if not isinstance(log, TickLog):
         log = load_log(log)
     dev = log.deviation()
-    names = [TransferPhase(p).name for p in log.phase]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(CSV_HEADER + "\n")
-        for i in range(len(log)):
-            vals = [log.t[i], *log.position[i], *log.orientation[i],
-                    *log.force[i], *log.torque[i]]
-            tail = [*log.set_position[i], *log.set_orientation[i], dev[i]]
-            f.write(",".join(f"{v + 0.0:.17g}" for v in vals) + f",{names[i]},"
-                    + ",".join(f"{v + 0.0:.17g}" for v in tail) + "\n")
+        for lo in range(0, len(log), _CSV_CHUNK_ROWS):
+            part = slice(lo, lo + _CSV_CHUNK_ROWS)
+            rows = (np.column_stack([
+                log.t[part], log.position[part], log.orientation[part], log.force[part],
+                log.torque[part], log.set_position[part], log.set_orientation[part],
+                dev[part]]) + 0.0).tolist()
+            for row, phase in zip(rows, log.phase[part].tolist()):
+                row.insert(14, TransferPhase(phase).name)
+            f.write("".join([_CSV_ROW % tuple(row) for row in rows]))
 
 
 @dataclass(frozen=True)
@@ -413,7 +411,7 @@ DISTURBANCE_PARAMS = {
 
 
 def _disturbance_trace(cfg: dict, n: int, dt: float, seed: int) -> np.ndarray:
-    kind = cfg.get("kind", "none")
+    kind = cfg["kind"]
     if kind not in DISTURBANCE_PARAMS:
         raise ConfigError(f"unknown disturbance kind {kind!r}")
     if kind == "none":
@@ -458,8 +456,10 @@ class TickRun:
     ik_targets: list[tuple[int, Pose]]  # robot pose at each joint-log tick
 
 
-def _prepare_trial(scenario: Scenario, chain: ChainModel | None = None) -> TrialSetup:
-    """Scan, targeting, plan, traces and the initial states of one trial."""
+def _prepare_trial(scenario: Scenario) -> TrialSetup:
+    """Scan, targeting, plan, traces and the initial states of one trial.
+
+    Scenario.from_dict merged the defaults in, so every key is present."""
     cfg = scenario.raw
     dt = TICK_PERIOD
     seed = int(cfg["seed"])
@@ -470,91 +470,84 @@ def _prepare_trial(scenario: Scenario, chain: ChainModel | None = None) -> Trial
         raise ConfigError(f"unknown food preset {food_name!r}")
     food = foods[food_name]
 
-    if chain is None and cfg.get("joint_log_stride", 0):
-        chain = _resolve_chain(cfg["chain"])
+    chain = _resolve_chain(cfg["chain"]) if cfg["joint_log_stride"] else None
 
     mcfg = cfg["mouth"]
     true_mouth_frame = mouth_frame_from_position(mcfg["center_position"],
                                                  mcfg.get("facing"))
     mouth = MouthModel(
         center=true_mouth_frame,
-        aperture=float(mcfg.get("aperture_m", 0.030)),
-        stiffness=float(mcfg.get("stiffness", 1000.0)),
-        damping=float(mcfg.get("damping", 10.0)),
-        lateral_halfwidth=float(mcfg.get("lateral_halfwidth_m", 0.025)),
+        aperture=float(mcfg["aperture_m"]),
+        stiffness=float(mcfg["stiffness"]),
+        damping=float(mcfg["damping"]),
+        lateral_halfwidth=float(mcfg["lateral_halfwidth_m"]),
     )
 
     # perception: scan the food, then target the (possibly mislocated) mouth
-    scan_cfg = cfg.get("scan", {})
+    scan_cfg = cfg["scan"]
     scan_pose = Pose(true_mouth_frame.position, true_mouth_frame.orientation)
     cloud = synth_depth_scan(food, scan_pose,
-                             resolution=float(scan_cfg.get("resolution_mm", 0.1)),
-                             seed=seed, noise_mm=float(scan_cfg.get("noise_mm", 0.0)))
+                             resolution=float(scan_cfg["resolution_mm"]),
+                             seed=seed, noise_mm=float(scan_cfg["noise_mm"]))
     offsets = compute_offsets(food_bounding_box(cloud))
 
-    err_mm = np.asarray(cfg.get("mouth_error_mm", [0, 0, 0]), dtype=float)
+    err_mm = np.asarray(cfg["mouth_error_mm"], dtype=float)
     perceived_center = true_mouth_frame.position + (
         err_mm[0] * true_mouth_frame.x_axis
         + err_mm[1] * true_mouth_frame.y_axis
         + err_mm[2] * true_mouth_frame.z_axis) / 1000.0
     perceived_mouth = Pose(perceived_center, true_mouth_frame.orientation)
 
-    pitch = np.deg2rad(float(cfg.get("fork_pitch_deg", 25.0)))
-    pre_mouth = target_pose(perceived_mouth, offsets,
-                            entry_depth=float(cfg.get("entry_depth_m", 0.018)),
+    pitch = np.deg2rad(float(cfg["fork_pitch_deg"]))
+    entry_depth = float(cfg["entry_depth_m"])
+    pre_mouth = target_pose(perceived_mouth, offsets, entry_depth=entry_depth,
                             fork_pitch=pitch)
 
     seg = cfg["segments"]
-    mode = cfg.get("transfer_mode", "in_mouth")
+    mode = cfg["transfer_mode"]
+    arc_s, entry_s, exit_s = float(seg["arc_s"]), float(seg["entry_s"]), float(seg["exit_s"])
+    radius = float(cfg["arc_radius_m"])
+    start_angle = np.deg2rad(float(cfg["arc_start_deg"]))
     if mode == "in_mouth":
         plan = build_transfer_plan(
-            perceived_mouth, pre_mouth,
-            arc_duration=float(seg.get("arc_s", 6.0)),
-            entry_duration=float(seg.get("entry_s", 2.0)),
-            exit_duration=float(seg.get("exit_s", 2.0)),
-            radius=float(cfg.get("arc_radius_m", 0.45)),
-            start_angle=np.deg2rad(float(cfg.get("arc_start_deg", 90.0))),
-            entry_depth=float(cfg.get("entry_depth_m", 0.018)),
-            lowering=float(cfg.get("lowering_m", 0.003)),
+            perceived_mouth, pre_mouth, arc_duration=arc_s, entry_duration=entry_s,
+            exit_duration=exit_s, radius=radius, start_angle=start_angle,
+            entry_depth=entry_depth, lowering=float(cfg["lowering_m"]),
         )
-        retract_s = float(seg.get("retract_s", 6.0))
+        retract_s = float(seg["retract_s"])
     elif mode == "fixed_pose":
         plan = build_fixed_pose_plan(
-            perceived_mouth, pre_mouth,
-            arc_duration=float(seg.get("arc_s", 6.0)),
-            dwell_duration=float(seg.get("entry_s", 2.0)),
-            return_duration=float(seg.get("exit_s", 2.0)),
-            radius=float(cfg.get("arc_radius_m", 0.45)),
-            start_angle=np.deg2rad(float(cfg.get("arc_start_deg", 90.0))),
+            perceived_mouth, pre_mouth, arc_duration=arc_s, dwell_duration=entry_s,
+            return_duration=exit_s, radius=radius, start_angle=start_angle,
         )
         retract_s = 0.0
     else:
         raise ConfigError(f"unknown transfer mode {mode!r}")
 
     detector = BiteDetector(
-        threshold=float(cfg.get("bite_threshold_n", 0.3)),
+        threshold=float(cfg["bite_threshold_n"]),
         axis=perceived_mouth.y_axis,
-        timeout=float(cfg.get("bite_timeout_s", 1.5)),
+        timeout=float(cfg["bite_timeout_s"]),
     )
     fsm = FsmState(
         plan=plan, detector=detector,
-        scan_duration=float(seg.get("scan_s", 0.0)),
-        face_duration=float(seg.get("face_detect_s", 0.0)),
+        scan_duration=float(seg["scan_s"]),
+        face_duration=float(seg["face_detect_s"]),
         retract_duration=retract_s,
     )
 
     bite_cfg = cfg["bite"]
     bite = BiteScript(
-        t_bite=float(bite_cfg.get("t_bite_s", 0.5)),
-        peak_force=float(bite_cfg.get("peak_force_n", 1.0)),
-        ramp=float(bite_cfg.get("ramp_s", 0.2)),
-        refuse=bool(bite_cfg.get("refuse", False)),
+        t_bite=float(bite_cfg["t_bite_s"]),
+        peak_force=float(bite_cfg["peak_force_n"]),
+        ramp=float(bite_cfg["ramp_s"]),
+        refuse=bool(bite_cfg["refuse"]),
     )
 
     imp_cfg = cfg["impedance"]
-    mass = np.asarray(cfg.get("virtual_mass", [2, 2, 2, 0.02, 0.02, 0.02]), dtype=float)
+    mass = np.asarray(cfg["virtual_mass"], dtype=float)
     stiffness = np.asarray(imp_cfg["stiffness"], dtype=float)
-    damping = imp_cfg.get("damping")
+    damping = imp_cfg["damping"]
     if damping is None:
         damping = 2.0 * np.sqrt(stiffness * mass)
     impedance = ImpedanceParams(stiffness, np.asarray(damping, dtype=float))
@@ -564,14 +557,12 @@ def _prepare_trial(scenario: Scenario, chain: ChainModel | None = None) -> Trial
     exit_gains = ReactivityGains.from_vectors(cfg["exit_gains"]["k_p"],
                                               cfg["exit_gains"]["k_i"])
 
-    horizon = float(cfg.get("horizon_s", 10.0))
-    n_ticks = int(round(horizon / dt)) + 1
-    perturb = perturbation_trace(cfg["head_perturbation"].get("kind", "none"),
+    n_ticks = int(round(float(cfg["horizon_s"]) / dt)) + 1
+    perturb = perturbation_trace(cfg["head_perturbation"]["kind"],
                                  cfg["head_perturbation"], n_ticks, dt, seed)
-    disturbance = _disturbance_trace(cfg.get("disturbance", {"kind": "none"}),
-                                     n_ticks, dt, seed + 1)
+    disturbance = _disturbance_trace(cfg["disturbance"], n_ticks, dt, seed + 1)
 
-    cutoff = float(cfg.get("lowpass_cutoff_hz", 0.0))
+    cutoff = float(cfg["lowpass_cutoff_hz"])
     alpha = None
     if cutoff > 0:
         alpha = dt / (dt + 1.0 / (2.0 * np.pi * cutoff))
@@ -579,8 +570,7 @@ def _prepare_trial(scenario: Scenario, chain: ChainModel | None = None) -> Trial
     world = WorldState(
         mouth=mouth, perceived_mouth=perceived_mouth, bite=bite,
         attachment=FoodAttachmentState(food),
-        safety=SafetyLatch(float(cfg.get("safety_limit_n", 3.0)),
-                           cfg.get("safety_mode", "component")),
+        safety=SafetyLatch(float(cfg["safety_limit_n"]), cfg["safety_mode"]),
         impedance=impedance, entry_gains=entry_gains, exit_gains=exit_gains,
         exit_axis=perceived_mouth.z_axis,
         perturb_trace=perturb, disturbance_trace=disturbance,
@@ -588,8 +578,11 @@ def _prepare_trial(scenario: Scenario, chain: ChainModel | None = None) -> Trial
     )
 
     robot = VirtualRobotState(plan.start_pose, np.zeros(6), mass)
-    ctrl = ControllerState(gains=world.gains_entry, exit_axis=world.exit_axis,
-                           integral_cap=float(cfg.get("integral_cap_n", 10.0)))
+    try:
+        ctrl = ControllerState(gains=world.gains_entry,
+                               integral_cap=float(cfg["integral_cap_n"]))
+    except ValueError as e:
+        raise ConfigError(f"scenario key 'integral_cap_n': {e}") from e
     return TrialSetup(cfg, world, fsm, ctrl, robot, n_ticks, chain, err_mm)
 
 
@@ -1077,14 +1070,13 @@ def _log_joints(run: TickRun, chain: ChainModel) -> None:
 def _finish_trial(setup: TrialSetup, run: TickRun) -> TrialReport:
     """Classify the outcome and build the report."""
     cfg = setup.cfg
-    mcfg = cfg["mouth"]
     err_mm = setup.mouth_error_mm
     world = setup.world
     log = run.log
     att = world.attachment
-    mcfg_l = float(mcfg.get("lateral_halfwidth_m", 0.025)) * 1000.0
-    aperture_mm = float(mcfg.get("aperture_m", 0.030)) * 1000.0
-    imprecise = (abs(err_mm[0]) > mcfg_l) or (abs(err_mm[1]) > aperture_mm / 2.0)
+    lateral_mm = world.mouth.lateral_halfwidth * 1000.0
+    aperture_mm = world.mouth.aperture * 1000.0
+    imprecise = (abs(err_mm[0]) > lateral_mm) or (abs(err_mm[1]) > aperture_mm / 2.0)
     exit_deadline = run.exit_completed_at if run.exit_completed_at is not None else np.inf
     dropped = (att.detached and not att.taken_by_bite
                and att.detach_time is not None and att.detach_time <= exit_deadline)
@@ -1107,7 +1099,7 @@ def _finish_trial(setup: TrialSetup, run: TickRun) -> TrialReport:
     final_phase = TransferPhase(int(log.phase[-1])).name
     abs_f = np.abs(log.force)
     return TrialReport(
-        scenario_name=cfg.get("name", "trial"),
+        scenario_name=cfg["name"],
         seed=int(cfg["seed"]),
         outcome=outcome,
         events=log.events,
@@ -1125,12 +1117,11 @@ def _finish_trial(setup: TrialSetup, run: TickRun) -> TrialReport:
     )
 
 
-def run_trial(scenario: Scenario, chain: ChainModel | None = None) -> TrialReport:
+def run_trial(scenario: Scenario) -> TrialReport:
     """Execute scan, targeting, and the full transfer FSM for one trial."""
-    setup = _prepare_trial(scenario, chain)
-    stride = int(setup.cfg.get("joint_log_stride", 0)) if setup.chain is not None else 0
+    setup = _prepare_trial(scenario)
     run = _tick_kernel(setup.world, setup.fsm, setup.ctrl, setup.robot, setup.n_ticks,
-                       ik_stride=stride)
+                       ik_stride=int(setup.cfg["joint_log_stride"]))
     _log_joints(run, setup.chain)
     return _finish_trial(setup, run)
 

@@ -229,13 +229,6 @@ def bite_force(script: BiteScript, t_in_wait: float) -> Wrench:
     return Wrench(np.array([0.0, -frac * script.peak_force, 0.0]), np.zeros(3))
 
 
-def food_attachment(food: FoodPreset, applied_shear: float) -> str:
-    """'detached' when the shear strictly exceeds the preset threshold."""
-    if applied_shear < 0:
-        raise ValueError("shear must be >= 0")
-    return "detached" if applied_shear > food.detachment_force else "attached"
-
-
 class FoodAttachmentState:
     """Latching attachment: once the food comes off it stays off."""
 
@@ -253,27 +246,6 @@ class FoodAttachmentState:
             self.detach_time = t
             self.taken_by_bite = bite_engaged
         return self.detached
-
-
-def head_perturbation(kind: str, params: dict, t: float, seed: int = 0) -> Pose:
-    """Mouth-center displacement at time t (pure given its arguments)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if kind == "none":
-        return Pose.identity()
-    if kind == "sinusoid":
-        amp = float(params.get("amplitude", 0.005))
-        period = float(params.get("period", 2.0))
-        direction = np.asarray(params.get("direction", [1.0, 0.0, 0.0]), dtype=float)
-        _check_amplitude(amp)
-        d = direction / np.linalg.norm(direction)
-        return Pose(amp * np.sin(2.0 * np.pi * t / period) * d, np.array([1.0, 0, 0, 0]))
-    if kind == "random-walk":
-        dt = float(params.get("dt", 0.001))
-        steps = int(np.floor(t / dt + 1e-9))
-        trace = perturbation_trace(kind, params, steps + 1, dt, seed)
-        return Pose(trace[steps], np.array([1.0, 0, 0, 0]))
-    raise ValueError(f"unknown perturbation kind {kind!r}")
 
 
 # parameters and defaults of the head-motion kinds (amplitudes in m)

@@ -1,6 +1,7 @@
 """Target selection: synthetic depth scans of the food on the fork,
-bounding-box offsets in the mouth frame, mouth-center recovery from
-facial keypoints, and final target-pose composition.
+bounding-box offsets in the mouth frame, and the pre-mouth target pose.
+The mouth pose itself is given; a trial models its detection error as
+an injected offset (``mouth_error_mm``).
 
 Clouds live in the mouth frame anchored at the fork tip, units mm:
 z out of the mouth, y up toward the eyes, x along the lips to the
@@ -10,8 +11,7 @@ an unadjusted pose is never the silent default.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +21,6 @@ from .transfer import transfer_orientation, DEFAULT_FORK_PITCH
 
 DEFAULT_RESOLUTION_MM = 0.1
 OFFSET_SANITY_MM = 50.0
-
-# labels the default landmark scheme requires (subject's own left/right)
-DEFAULT_LANDMARK_LABELS = (
-    "mouth_corner_left", "mouth_corner_right", "inner_lip_top", "inner_lip_bottom",
-)
 
 
 class EmptyCloudError(ValueError):
@@ -51,36 +46,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class MouthFrameSpec:
-    """Right-handed mouth triad: z out of the mouth, y up, x along lips."""
-
-    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    x_axis: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-    y_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
-    z_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-
-    def __post_init__(self):
-        axes = [np.asarray(a, dtype=float).reshape(3) for a in
-                (self.x_axis, self.y_axis, self.z_axis)]
-        for a in axes:
-            if abs(np.linalg.norm(a) - 1.0) > 1e-9:
-                raise ValueError("mouth frame axes must be unit length")
-        if (abs(axes[0] @ axes[1]) > 1e-9 or abs(axes[0] @ axes[2]) > 1e-9
-                or abs(axes[1] @ axes[2]) > 1e-9):
-            raise ValueError("mouth frame axes must be orthogonal")
-        if np.linalg.norm(np.cross(axes[0], axes[1]) - axes[2]) > 1e-9:
-            raise ValueError("mouth frame must be right-handed")
-        o = np.asarray(self.origin, dtype=float).reshape(3).copy()
-        for a in axes:
-            a.setflags(write=False)
-        o.setflags(write=False)
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "x_axis", axes[0])
-        object.__setattr__(self, "y_axis", axes[1])
-        object.__setattr__(self, "z_axis", axes[2])
 
 
 @dataclass(frozen=True)
@@ -216,97 +181,16 @@ def food_bounding_box(cloud: PointCloud) -> Aabb:
     return Aabb(cloud.points.min(axis=0), cloud.points.max(axis=0))
 
 
-def compute_offsets(bbox: Aabb, dy_mode: str = "top") -> FoodOffsets:
+def compute_offsets(bbox: Aabb) -> FoodOffsets:
     """Face-plane offsets from the food bounding box.
 
     dx recenters the food (not the fork) on the mouth. dy drops the
     target by the food's extent above the fork-tip plane so the top
-    clears the upper teeth; mode 'min-y' instead applies the raw lowest
-    extent (alternate reading, kept for comparison).
+    clears the upper teeth.
     """
     dx = -(bbox.min[0] + bbox.max[0]) / 2.0
-    if dy_mode == "top":
-        dy = -max(0.0, float(bbox.max[1]))
-    elif dy_mode == "min-y":
-        dy = -float(bbox.min[1])
-    else:
-        raise ValueError(f"unknown dy mode {dy_mode!r}")
+    dy = -max(0.0, float(bbox.max[1]))
     return FoodOffsets(float(dx), float(dy))
-
-
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    fx: float = 600.0
-    fy: float = 600.0
-    cx: float = 320.0
-    cy: float = 240.0
-
-
-def project_point(p: np.ndarray, intrinsics: CameraIntrinsics) -> tuple[float, float]:
-    """World point to pixel (camera at origin looking along +z, y up)."""
-    p = np.asarray(p, dtype=float)
-    if p[2] <= 0:
-        raise ValueError("point must be in front of the camera")
-    u = intrinsics.fx * p[0] / p[2] + intrinsics.cx
-    v = -intrinsics.fy * p[1] / p[2] + intrinsics.cy
-    return float(u), float(v)
-
-
-def _backproject(u: float, v: float, depth: float, intr: CameraIntrinsics) -> np.ndarray:
-    return np.array([
-        (u - intr.cx) * depth / intr.fx,
-        -(v - intr.cy) * depth / intr.fy,
-        depth,
-    ])
-
-
-def mouth_center_from_keypoints(keypoints, intrinsics: CameraIntrinsics | None = None,
-                                face_depth: float = 0.4,
-                                required_labels=DEFAULT_LANDMARK_LABELS) -> Pose:
-    """Mouth-frame pose from labeled facial keypoints.
-
-    Accepts 3D landmarks {label, x, y, z} or 2D {label, u, v}; 2D points
-    are back-projected at the nominal face depth. The center is the
-    centroid of the lip landmarks; axes come from the corner-to-corner
-    and bottom-to-top directions, orthonormalized right-handed.
-    """
-    by_label = {}
-    for kp in keypoints:
-        label = kp["label"]
-        if "x" in kp:
-            by_label[label] = np.array([kp["x"], kp["y"], kp["z"]], dtype=float)
-        else:
-            if intrinsics is None:
-                intrinsics = CameraIntrinsics()
-            by_label[label] = _backproject(kp["u"], kp["v"], face_depth, intrinsics)
-    missing = [lb for lb in required_labels if lb not in by_label]
-    if missing:
-        raise ValueError(f"missing landmarks: {missing}")
-
-    pts = np.array([by_label[lb] for lb in required_labels])
-    center = pts.mean(axis=0)
-
-    left = by_label["mouth_corner_left"]
-    right = by_label["mouth_corner_right"]
-    top = by_label["inner_lip_top"]
-    bottom = by_label["inner_lip_bottom"]
-
-    x_raw = left - right
-    y_raw = top - bottom
-    nx = np.linalg.norm(x_raw)
-    if nx < 1e-9:
-        raise ValueError("degenerate landmarks: mouth corners coincide")
-    x_hat = x_raw / nx
-    y_orth = y_raw - (y_raw @ x_hat) * x_hat
-    ny = np.linalg.norm(y_orth)
-    if ny < 1e-9:
-        raise ValueError("degenerate landmarks: lip points collinear with corners")
-    y_hat = y_orth / ny
-    z_hat = np.cross(x_hat, y_hat)
-
-    rot = np.column_stack([x_hat, y_hat, z_hat])
-    from .kinematics import _mat_to_quat
-    return Pose(center, _mat_to_quat(rot))
 
 
 def target_pose(mouth_center: Pose, offsets: FoodOffsets,
@@ -353,11 +237,3 @@ def load_cloud(path) -> PointCloud:
     pts = np.array(rows, dtype=float).reshape(-1, 3)
     return PointCloud(pts, resolution, frame)
 
-
-def load_keypoints(path) -> list[dict]:
-    """Keypoint JSON: a list of {label, u, v} or {label, x, y, z}."""
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    if not isinstance(data, list):
-        raise ValueError("keypoint file must hold a JSON list")
-    return data

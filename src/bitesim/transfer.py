@@ -37,10 +37,6 @@ class TransferPhase(enum.IntEnum):
     ABORTED = 8
 
 
-ENTRY_SIDE_PHASES = frozenset({
-    TransferPhase.SCAN, TransferPhase.FACE_DETECT, TransferPhase.APPROACH_ARC,
-    TransferPhase.ENTRY, TransferPhase.BITE_WAIT,
-})
 EXIT_SIDE_PHASES = frozenset({TransferPhase.EXIT, TransferPhase.RETRACT_ARC})
 
 
@@ -226,11 +222,6 @@ def transfer_orientation(mouth_frame: Pose, pitch: float = DEFAULT_FORK_PITCH) -
     flip = quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), np.pi)
     tilt = quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), -pitch)
     return quat_mul(mouth_frame.orientation, quat_mul(flip, tilt))
-
-
-def scan_orientation(mouth_frame: Pose) -> np.ndarray:
-    """Fork orientation during the scan: aligned with the mouth frame."""
-    return np.array(mouth_frame.orientation)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from bitesim.cli import main
 from bitesim.perception import PointCloud, save_cloud
@@ -56,6 +57,12 @@ class TestTrialCommand:
         scen = write_json(tmp_path / "s.json", {**SHORT_SCENARIO, "horizn_s": 3})
         assert main(["trial", scen, "--out-dir", str(tmp_path)]) == 2
         assert "unknown scenario key 'horizn_s'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", [0, -1, float("nan")])
+    def test_bad_integral_cap_exit_code(self, tmp_path, capsys, cap):
+        scen = write_json(tmp_path / "s.json", {**SHORT_SCENARIO, "integral_cap_n": cap})
+        assert main(["trial", scen, "--out-dir", str(tmp_path)]) == 2
+        assert "scenario key 'integral_cap_n': integral cap must be finite" in capsys.readouterr().err
 
     def test_preset_flag(self, tmp_path):
         scen = write_json(tmp_path / "s.json", SHORT_SCENARIO)

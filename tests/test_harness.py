@@ -4,7 +4,7 @@ import pytest
 from bitesim.controller import (ControllerState, ImpedanceParams, ReactivityGains,
                                 SafetyLatch)
 from bitesim.geometry import Pose
-from bitesim.harness import (CSV_HEADER, ConfigError, Scenario, VirtualRobotState,
+from bitesim.harness import (CSV_HEADER, ConfigError, Scenario, TickLog, VirtualRobotState,
                              WorldState, export_trajectory, load_log,
                              mouth_frame_from_position, run_suite, run_trial, save_log,
                              simulate_tick)
@@ -309,6 +309,16 @@ class TestConfigKeys:
                                              {"scenario": {"horizn_s": 1.0}}]})
 
 
+class TestIntegralCap:
+    @pytest.mark.parametrize("cap", [0, -1, float("nan"), float("inf")])
+    def test_rejected_naming_the_key(self, cap):
+        scenario = Scenario.from_dict({"integral_cap_n": cap, "horizon_s": 0.1,
+                                       "joint_log_stride": 0})
+        with pytest.raises(ConfigError,
+                           match="'integral_cap_n': integral cap must be finite and > 0"):
+            run_trial(scenario)
+
+
 class TestDeterminism:
     def test_trial_replay_bit_identical(self, nominal_report, tmp_path):
         rep2 = run_trial(Scenario.from_dict({}))
@@ -359,6 +369,32 @@ class TestExport:
             dev = float(parts[22])
             recomputed = np.sqrt((px - sx) ** 2 + (py - sy) ** 2 + (pz - sz) ** 2)
             assert dev == pytest.approx(recomputed, abs=1e-12)
+
+    def test_every_value_reads_back_exactly(self, nominal_report, tmp_path):
+        log = nominal_report.log
+        path = tmp_path / "traj.csv"
+        export_trajectory(log, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        values = np.array([[float(v) for v in r[:14] + r[15:]] for r in rows])
+        expected = np.column_stack([log.t, log.position, log.orientation, log.force,
+                                    log.torque, log.set_position, log.set_orientation,
+                                    log.deviation()])
+        assert np.array_equal(values, expected)
+        assert [r[14] for r in rows] == [TransferPhase(p).name for p in log.phase]
+
+    def test_negative_zero_and_non_finite_values(self, tmp_path):
+        log = TickLog(t=np.array([-0.0, 0.001]),
+                      position=np.array([[np.nan, np.inf, -np.inf]] * 2),
+                      orientation=np.zeros((2, 4)), force=np.full((2, 3), -0.0),
+                      torque=np.zeros((2, 3)), phase=np.array([0, 8], dtype=np.int8),
+                      set_position=np.zeros((2, 3)), set_orientation=np.zeros((2, 4)),
+                      events=[])
+        path = tmp_path / "traj.csv"
+        export_trajectory(log, path)
+        first, second = (line.split(",") for line in path.read_text().splitlines()[1:])
+        assert first[:4] == ["0", "nan", "inf", "-inf"]
+        assert first[8:11] == ["0", "0", "0"]
+        assert (first[14], second[14]) == ("SCAN", "ABORTED")
 
     def test_save_load_roundtrip(self, nominal_report, tmp_path):
         path = tmp_path / "log.npz"

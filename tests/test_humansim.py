@@ -4,8 +4,7 @@ import pytest
 from bitesim.geometry import Pose
 from bitesim.harness import mouth_frame_from_position
 from bitesim.humansim import (BiteScript, FoodAttachmentState, MouthModel, bite_force,
-                              contact_force, food_attachment, head_perturbation,
-                              load_food_presets, perturbation_trace)
+                              contact_force, load_food_presets, perturbation_trace)
 
 MOUTH_FRAME = mouth_frame_from_position([0.55, 0.0, 0.45])
 
@@ -110,17 +109,17 @@ def foods():
 
 class TestFoodAttachment:
     def test_zero_shear_attached(self, foods):
-        assert food_attachment(foods["cheesecake"], 0.0) == "attached"
+        assert not FoodAttachmentState(foods["cheesecake"]).update(0.0, t=0.0)
 
     def test_fragile_detaches(self, foods):
         assert foods["cheesecake"].detachment_force == 0.5
-        assert food_attachment(foods["cheesecake"], 0.6) == "detached"
+        assert FoodAttachmentState(foods["cheesecake"]).update(0.6, t=0.0)
 
     def test_rigid_needs_more(self, foods):
         carrot = foods["carrot"]
         assert carrot.deformability_class == "rigid"
-        assert food_attachment(carrot, 0.6) == "attached"
-        assert food_attachment(carrot, 3.6) == "detached"
+        assert not FoodAttachmentState(carrot).update(0.6, t=0.0)
+        assert FoodAttachmentState(carrot).update(3.6, t=0.0)
 
     def test_latch_stays_detached(self, foods):
         st = FoodAttachmentState(foods["cheesecake"])
@@ -139,10 +138,6 @@ class TestFoodAttachment:
         assert not st.update(0.7, t=0.0, bite_engaged=True)
         assert st.update(0.9, t=0.1, bite_engaged=True)
         assert st.taken_by_bite
-
-    def test_negative_shear_rejected(self, foods):
-        with pytest.raises(ValueError):
-            food_attachment(foods["tofu"], -1.0)
 
 
 class TestFoodPresets:
@@ -173,29 +168,21 @@ class TestFoodPresets:
 
 class TestHeadPerturbation:
     def test_none_is_identity(self):
-        for t in (0.0, 1.0, 7.3):
-            d = head_perturbation("none", {}, t)
-            assert np.all(d.position == 0)
+        assert np.all(perturbation_trace("none", {}, 7301, 0.001) == 0)
 
     def test_sinusoid_quarter_period(self):
-        d = head_perturbation("sinusoid", {"amplitude": 0.005, "period": 2.0}, 0.5)
-        assert np.linalg.norm(d.position) == pytest.approx(0.005, abs=1e-12)
+        trace = perturbation_trace("sinusoid", {"amplitude": 0.005, "period": 2.0}, 501, 0.001)
+        assert np.linalg.norm(trace[500]) == pytest.approx(0.005, abs=1e-12)
 
     def test_random_walk_reproducible(self):
         params = {"sigma": 0.002, "amplitude": 0.01}
-        a = head_perturbation("random-walk", params, 0.25, seed=9)
-        b = head_perturbation("random-walk", params, 0.25, seed=9)
-        np.testing.assert_array_equal(a.position, b.position)
-
-    def test_walk_matches_trace(self):
-        params = {"sigma": 0.002, "amplitude": 0.01}
-        trace = perturbation_trace("random-walk", params, 251, 0.001, seed=9)
-        d = head_perturbation("random-walk", params, 0.25, seed=9)
-        np.testing.assert_allclose(d.position, trace[250], atol=1e-15)
+        a = perturbation_trace("random-walk", params, 251, 0.001, seed=9)
+        b = perturbation_trace("random-walk", params, 251, 0.001, seed=9)
+        np.testing.assert_array_equal(a, b)
 
     def test_amplitude_cap(self):
         with pytest.raises(ValueError):
-            head_perturbation("sinusoid", {"amplitude": 0.05, "period": 1.0}, 0.1)
+            perturbation_trace("sinusoid", {"amplitude": 0.05, "period": 1.0}, 100, 0.001)
 
     def test_walk_stays_within_amplitude(self):
         trace = perturbation_trace("random-walk",
@@ -204,4 +191,4 @@ class TestHeadPerturbation:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            head_perturbation("jitterbug", {}, 0.0)
+            perturbation_trace("jitterbug", {}, 1, 0.001)

@@ -7,6 +7,7 @@ same setup objects, run_trial must give the same bits.
 """
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +40,7 @@ def reference_run(setup) -> TickRun:
         set_position=np.empty((n_ticks, 3)), set_orientation=np.empty((n_ticks, 4)),
         events=[],
     )
-    stride = int(setup.cfg.get("joint_log_stride", 0))
+    stride = int(setup.cfg["joint_log_stride"])
     joints_rows = []
     joint_ticks = []
     q_guess = chain.home if chain is not None else None
@@ -211,3 +212,34 @@ def test_turning_plan_equals_reference_loop():
     assert report.final_phase == "DONE"
     assert np.abs(report.log.orientation - report.log.set_orientation).max() > 1e-3
     assert_same_trial(report, expected)
+
+
+def _numpy_and_blas() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')} "
+            f"({blas.get('openblas configuration', 'no configuration string')})")
+
+
+def test_blas_forms_the_kernel_relies_on():
+    """The kernel swaps three numpy forms of the reference for cheaper ones
+    that must round identically: math.sqrt(x.dot(x)) for np.linalg.norm(x),
+    x.dot(y) for x @ y, and A.dot(v) for A @ v on 3x3 gain matrices. A BLAS
+    that rounds them differently breaks the golden digests; this test says
+    why."""
+    rng = np.random.default_rng(2024)
+    n = 4000
+    scales = 10.0 ** rng.uniform(-6.0, 3.0, n)
+    mismatches = {"norm3": 0, "norm4": 0, "dot3": 0, "dot4": 0, "matvec3": 0}
+    for i in range(n):
+        for k in (3, 4):
+            x = rng.standard_normal(k) * scales[i]
+            y = rng.standard_normal(k)
+            mismatches[f"norm{k}"] += bool(math.sqrt(x.dot(x)) != np.linalg.norm(x))
+            mismatches[f"dot{k}"] += bool(float(x.dot(y)) != float(x @ y))
+        a = rng.standard_normal((3, 3))
+        v = rng.standard_normal(3) * scales[i]
+        mismatches["matvec3"] += not np.array_equal(a.dot(v), a @ v)
+    assert not any(mismatches.values()), (
+        f"of {n} draws each, these forms rounded differently: {mismatches}; "
+        f"the flat kernel's bit identity with simulate_tick does not hold on "
+        f"{_numpy_and_blas()}")

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bitesim.geometry import Pose, quat_conj, quat_distance, quat_mul, quat_to_rotvec
+from bitesim.geometry import (Pose, quat_conj, quat_distance, quat_mul, quat_rotate,
+                              quat_to_rotvec)
 from bitesim.kinematics import (ChainModel, IkParams, JointSpec, chain_from_dict,
                                 forward_kinematics, ik_damped_least_squares, jacobian,
                                 joint_displacement, link_points, load_chain)
@@ -61,11 +62,13 @@ class TestForwardKinematics:
         for q_arm in random_configs(chain7, 10, 4):
             tip7 = forward_kinematics(chain7, q_arm)
             tip9 = forward_kinematics(chain9, np.concatenate([q_arm, [0.0, 0.0]]))
-            offsets.append(tip7.inverse().compose(tip9))
-        first = offsets[0]
-        for off in offsets[1:]:
-            assert np.linalg.norm(off.position - first.position) < 1e-9
-            assert quat_distance(off.orientation, first.orientation) < 1e-9
+            q7_inv = quat_conj(tip7.orientation)
+            offsets.append((quat_rotate(q7_inv, tip9.position - tip7.position),
+                            quat_mul(q7_inv, tip9.orientation)))
+        first_p, first_q = offsets[0]
+        for off_p, off_q in offsets[1:]:
+            assert np.linalg.norm(off_p - first_p) < 1e-9
+            assert quat_distance(off_q, first_q) < 1e-9
 
     def test_link_points_shape(self, chain9):
         pts = link_points(chain9, chain9.home)

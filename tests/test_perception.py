@@ -1,15 +1,11 @@
-import json
-
 import numpy as np
 import pytest
 
-from bitesim.geometry import Pose, quat_angle_between
+from bitesim.geometry import Pose
 from bitesim.harness import mouth_frame_from_position
 from bitesim.humansim import FoodGeometry, FoodPreset
-from bitesim.perception import (Aabb, CameraIntrinsics, EmptyCloudError, FoodOffsets,
-                                MouthFrameSpec, PointCloud, compute_offsets,
-                                food_bounding_box, load_cloud, load_keypoints,
-                                mouth_center_from_keypoints, project_point, save_cloud,
+from bitesim.perception import (Aabb, EmptyCloudError, FoodOffsets, PointCloud,
+                                compute_offsets, food_bounding_box, load_cloud, save_cloud,
                                 synth_depth_scan, target_pose)
 from bitesim.transfer import entry_segment
 
@@ -116,11 +112,6 @@ class TestComputeOffsets:
         off = compute_offsets(Aabb(np.array([0.0, -4.0, 0]), np.array([1.0, -1.0, 1])))
         assert off.dy == 0.0
 
-    def test_min_y_mode(self):
-        off = compute_offsets(Aabb(np.array([0.0, -4.0, 0]), np.array([1.0, 10.0, 1])),
-                              dy_mode="min-y")
-        assert off.dy == 4.0
-
     def test_sanity_bound(self):
         with pytest.raises(ValueError):
             compute_offsets(Aabb(np.array([100.0, 0, 0]), np.array([140.0, 1, 1])))
@@ -145,71 +136,6 @@ class TestComputeOffsets:
         cloud = synth_depth_scan(cube_preset(), SCAN_POSE, resolution=0.1)
         off = compute_offsets(food_bounding_box(cloud))
         assert off.dx == 0.0
-
-
-class TestMouthFrameSpec:
-    def test_default_valid(self):
-        MouthFrameSpec()
-
-    def test_rejects_left_handed(self):
-        with pytest.raises(ValueError):
-            MouthFrameSpec(z_axis=np.array([0.0, 0.0, -1.0]))
-
-
-def make_landmarks_3d(mouth: Pose, half_width=0.02, half_height=0.008):
-    return [
-        {"label": "mouth_corner_left",
-         **dict(zip("xyz", mouth.transform_point([half_width, 0, 0])))},
-        {"label": "mouth_corner_right",
-         **dict(zip("xyz", mouth.transform_point([-half_width, 0, 0])))},
-        {"label": "inner_lip_top",
-         **dict(zip("xyz", mouth.transform_point([0, half_height, 0])))},
-        {"label": "inner_lip_bottom",
-         **dict(zip("xyz", mouth.transform_point([0, -half_height, 0])))},
-    ]
-
-
-class TestKeypoints:
-    def test_roundtrip_3d(self):
-        mouth = mouth_frame_from_position([0.5, 0.1, 0.4])
-        recovered = mouth_center_from_keypoints(make_landmarks_3d(mouth))
-        assert np.linalg.norm(recovered.position - mouth.position) < 1e-3
-        assert quat_angle_between(recovered.orientation,
-                                  mouth.orientation) < np.deg2rad(1.0)
-
-    def test_roundtrip_2d_projection(self):
-        intr = CameraIntrinsics()
-        depth = 0.4
-        mouth = Pose(np.array([0.02, -0.01, depth]), np.array([1.0, 0, 0, 0]))
-        landmarks = []
-        for kp in make_landmarks_3d(mouth):
-            u, v = project_point([kp["x"], kp["y"], kp["z"]], intr)
-            landmarks.append({"label": kp["label"], "u": u, "v": v})
-        recovered = mouth_center_from_keypoints(landmarks, intr, face_depth=depth)
-        assert np.linalg.norm(recovered.position - mouth.position) < 1e-3
-        assert quat_angle_between(recovered.orientation,
-                                  mouth.orientation) < np.deg2rad(1.0)
-
-    def test_translation_equivariance(self):
-        mouth = mouth_frame_from_position([0.5, 0.0, 0.4])
-        base = mouth_center_from_keypoints(make_landmarks_3d(mouth))
-        delta = np.array([0.01, -0.02, 0.03])
-        shifted_lm = [{**kp, "x": kp["x"] + delta[0], "y": kp["y"] + delta[1],
-                       "z": kp["z"] + delta[2]} for kp in make_landmarks_3d(mouth)]
-        shifted = mouth_center_from_keypoints(shifted_lm)
-        np.testing.assert_allclose(shifted.position - base.position, delta, atol=1e-12)
-
-    def test_coincident_landmarks_degenerate(self):
-        kp = {"x": 0.0, "y": 0.0, "z": 0.4}
-        landmarks = [{"label": lb, **kp} for lb in
-                     ("mouth_corner_left", "mouth_corner_right",
-                      "inner_lip_top", "inner_lip_bottom")]
-        with pytest.raises(ValueError):
-            mouth_center_from_keypoints(landmarks)
-
-    def test_missing_labels(self):
-        with pytest.raises(ValueError, match="missing"):
-            mouth_center_from_keypoints([{"label": "nose", "x": 0, "y": 0, "z": 1}])
 
 
 class TestTargetPose:
@@ -266,15 +192,3 @@ class TestCloudIO:
         path.write_text("1,2,3\n")
         with pytest.raises(ValueError):
             load_cloud(path)
-
-    def test_keypoint_file(self, tmp_path):
-        path = tmp_path / "kp.json"
-        path.write_text(json.dumps([{"label": "inner_lip_top", "u": 1, "v": 2}]))
-        kps = load_keypoints(path)
-        assert kps[0]["label"] == "inner_lip_top"
-
-    def test_keypoint_file_must_be_list(self, tmp_path):
-        path = tmp_path / "kp.json"
-        path.write_text(json.dumps({"label": "x"}))
-        with pytest.raises(ValueError):
-            load_keypoints(path)

@@ -7,8 +7,7 @@ from bitesim.harness import mouth_frame_from_position
 from bitesim.transfer import (BiteDetector, FsmState, TrajectoryPlan, TransferPhase,
                               build_fixed_pose_plan, build_transfer_plan, concat_plans,
                               detect_bite, entry_segment, interpolate,
-                              linear_segment, plan_arc, scan_orientation, step,
-                              transfer_orientation)
+                              linear_segment, plan_arc, step, transfer_orientation)
 
 MOUTH = mouth_frame_from_position([0.55, 0.0, 0.45])
 TARGET = Pose(MOUTH.position, transfer_orientation(MOUTH))
@@ -274,9 +273,9 @@ class TestForkFlip:
         rels = []
         for pos in ([0.55, 0.0, 0.45], [0.4, 0.2, 0.5], [0.6, -0.3, 0.3]):
             m = mouth_frame_from_position(pos)
-            scan_q = scan_orientation(m)
+            # the fork scans the food aligned with the mouth frame
             xfer_q = transfer_orientation(m)
-            rels.append(quat_mul(quat_conj(scan_q), xfer_q))
+            rels.append(quat_mul(quat_conj(m.orientation), xfer_q))
         for rel in rels[1:]:
             assert quat_distance(rel, rels[0]) < 1e-9
 
