@@ -156,7 +156,6 @@ class ControllerState:
 
     gains: ReactivityGains
     integral: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    tick_period: float = TICK_PERIOD
     integral_cap: float = DEFAULT_INTEGRAL_CAP
 
     def __post_init__(self):
@@ -186,8 +185,8 @@ def reactive_term(state: ControllerState, f_m: Wrench, dt: float) -> tuple[Wrenc
     The integral accumulator is clamped per axis so the integral
     contribution never exceeds ``integral_cap`` (anti-windup).
     """
-    if abs(dt - state.tick_period) > 1e-12:
-        raise ValueError(f"dt {dt} does not match the tick period {state.tick_period}")
+    if abs(dt - TICK_PERIOD) > 1e-12:
+        raise ValueError(f"dt {dt} does not match the tick period {TICK_PERIOD}")
     if not f_m.is_finite():
         raise SensorFault("non-finite force measurement")
 

@@ -8,7 +8,10 @@ integrates through the virtual mass with semi-implicit Euler. Joint
 configurations are recovered by IK at a configurable stride for logging
 only. Every run is seed-deterministic end to end.
 
-run_trial runs its ticks in _tick_kernel, a flat loop over floats;
+run_trial prepares a trial, runs its ticks from t = 0 in _tick_kernel,
+a flat loop over floats that only records, and reads the report from
+the tick log and its events. The kernel updates nothing in place but
+the food attachment, whose detachment feeds back into the bite force.
 simulate_tick is the same tick as a pipeline of Pose, Wrench and state
 objects, kept as the reference the kernel must match bit for bit.
 """
@@ -81,27 +84,51 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+# what a config value must be, by the type of its default (bool before
+# int, which it subclasses); a default of another type, None, takes anything
+_VALUE_KINDS = (
+    (bool, "a bool", lambda v: isinstance(v, (bool, np.bool_))),
+    (str, "a string", lambda v: isinstance(v, str)),
+    (int, "a whole number", lambda v: _is_number(v) and (
+        isinstance(v, (int, np.integer)) or float(v).is_integer())),
+    (float, "a number", _is_number),
+    (list, "a list of numbers", lambda v: isinstance(v, (list, tuple, np.ndarray))
+        and all(map(_is_number, v))),
+    (dict, "an object", lambda v: isinstance(v, dict)),
+)
+
+
 def _check_keys(cfg: dict, known: dict, kind: str, path: str = "") -> None:
-    """Reject a key of cfg that known lacks, at any nesting level; the
+    """Reject a key of cfg that known lacks, or a value of another kind
+    than known's value at the same path, at any nesting level; the
     message names the kind of config and the key's path."""
     for key, value in cfg.items():
+        where = path + str(key)
         if key not in known:
-            raise ConfigError(f"unknown {kind} key {path + str(key)!r}")
+            raise ConfigError(f"unknown {kind} key {where!r}")
+        for default_type, wanted, ok in _VALUE_KINDS:
+            if isinstance(known[key], default_type):
+                if not ok(value):
+                    raise ConfigError(f"{kind} key {where!r} must be {wanted}, got {value!r}")
+                break
         if isinstance(value, dict) and isinstance(known[key], dict):
-            _check_keys(value, known[key], kind, f"{path}{key}.")
+            _check_keys(value, known[key], kind, where + ".")
 
 
 def _scenario_keys(cfg: dict) -> dict:
-    """Keys a scenario may set: the defaults', a gain preset's, the
-    optional mouth facing, and the parameters of the disturbance and
-    head-motion kinds that cfg selects."""
+    """Keys a scenario may set, each with a value of its kind: the
+    defaults', a gain preset's, the optional mouth facing, and the
+    parameters of the disturbance and head-motion kinds that cfg selects."""
     known = _merge(default_scenario_dict(), GAIN_PRESETS["ours"])
     known["mouth"]["facing"] = None
     for key, kinds in (("disturbance", DISTURBANCE_PARAMS),
                        ("head_perturbation", HEAD_MOTION_PARAMS)):
-        if not isinstance(cfg[key], dict):
-            raise ConfigError(f"scenario key {key!r} must be an object")
-        known[key] = {"kind": None, **kinds.get(cfg[key]["kind"], {})}
+        kind = cfg[key].get("kind") if isinstance(cfg[key], dict) else None
+        known[key] = {"kind": "none", **kinds.get(str(kind), {})}
     return known
 
 
@@ -113,22 +140,18 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, overrides: dict | None = None) -> "Scenario":
+        overrides = overrides or {}
         cfg = default_scenario_dict()
-        preset = cfg["gain_preset"]
-        if overrides and overrides.get("gain_preset") is not None:
-            preset = overrides["gain_preset"]
-        if preset is not None:
-            if preset not in GAIN_PRESETS:
-                raise ConfigError(f"unknown gain preset {preset!r}")
-            # the preset sets the baseline; explicit gains in the
-            # overrides still win below
-            cfg = _merge(cfg, GAIN_PRESETS[preset])
-            cfg["gain_preset"] = preset
-        if overrides:
-            cfg = _merge(cfg, overrides)
-            _check_keys(overrides, _scenario_keys(cfg), "scenario")
-        if cfg["seed"] is None:
-            raise ConfigError("scenario seed is mandatory")
+        _check_keys(overrides, _scenario_keys(_merge(cfg, overrides)), "scenario")
+        preset = overrides.get("gain_preset", cfg["gain_preset"])
+        if preset not in GAIN_PRESETS:
+            raise ConfigError(f"unknown gain preset {preset!r}")
+        # the preset sets the baseline; explicit gains in the overrides win
+        cfg = _merge(_merge(cfg, GAIN_PRESETS[preset]), overrides)
+        for key in ("horizon_s", "joint_log_stride"):
+            if not 0 <= cfg[key] < math.inf:
+                raise ConfigError(f"scenario key {key!r} must be finite and >= 0, "
+                                  f"got {cfg[key]!r}")
         return cls(cfg)
 
     def __getitem__(self, key):
@@ -247,7 +270,6 @@ def simulate_tick(robot: VirtualRobotState, ctrl: ControllerState, fsm: FsmState
         return robot, ctrl, fsm, record
 
     err = pose_error(robot.pose, setpoint)
-    v_err = np.empty(6)
     if prev_setpoint is None:
         v_des = np.zeros(6)
     else:
@@ -444,18 +466,6 @@ class TrialSetup:
     mouth_error_mm: np.ndarray
 
 
-@dataclass
-class TickRun:
-    """What the tick loop hands to joint logging and classification."""
-
-    log: TickLog
-    bite_time: float | None
-    timeout_time: float | None
-    phase_at_trip: str | None
-    exit_completed_at: float | None
-    ik_targets: list[tuple[int, Pose]]  # robot pose at each joint-log tick
-
-
 def _prepare_trial(scenario: Scenario) -> TrialSetup:
     """Scan, targeting, plan, traces and the initial states of one trial.
 
@@ -592,34 +602,34 @@ _REC_T, _REC_POS, _REC_ORI, _REC_FORCE, _REC_TORQUE = 0, 1, 4, 8, 11
 _REC_PHASE, _REC_SET_POS, _REC_SET_ORI, _REC_WIDTH = 14, 15, 18, 22
 
 
-def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
-                 robot: VirtualRobotState, n_ticks: int, ik_stride: int = 0) -> TickRun:
-    """The 1 kHz loop of run_trial as one flat kernel.
+def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
+    """The 1 kHz loop of run_trial as one flat kernel, run from t = 0;
+    returns the tick log and the robot pose at each joint-log tick.
 
     Tick for tick it computes, to the bit, what a loop over simulate_tick
-    computes from the same states, but it builds no Pose, Wrench or state
-    object per tick: the plant, controller and filter state live in float
-    locals and preallocated float64 arrays, the FSM is an integer phase
-    with its start times and the detector's counters, and each tick
-    writes one row of a preallocated record array. Plain floats carry
-    only +, -, *, /, square roots, comparisons, abs, min and max, which
-    round exactly as numpy does. Every dot product and norm stays a BLAS
-    call on a float64 array (BLAS fuses multiply-adds, so a Python sum
-    can differ in the last bit), the integral clamp stays np.clip, and
-    the trigonometric functions stay numpy's.
+    computes from the setup's initial states, but it builds no Pose,
+    Wrench or state object per tick: the plant, controller, filter and
+    FSM state live in float locals and preallocated float64 arrays, and
+    each tick writes one row of a preallocated record array. Plain floats
+    carry only +, -, *, /, square roots, comparisons, abs, min and max,
+    which round exactly as numpy does. Every dot product and norm stays a
+    BLAS call on a float64 array (BLAS fuses multiply-adds, so a Python
+    sum can differ in the last bit), the integral clamp stays np.clip,
+    and the trigonometric functions stay numpy's.
 
-    World state that classification reads (the safety latch, the food
-    attachment and the measurement filter) is updated in place. Joint
-    logging is left to the caller: every ``ik_stride`` ticks the run
-    keeps the robot pose, which simulate_tick builds as
-    Pose(position, unnormalised orientation).
+    The kernel only records: the report is read from the log and its
+    events, and the one state updated in place is the food attachment,
+    whose detachment feeds back into the bite force. Joint logging is
+    left to the caller: every ``joint_log_stride`` ticks the run keeps
+    the robot pose, which simulate_tick builds as Pose(position,
+    unnormalised orientation).
     """
+    world, fsm, robot, n_ticks = setup.world, setup.fsm, setup.robot, setup.n_ticks
+    ik_stride = int(setup.cfg["joint_log_stride"])
     dt = TICK_PERIOD
-    if abs(dt - ctrl.tick_period) > 1e-12:
-        raise ValueError(f"dt {dt} does not match the tick period {ctrl.tick_period}")
     safety = world.safety
     safety_check(Wrench.zero(), safety.limit, safety.mode)  # a bad limit or mode raises
-    tripped = safety.tripped
+    tripped = False
     norm_mode = safety.mode == "norm"
     limit = safety.limit
 
@@ -687,16 +697,16 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
     attachment = world.attachment
     detached = attachment.detached
     alpha = world.lowpass_alpha
-    filt = world.filtered.tolist()
+    filt = [0.0] * 6
 
     # the two gain sets: force matrices, torque gains, clamp of the integral
     def gain_set(g):
-        cap = ctrl.integral_cap * g._cap_per_newton
+        cap = setup.ctrl.integral_cap * g._cap_per_newton
         return g.p_force, g.i_force, g.p_torque.tolist(), g.i_torque.tolist(), -cap, cap
     gains = {False: gain_set(world.gains_entry), True: gain_set(world.gains_exit)}
-    exit_gains = ctrl.gains is world.gains_exit
+    exit_gains = False
     p_force, i_force, p_torque, i_torque, cap_lo, cap_hi = gains[exit_gains]
-    integral = np.array(ctrl.integral)
+    integral = np.zeros(6)
     integral_force = integral[:3]
     acc = np.empty(6)
     f_meas = np.empty(6)
@@ -748,7 +758,7 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
         return ((1.0 - frac) * ax + frac * bx, (1.0 - frac) * ay + frac * by,
                 (1.0 - frac) * az + frac * bz, *unit(qw, qx, qy, qz))
 
-    # FSM: integer phase, start times, detector counters
+    # FSM: integer phase, start times, the detector's elapsed time
     SCAN, FACE, APPROACH, ENTRY, WAIT, EXIT, RETRACT, DONE, ABORTED = range(9)
     names = [p.name for p in TransferPhase]
     arc = _segment_or_none(plan, "arc")
@@ -763,24 +773,18 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
     detector = fsm.detector
     axis = detector.axis
     timeout_at = detector.timeout - 1e-9
-    phase = int(fsm.phase)
-    t_phase_start = fsm.t_phase_start
-    wait_started_at = fsm.wait_started_at
-    fsm_bite_time = fsm.bite_time
-    hold = None if fsm.hold_pose is None else (*fsm.hold_pose.position.tolist(),
-                                               *fsm.hold_pose.orientation.tolist())
-    elapsed, above = detector.elapsed, detector.above_count
+    phase, t_phase_start, elapsed, bitten = SCAN, 0.0, 0.0, False
+    wait_started_at = hold = None
 
     px, py, pz = robot.pose.position.tolist()
     qw, qx, qy, qz = robot.pose.orientation.tolist()
     raw_q = None  # orientation before its last normalisation, once integrated
-    tw = robot.twist.tolist()
+    tw = [0.0] * 6
     prev_sp = None
 
     rec = np.empty((n_ticks, _REC_WIDTH))
     events: list[dict] = []
     ik_ticks = []
-    bite_time = timeout_time = phase_at_trip = exit_completed_at = None
 
     for i in range(n_ticks):
         t = i * dt
@@ -823,8 +827,7 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
             t_in_bite = None
             if phase == WAIT:
                 t_in_bite = t - t_phase_start
-            elif (phase == EXIT and fsm_bite_time is not None
-                  and wait_started_at is not None and float(b3.dot(z_axis)) <= lip):
+            elif phase == EXIT and bitten and float(b3.dot(z_axis)) <= lip:
                 t_in_bite = t - wait_started_at
             if t_in_bite is not None and t_in_bite >= script.t_bite:
                 frac = (min(1.0, (t_in_bite - script.t_bite) / script.ramp)
@@ -849,8 +852,6 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
                 tripped = norm3(fm0, fm1, fm2) > limit
             else:
                 tripped = abs(fm0) > limit or abs(fm1) > limit or abs(fm2) > limit
-            if tripped:
-                phase_at_trip = names[phase]
 
         # transfer.step: chain through elapsed phases to this tick's setpoint
         tick_events = []
@@ -890,23 +891,13 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
                 # transfer.detect_bite
                 b3[0], b3[1], b3[2] = fm0, fm1, fm2
                 f_y = float(np.dot(b3, axis))
-                status = None
-                if abs(f_y) > detector.threshold:
-                    above += 1
-                    if above >= detector.debounce_ticks:
-                        status = "bite"
-                else:
-                    above = 0
-                if status is None:
+                bitten = abs(f_y) > detector.threshold
+                if not bitten:
                     elapsed = elapsed + dt
-                    if elapsed >= timeout_at:
-                        status = "timeout"
-                if status is not None:
-                    tick_events.append((phase, EXIT, status))
+                if bitten or elapsed >= timeout_at:
+                    tick_events.append((phase, EXIT, "bite" if bitten else "timeout"))
                     phase = EXIT
                     t_phase_start = t
-                    if status == "bite":
-                        fsm_bite_time = t
                 sp = hold
             elif phase == EXIT:
                 if t_in >= exit_dur:
@@ -925,7 +916,7 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
                 frac = t_in / retract_dur
                 sp = interpolate_at(arc.t_end - frac * (arc.t_end - arc.t_start))
             else:  # DONE
-                sp = hold if hold is not None else waypoints[-1]
+                sp = hold
             break
         for p_from, p_to, kind in tick_events:
             if f_y is None:
@@ -933,12 +924,6 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
                 f_y = float(np.dot(b3, axis))
             events.append({"t": t, "phase_from": names[p_from], "phase_to": names[p_to],
                            "event": kind, "f_y": f_y})
-            if kind == "bite":
-                bite_time = t
-            elif kind == "timeout":
-                timeout_time = t
-            if p_from == EXIT and p_to == RETRACT:
-                exit_completed_at = t
 
         # exit-side gains; the integral resets when the exit side begins
         want_exit = phase == EXIT or phase == RETRACT
@@ -1035,8 +1020,6 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
         if ik_stride and i % ik_stride == 0:
             ik_ticks.append((i, (px, py, pz), raw_q))
 
-    safety.tripped = tripped
-    world.filtered[:] = filt
 
     # the log's float arrays are column views of the record rows
     log = TickLog(
@@ -1048,50 +1031,53 @@ def _tick_kernel(world: WorldState, fsm: FsmState, ctrl: ControllerState,
     )
     ik_targets = [(i, robot.pose if q is None else Pose(np.array(p), np.array(q)))
                   for i, p, q in ik_ticks]
-    return TickRun(log, bite_time, timeout_time, phase_at_trip, exit_completed_at,
-                   ik_targets)
+    return log, ik_targets
 
 
-def _log_joints(run: TickRun, chain: ChainModel) -> None:
+def _log_joints(log: TickLog, ik_targets: list[tuple[int, Pose]], chain: ChainModel) -> None:
     """Joint configurations at the logged ticks, each IK solve warm-started
     from the one before."""
-    if not run.ik_targets:
+    if not ik_targets:
         return
     q_guess = chain.home
     ik_params = IkParams(max_iter=60)
     rows = []
-    for _, pose in run.ik_targets:
+    for _, pose in ik_targets:
         q_guess = ik_damped_least_squares(chain, pose, q_guess, ik_params).q
         rows.append(q_guess)
-    run.log.joints = np.array(rows)
-    run.log.joint_ticks = np.array([i for i, _ in run.ik_targets], dtype=np.int64)
+    log.joints = np.array(rows)
+    log.joint_ticks = np.array([i for i, _ in ik_targets], dtype=np.int64)
 
 
-def _finish_trial(setup: TrialSetup, run: TickRun) -> TrialReport:
-    """Classify the outcome and build the report."""
-    cfg = setup.cfg
-    err_mm = setup.mouth_error_mm
-    world = setup.world
-    log = run.log
+def _finish_trial(setup: TrialSetup, log: TickLog) -> TrialReport:
+    """Classify the outcome and build the report from the log's events and
+    the food attachment."""
+    # phases only move forward, so each of these transitions occurs at most once
+    at = {(ev["phase_from"], ev["phase_to"], ev["event"]): ev["t"] for ev in log.events}
+    bite_time = at.get(("BITE_WAIT", "EXIT", "bite"))
+    timeout_time = at.get(("BITE_WAIT", "EXIT", "timeout"))
+    trip_phase = next((p_from for p_from, _, kind in at if kind == "safety_abort"), None)
+
+    err_mm, world = setup.mouth_error_mm, setup.world
     att = world.attachment
     lateral_mm = world.mouth.lateral_halfwidth * 1000.0
     aperture_mm = world.mouth.aperture * 1000.0
     imprecise = (abs(err_mm[0]) > lateral_mm) or (abs(err_mm[1]) > aperture_mm / 2.0)
-    exit_deadline = run.exit_completed_at if run.exit_completed_at is not None else np.inf
+    exit_deadline = at.get(("EXIT", "RETRACT_ARC", None), np.inf)
     dropped = (att.detached and not att.taken_by_bite
                and att.detach_time is not None and att.detach_time <= exit_deadline)
 
     # most specific root cause first: a lost food item explains a missing
     # bite, a mislocated mouth explains a crash, the bare abort comes last
-    if world.safety.tripped and run.phase_at_trip == "BITE_WAIT":
+    if trip_phase == "BITE_WAIT":
         outcome = "bite_failure"
     elif dropped:
         outcome = "drop"
-    elif run.timeout_time is not None:
+    elif timeout_time is not None:
         outcome = "bite_failure"
     elif imprecise:
         outcome = "imprecise"
-    elif world.safety.tripped:
+    elif trip_phase is not None:
         outcome = "aborted"
     else:
         outcome = "success"
@@ -1099,12 +1085,12 @@ def _finish_trial(setup: TrialSetup, run: TickRun) -> TrialReport:
     final_phase = TransferPhase(int(log.phase[-1])).name
     abs_f = np.abs(log.force)
     return TrialReport(
-        scenario_name=cfg["name"],
-        seed=int(cfg["seed"]),
+        scenario_name=setup.cfg["name"],
+        seed=int(setup.cfg["seed"]),
         outcome=outcome,
         events=log.events,
-        bite_time=run.bite_time,
-        timeout_time=run.timeout_time,
+        bite_time=bite_time,
+        timeout_time=timeout_time,
         peak_force_n=float(np.linalg.norm(log.force, axis=1).max()),
         peak_force_components=tuple(float(x) for x in abs_f.max(axis=0)),
         mean_deviation_m=float(log.deviation().mean()),
@@ -1120,10 +1106,9 @@ def _finish_trial(setup: TrialSetup, run: TickRun) -> TrialReport:
 def run_trial(scenario: Scenario) -> TrialReport:
     """Execute scan, targeting, and the full transfer FSM for one trial."""
     setup = _prepare_trial(scenario)
-    run = _tick_kernel(setup.world, setup.fsm, setup.ctrl, setup.robot, setup.n_ticks,
-                       ik_stride=int(setup.cfg["joint_log_stride"]))
-    _log_joints(run, setup.chain)
-    return _finish_trial(setup, run)
+    log, ik_targets = _tick_kernel(setup)
+    _log_joints(log, ik_targets, setup.chain)
+    return _finish_trial(setup, log)
 
 
 def _trial_seed(suite_seed: int, index: int) -> int:
@@ -1177,21 +1162,25 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
 
     Every key and every trial's scenario is checked before the first
     trial runs."""
-    _check_keys(suite_cfg, {"name": None, "seed": None, "repetitions": None,
-                            "trials": None}, "suite")
+    # the seed's default only gives its kind: a suite must set it
+    cfg = {"name": "suite", "seed": 0, "repetitions": 1, "trials": None}
+    _check_keys(suite_cfg, cfg, "suite")
     if "seed" not in suite_cfg:
         raise ConfigError("suite seed is mandatory")
-    suite_seed = int(suite_cfg["seed"])
-    reps = int(suite_cfg.get("repetitions", 1))
-    entries = suite_cfg.get("trials")
-    if not entries:
+    cfg.update(suite_cfg)
+    suite_seed = int(cfg["seed"])
+    reps = int(cfg["repetitions"])
+    if reps < 1:
+        raise ConfigError(f"suite key 'repetitions' must be >= 1, got {reps}")
+    entries = cfg["trials"]
+    if not isinstance(entries, list) or not entries:
         raise ConfigError("suite needs a non-empty trials list")
 
     trials = []
     for n, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"suite trials[{n}] must be an object")
-        _check_keys(entry, {"method": None, "scenario": None}, "suite", f"trials[{n}].")
+        _check_keys(entry, {"method": "ours", "scenario": None}, "suite", f"trials[{n}].")
         overrides = dict(entry.get("scenario", {}))
         method = entry.get("method", overrides.get("gain_preset", "ours"))
         overrides.setdefault("gain_preset", method)
@@ -1209,7 +1198,7 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
                          "outcome": report.outcome})
 
     return SuiteReport(
-        name=suite_cfg.get("name", "suite"),
+        name=cfg["name"],
         seed=suite_seed,
         total=len(trials),
         per_method=per_method,

@@ -232,8 +232,6 @@ class BiteDetector:
     axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
     timeout: float = DEFAULT_BITE_TIMEOUT
     elapsed: float = 0.0
-    debounce_ticks: int = 1
-    above_count: int = 0
 
     def __post_init__(self):
         if self.threshold <= 0:
@@ -251,12 +249,7 @@ def detect_bite(det: BiteDetector, f_m: Wrench, dt: float) -> tuple[str, BiteDet
         raise ValueError("dt must be > 0")
     f_y = float(np.dot(f_m.force, det.axis))
     if abs(f_y) > det.threshold:
-        count = det.above_count + 1
-        det = replace(det, above_count=count)
-        if count >= det.debounce_ticks:
-            return "bitten", det
-    else:
-        det = replace(det, above_count=0)
+        return "bitten", det
     elapsed = det.elapsed + dt
     det = replace(det, elapsed=elapsed)
     # tolerate float accumulation so N ticks of dt = timeout fire on tick N
@@ -279,7 +272,6 @@ class FsmState:
     hold_pose: Pose | None = None
     wait_started_at: float | None = None
     bite_time: float | None = None
-    timeout_time: float | None = None
 
 
 def _segment_or_none(plan: TrajectoryPlan, label: str) -> Segment | None:
@@ -364,14 +356,10 @@ def step(state: FsmState, f_m: Wrench, clock: float, dt: float,
         if phase == TransferPhase.BITE_WAIT:
             status, det = detect_bite(state.detector, f_m, dt)
             state = replace(state, detector=det)
-            if status == "bitten":
-                log(phase, TransferPhase.EXIT, "bite")
+            if status != "waiting":
+                log(phase, TransferPhase.EXIT, "bite" if status == "bitten" else "timeout")
                 state = replace(state, phase=TransferPhase.EXIT, t_phase_start=clock,
-                                bite_time=clock)
-            elif status == "timed_out":
-                log(phase, TransferPhase.EXIT, "timeout")
-                state = replace(state, phase=TransferPhase.EXIT, t_phase_start=clock,
-                                timeout_time=clock)
+                                bite_time=clock if status == "bitten" else None)
             return state, state.hold_pose, events
 
         if phase == TransferPhase.EXIT:

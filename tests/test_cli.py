@@ -58,6 +58,17 @@ class TestTrialCommand:
         assert main(["trial", scen, "--out-dir", str(tmp_path)]) == 2
         assert "unknown scenario key 'horizn_s'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"horizon_s": [1]}, {"mouth": 5}, {"segments": [1, 2]}, {"scan": None},
+        {"mouth_error_mm": 3}, {"horizon_s": "ten"}, {"seed": "s"}, {"horizon_s": -1},
+        {"bite": {"refuse": "no"}}, {"joint_log_stride": -250}, {"joint_log_stride": 2.5}])
+    def test_bad_value_exit_code(self, tmp_path, capsys, overrides):
+        (key, value), = overrides.items()
+        path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
+        scen = write_json(tmp_path / "s.json", overrides)
+        assert main(["trial", scen, "--out-dir", str(tmp_path)]) == 2
+        assert f"config error: scenario key '{path}' must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cap", [0, -1, float("nan")])
     def test_bad_integral_cap_exit_code(self, tmp_path, capsys, cap):
         scen = write_json(tmp_path / "s.json", {**SHORT_SCENARIO, "integral_cap_n": cap})
@@ -104,6 +115,13 @@ class TestSuiteCommand:
         assert "unknown suite key 'repetitons'" in capsys.readouterr().err
         assert not (tmp_path / "mini_suite.json").exists()
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_bad_repetitions_exit_code(self, tmp_path, capsys, reps):
+        suite = write_json(tmp_path / "suite.json", {
+            "seed": 5, "repetitions": reps, "trials": [{"method": "ours"}]})
+        assert main(["suite", suite, "--out-dir", str(tmp_path)]) == 2
+        assert "suite key 'repetitions' must be >= 1" in capsys.readouterr().err
+
     def test_suite_config_error(self, tmp_path):
         suite = write_json(tmp_path / "suite.json", {"trials": []})
         assert main(["suite", suite, "--out-dir", str(tmp_path)]) == 2
@@ -129,6 +147,11 @@ class TestWristStudyCommand:
         study = write_json(tmp_path / "study.json", {"cout": 60, "seed": 3})
         assert main(["wrist-study", study, "--out-dir", str(tmp_path)]) == 2
         assert "config error: unknown study key 'cout'" in capsys.readouterr().err
+
+    def test_bad_value_exit_code(self, tmp_path, capsys):
+        study = write_json(tmp_path / "study.json", {"count": "many"})
+        assert main(["wrist-study", study, "--out-dir", str(tmp_path)]) == 2
+        assert "config error: study key 'count' must be a whole number" in capsys.readouterr().err
 
     def test_unknown_nested_key_exit_code(self, tmp_path, capsys):
         study = write_json(tmp_path / "study.json", {"count": 60, "ik": {"max_itr": 5}})

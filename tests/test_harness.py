@@ -5,7 +5,7 @@ from bitesim.controller import (ControllerState, ImpedanceParams, ReactivityGain
                                 SafetyLatch)
 from bitesim.geometry import Pose
 from bitesim.harness import (CSV_HEADER, ConfigError, Scenario, TickLog, VirtualRobotState,
-                             WorldState, export_trajectory, load_log,
+                             WorldState, build_study_inputs, export_trajectory, load_log,
                              mouth_frame_from_position, run_suite, run_trial, save_log,
                              simulate_tick)
 from bitesim.humansim import BiteScript, FoodAttachmentState, MouthModel, load_food_presets
@@ -55,6 +55,15 @@ def make_static_world(gains_vec=(0.0, 0.0), mouth_pos=(5.0, 0.0, 0.45),
     ), mass
 
 
+def run_ticks(robot, ctrl, fsm, world, ticks):
+    """simulate_tick from tick 0; yields the robot and FSM after each tick."""
+    prev = None
+    for i in range(ticks):
+        robot, ctrl, fsm, rec = simulate_tick(robot, ctrl, fsm, world, i, prev_setpoint=prev)
+        prev = rec["setpoint"]
+        yield robot, fsm
+
+
 def hold_fsm(pose, phase, timeout=1e6):
     """FSM pinned in one phase holding one pose."""
     seg_label = "linear-exit" if phase in (TransferPhase.EXIT,) else "linear-entry"
@@ -85,14 +94,9 @@ class TestSimulateTick:
         pose = Pose(np.array([0.3, 0.0, 0.2]))
         world, mass = make_static_world(stiffness=np.zeros(6))
         world.impedance = ImpedanceParams(np.zeros(6), np.zeros(6))
-        fsm = hold_fsm(pose, TransferPhase.ENTRY)
-        robot = VirtualRobotState(pose, np.zeros(6), mass)
-        ctrl = ControllerState(gains=world.gains_entry)
-        prev = None
-        for i in range(200):
-            robot, ctrl, fsm, rec = simulate_tick(robot, ctrl, fsm, world, i,
-                                                  prev_setpoint=prev)
-            prev = rec["setpoint"]
+        *_, (robot, _) = run_ticks(VirtualRobotState(pose, np.zeros(6), mass),
+                                   ControllerState(gains=world.gains_entry),
+                                   hold_fsm(pose, TransferPhase.ENTRY), world, 200)
         np.testing.assert_array_equal(robot.pose.position, pose.position)
         assert np.all(robot.twist == 0)
 
@@ -106,14 +110,9 @@ class TestSimulateTick:
         gains = ReactivityGains.from_vectors([kp] * 3 + [0] * 3, [ki] * 3 + [0] * 3)
         world.gains_entry = gains
         world.gains_exit = gains
-        fsm = hold_fsm(pose, phase)
-        robot = VirtualRobotState(pose, np.zeros(6), mass)
-        ctrl = ControllerState(gains=gains)
-        prev = None
-        for i in range(ticks):
-            robot, ctrl, fsm, rec = simulate_tick(robot, ctrl, fsm, world, i,
-                                                  prev_setpoint=prev)
-            prev = rec["setpoint"]
+        *_, (robot, _) = run_ticks(VirtualRobotState(pose, np.zeros(6), mass),
+                                   ControllerState(gains=gains), hold_fsm(pose, phase),
+                                   world, ticks)
         return abs(robot.pose.position[0] - pose.position[0])
 
     def test_entry_deflects_more_than_exit_under_same_push(self):
@@ -127,15 +126,10 @@ class TestSimulateTick:
         dist = np.zeros((n, 6))
         dist[200:, 1] = 4.0  # beyond the 3 N stop
         world, mass = make_static_world(disturbance=dist, n=n)
-        fsm = hold_fsm(pose, TransferPhase.ENTRY)
-        robot = VirtualRobotState(pose, np.zeros(6), mass)
-        ctrl = ControllerState(gains=world.gains_entry)
-        prev = None
-        frozen = None
-        for i in range(n - 1):
-            robot, ctrl, fsm, rec = simulate_tick(robot, ctrl, fsm, world, i,
-                                                  prev_setpoint=prev)
-            prev = rec["setpoint"]
+        ticks = run_ticks(VirtualRobotState(pose, np.zeros(6), mass),
+                          ControllerState(gains=world.gains_entry),
+                          hold_fsm(pose, TransferPhase.ENTRY), world, n - 1)
+        for i, (robot, fsm) in enumerate(ticks):
             if i == 200:
                 assert fsm.phase == TransferPhase.ABORTED  # within one tick
                 frozen = robot.pose.position.copy()
@@ -262,6 +256,33 @@ class TestFinalPhase:
 
 
 class TestConfigKeys:
+    @pytest.mark.parametrize("overrides", [
+        {"horizon_s": [1]}, {"horizon_s": "ten"}, {"horizon_s": True}, {"horizon_s": -1},
+        {"horizon_s": float("nan")}, {"mouth": 5}, {"segments": [1, 2]}, {"scan": None},
+        {"mouth_error_mm": 3}, {"mouth_error_mm": [0, "1", 0]}, {"seed": "s"}, {"seed": None},
+        {"gain_preset": 5}, {"bite": {"refuse": "no"}}, {"disturbance": {"kind": [1]}},
+        {"joint_log_stride": -250}, {"joint_log_stride": 2.5}])
+    def test_value_of_another_kind_or_out_of_range(self, overrides):
+        (key, value), = overrides.items()
+        path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
+        with pytest.raises(ConfigError, match=f"^scenario key '{path}' must be"):
+            Scenario.from_dict(overrides)
+
+    def test_kinds_accepted(self):
+        Scenario.from_dict({"horizon_s": np.float32(0.5), "joint_log_stride": 10.0,
+                            "seed": np.int64(7), "mouth_error_mm": (1, 0.5, 0),
+                            "bite": {"refuse": np.bool_(True)}})
+
+    @pytest.mark.parametrize("cfg", [{"repetitions": 0}, {"repetitions": -1},
+                                     {"repetitions": 1.5}, {"seed": "s"}, {"name": 3}])
+    def test_suite_value_of_another_kind_or_out_of_range(self, cfg):
+        with pytest.raises(ConfigError, match=f"^suite key '{next(iter(cfg))}' must be"):
+            run_suite({"seed": 1, **cfg, "trials": [{"method": "ours"}]})
+
+    def test_study_value_of_another_kind(self):
+        with pytest.raises(ConfigError, match="^study key 'count' must be a whole number"):
+            build_study_inputs({"count": "many"})
+
     def test_top_level_typo(self):
         with pytest.raises(ConfigError, match="unknown scenario key 'horizn_s'"):
             Scenario.from_dict({"horizn_s": 3})
@@ -453,21 +474,8 @@ class TestSuite:
             run_suite({"trials": [{"method": "ours"}]})
         with pytest.raises(ConfigError):
             run_suite({"seed": 1, "trials": []})
-
-
-class TestReactivityOrdering:
-    def test_more_ours_less_deviation_ordering(self):
-        devs = {}
-        for preset in ("more_reactive", "ours", "less_reactive"):
-            rep = run_trial(Scenario.from_dict({
-                "gain_preset": preset, "seed": 424242,
-                "bite": {"refuse": True},
-                "mouth": {"aperture_m": 0.4, "lateral_halfwidth_m": 0.4},
-                "disturbance": {"kind": "sinusoid", "amplitude_n": 0.8,
-                                "period_s": 1.3, "direction": [1.0, 0.0, 0.0]},
-            }))
-            devs[preset] = rep.mean_deviation_m
-        assert devs["more_reactive"] > devs["ours"] > devs["less_reactive"]
+        with pytest.raises(ConfigError, match="non-empty trials list"):
+            run_suite({"seed": 1, "trials": {"method": "ours"}})
 
 
 class TestRefuseAcrossPresets:

@@ -2,8 +2,8 @@
 
 reference_run is the loop body run_trial had before the kernel: one
 simulate_tick per tick (Pose, Wrench and state objects, transfer.step,
-controller.reactive_term), with the same bookkeeping. Started from the
-same setup objects, run_trial must give the same bits.
+controller.reactive_term). Started from the same setup objects and
+classified by the same _finish_trial, run_trial must give the same bits.
 """
 
 import json
@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from bitesim.controller import TICK_PERIOD
 from bitesim.geometry import quat_from_axis_angle, quat_mul
-from bitesim.harness import (Scenario, TickLog, TickRun, VirtualRobotState, _finish_trial,
-                             _prepare_trial, _tick_kernel, run_trial, simulate_tick)
-from bitesim.kinematics import IkParams, ik_damped_least_squares
+from bitesim.harness import (Scenario, TickLog, VirtualRobotState, _finish_trial,
+                             _log_joints, _prepare_trial, _tick_kernel, run_trial,
+                             simulate_tick)
 from bitesim.presets import GAIN_PRESETS
 from bitesim.transfer import (concat_plans, entry_segment, interpolate, linear_segment,
                               plan_arc)
@@ -29,45 +29,23 @@ TICK_FIELDS = ("t", "position", "orientation", "force", "torque", "phase",
                "set_position", "set_orientation")
 
 
-def reference_run(setup) -> TickRun:
+def reference_run(setup) -> TickLog:
     """run_trial's tick loop as it was: simulate_tick objects per tick."""
     world, fsm, ctrl, robot = setup.world, setup.fsm, setup.ctrl, setup.robot
-    n_ticks, chain, dt = setup.n_ticks, setup.chain, TICK_PERIOD
-    log = TickLog(
-        t=np.empty(n_ticks), position=np.empty((n_ticks, 3)),
-        orientation=np.empty((n_ticks, 4)), force=np.empty((n_ticks, 3)),
-        torque=np.empty((n_ticks, 3)), phase=np.empty(n_ticks, dtype=np.int8),
-        set_position=np.empty((n_ticks, 3)), set_orientation=np.empty((n_ticks, 4)),
-        events=[],
-    )
+    n_ticks, dt = setup.n_ticks, TICK_PERIOD
+    log = TickLog(t=np.empty(n_ticks), position=np.empty((n_ticks, 3)),
+                  orientation=np.empty((n_ticks, 4)), force=np.empty((n_ticks, 3)),
+                  torque=np.empty((n_ticks, 3)), phase=np.empty(n_ticks, dtype=np.int8),
+                  set_position=np.empty((n_ticks, 3)),
+                  set_orientation=np.empty((n_ticks, 4)), events=[])
     stride = int(setup.cfg["joint_log_stride"])
-    joints_rows = []
-    joint_ticks = []
-    q_guess = chain.home if chain is not None else None
-    ik_params = IkParams(max_iter=60)
-
+    ik_targets = []
     prev_setpoint = None
-    bite_time = None
-    timeout_time = None
-    phase_at_trip = None
-    exit_completed_at = None
-
     for i in range(n_ticks):
-        tripped_before = world.safety.tripped
         robot, ctrl, fsm, rec = simulate_tick(robot, ctrl, fsm, world, i, dt,
                                               prev_setpoint)
         prev_setpoint = rec["setpoint"]
-        if world.safety.tripped and not tripped_before:
-            phase_at_trip = rec["events"][0]["phase_from"] if rec["events"] else rec["phase"].name
-
-        for ev in rec["events"]:
-            log.events.append(ev)
-            if ev["event"] == "bite":
-                bite_time = ev["t"]
-            elif ev["event"] == "timeout":
-                timeout_time = ev["t"]
-            if ev["phase_from"] == "EXIT" and ev["phase_to"] == "RETRACT_ARC":
-                exit_completed_at = ev["t"]
+        log.events.extend(rec["events"])
 
         t_now = rec["t"]
         bite_mag = rec["bite_n"]
@@ -85,16 +63,10 @@ def reference_run(setup) -> TickRun:
         log.set_position[i] = rec["setpoint"].position
         log.set_orientation[i] = rec["setpoint"].orientation
 
-        if stride and chain is not None and i % stride == 0:
-            sol = ik_damped_least_squares(chain, rec["pose"], q_guess, ik_params)
-            q_guess = sol.q
-            joints_rows.append(sol.q)
-            joint_ticks.append(i)
-
-    if joints_rows:
-        log.joints = np.array(joints_rows)
-        log.joint_ticks = np.array(joint_ticks, dtype=np.int64)
-    return TickRun(log, bite_time, timeout_time, phase_at_trip, exit_completed_at, [])
+        if stride and i % stride == 0:
+            ik_targets.append((i, rec["pose"]))
+    _log_joints(log, ik_targets, setup.chain)  # the kernel must keep these very poses
+    return log
 
 
 def assert_same_trial(report, expected):
@@ -167,7 +139,13 @@ def test_kernel_equals_reference_loop(sc):
     scenario = Scenario.from_dict(sc)
     setup = _prepare_trial(scenario)
     expected = _finish_trial(setup, reference_run(setup))
-    assert_same_trial(run_trial(scenario), expected)
+    report = run_trial(scenario)
+    assert_same_trial(report, expected)
+    # the FSM invariants _finish_trial relies on: each transition occurs at most once
+    assert np.all(np.diff(report.log.phase) >= 0)
+    assert [ev["t"] for ev in report.events] == sorted(ev["t"] for ev in report.events)
+    transitions = [(ev["phase_from"], ev["phase_to"], ev["event"]) for ev in report.events]
+    assert len(set(transitions)) == len(transitions)
 
 
 def test_nominal_trial_equals_reference_loop():
@@ -207,8 +185,7 @@ def test_turning_plan_equals_reference_loop():
     ref = setups[0]
     expected = _finish_trial(ref, reference_run(ref))
     new = setups[1]
-    report = _finish_trial(new, _tick_kernel(new.world, new.fsm, new.ctrl, new.robot,
-                                             new.n_ticks))
+    report = _finish_trial(new, _tick_kernel(new)[0])
     assert report.final_phase == "DONE"
     assert np.abs(report.log.orientation - report.log.set_orientation).max() > 1e-3
     assert_same_trial(report, expected)

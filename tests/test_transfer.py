@@ -119,14 +119,6 @@ class TestBiteDetection:
         status, _ = detect_bite(det, Wrench(0.3 * MOUTH.y_axis), 0.001)
         assert status == "waiting"
 
-    def test_debounce(self):
-        det = BiteDetector(axis=MOUTH.y_axis, debounce_ticks=3)
-        f = Wrench(0.5 * MOUTH.y_axis)
-        s1, det = detect_bite(det, f, 0.001)
-        s2, det = detect_bite(det, f, 0.001)
-        s3, det = detect_bite(det, f, 0.001)
-        assert (s1, s2, s3) == ("waiting", "waiting", "bitten")
-
 
 class TestInterpolate:
     def test_exact_at_waypoints(self):
