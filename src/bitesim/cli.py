@@ -34,17 +34,22 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _config(path, **flags):
+    """The JSON config in path ({} without one) updated with the flags that
+    are set; a config that is not an object is left for the harness to reject."""
+    cfg = {}
+    if path:
+        with open(path, "r", encoding="utf-8") as f:
+            cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        return cfg
+    return {**cfg, **{key: value for key, value in flags.items() if value is not None}}
+
+
 def cmd_trial(args) -> int:
     try:
-        overrides = {}
-        if args.scenario:
-            with open(args.scenario, "r", encoding="utf-8") as f:
-                overrides = json.load(f)
-        if args.preset:
-            overrides["gain_preset"] = args.preset
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        scenario = Scenario.from_dict(overrides)
+        scenario = Scenario.from_dict(_config(args.scenario, gain_preset=args.preset,
+                                              seed=args.seed))
         t0 = time.perf_counter()
         report = run_trial(scenario)
         wall = time.perf_counter() - t0
@@ -73,11 +78,7 @@ def cmd_trial(args) -> int:
 
 def cmd_suite(args) -> int:
     try:
-        with open(args.suite, "r", encoding="utf-8") as f:
-            cfg = json.load(f)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        report = run_suite(cfg)
+        report = run_suite(_config(args.suite, seed=args.seed))
     except SensorFault as e:
         print(f"sensor fault: {e}", file=sys.stderr)
         return EXIT_SENSOR_FAULT
@@ -94,13 +95,8 @@ def cmd_suite(args) -> int:
 
 def cmd_wrist_study(args) -> int:
     try:
-        cfg = {}
-        if args.study:
-            with open(args.study, "r", encoding="utf-8") as f:
-                cfg = json.load(f)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        chain_with, chain_without, dist, ik_params, comfort, home = build_study_inputs(cfg)
+        chain_with, chain_without, dist, ik_params, comfort, home = build_study_inputs(
+            _config(args.study, seed=args.seed))
     except (ConfigError, ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -130,7 +130,7 @@ def comfort_cost(chain: ChainModel, q, params: ComfortParams):
 
 @dataclass(frozen=True)
 class StudyReport:
-    """Aggregate wrist-study results plus optional per-sample records."""
+    """Aggregate wrist-study results plus per-sample records."""
 
     sample_count: int
     used_count: int
@@ -147,7 +147,7 @@ class StudyReport:
     max_comfort_without: float
     p_displacement: float
     p_comfort: float
-    samples: np.ndarray | None = field(default=None, repr=False, compare=False)
+    samples: np.ndarray = field(repr=False, compare=False)
     # sorted tip position residuals (mm) of the poses each chain failed on
     failure_residuals_mm_with: np.ndarray = field(default_factory=lambda: np.zeros(0))
     failure_residuals_mm_without: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -179,8 +179,6 @@ class StudyReport:
 
     def write_samples_csv(self, path):
         """Per-sample records for external plotting."""
-        if self.samples is None:
-            raise ValueError("report carries no per-sample records")
         header = ("idx,px,py,pz,qw,qx,qy,qz,converged_with,converged_without,"
                   "disp_with,disp_without,cost_with,cost_without")
         with open(path, "w", encoding="utf-8") as f:
@@ -220,8 +218,7 @@ def _failure_residuals_mm(result: IkBatchResult) -> np.ndarray:
 
 def run_wrist_study(chain_with: ChainModel, chain_without: ChainModel,
                     dist: PoseDistribution, ik_params: IkParams,
-                    comfort: ComfortParams, home=None,
-                    keep_samples: bool = True) -> StudyReport:
+                    comfort: ComfortParams, home=None) -> StudyReport:
     """Solve every sampled pose on both chains and compare them.
 
     Both solves start from the shared home; displacement is measured
@@ -258,15 +255,13 @@ def run_wrist_study(chain_with: ChainModel, chain_without: ChainModel,
     if m == 0:
         raise StudyInvalidError("no pose converged on both chains")
 
-    samples = None
-    if keep_samples:
-        samples = np.column_stack([
-            np.arange(n),
-            np.array([p.position for p in poses]),
-            np.array([p.orientation for p in poses]),
-            conv_w.astype(float), conv_wo.astype(float),
-            disp_w, disp_wo, cost_w, cost_wo,
-        ])
+    samples = np.column_stack([
+        np.arange(n),
+        np.array([p.position for p in poses]),
+        np.array([p.orientation for p in poses]),
+        conv_w.astype(float), conv_wo.astype(float),
+        disp_w, disp_wo, cost_w, cost_wo,
+    ])
 
     return StudyReport(
         sample_count=n,

@@ -22,6 +22,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,11 +34,11 @@ from .controller import (ControllerState, ImpedanceParams, ReactivityGains, Safe
                          SensorFault, TICK_PERIOD, Wrench, desired_wrench, phase_gains,
                          reactive_term, safety_check)
 from .transfer import (BiteDetector, FsmState, TransferPhase, EXIT_SIDE_PHASES,
-                       _segment_or_none, build_fixed_pose_plan, build_transfer_plan, step)
+                       build_fixed_pose_plan, build_transfer_plan, phase_segments, step)
 from .perception import compute_offsets, food_bounding_box, synth_depth_scan, target_pose
-from .humansim import (HEAD_MOTION_PARAMS, BiteScript, FoodAttachmentState, MouthModel,
-                       bite_force, contact_force, load_food_presets, perturbation_trace,
-                       signal_trace)
+from .humansim import (CAVITY_DEPTH, HEAD_MOTION_PARAMS, LIP_MARGIN, BiteScript,
+                       FoodAttachmentState, MouthModel, bite_force, contact_force,
+                       load_food_presets, perturbation_trace, signal_trace)
 from .presets import GAIN_PRESETS, default_scenario_dict, default_study_dict
 
 CSV_HEADER = ("t_s,px,py,pz,qw,qx,qy,qz,fx,fy,fz,tau_x,tau_y,tau_z,phase,"
@@ -88,43 +89,62 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
-# what a config value must be, by the type of its default (bool before
-# int, which it subclasses); a default of another type, None, takes anything
+def _numbers(v, n: int | None = None) -> bool:
+    return (isinstance(v, (list, tuple, np.ndarray)) and all(map(_is_number, v))
+            and (n is None or len(v) == n))
+
+
+class _Rule(NamedTuple):
+    """What a config value must be: ``wanted`` says it, ``ok`` tests it."""
+    wanted: str
+    ok: Callable[[object], bool]
+
+
+_OBJECT = _Rule("an object", lambda v: isinstance(v, dict))
+# the rule of a key by the type of its default (bool before int, which
+# it subclasses); a default of another type, None, takes anything
 _VALUE_KINDS = (
-    (bool, "a bool", lambda v: isinstance(v, (bool, np.bool_))),
-    (str, "a string", lambda v: isinstance(v, str)),
-    (int, "a whole number", lambda v: _is_number(v) and (
-        isinstance(v, (int, np.integer)) or float(v).is_integer())),
-    (float, "a number", _is_number),
-    (list, "a list of numbers", lambda v: isinstance(v, (list, tuple, np.ndarray))
-        and all(map(_is_number, v))),
-    (dict, "an object", lambda v: isinstance(v, dict)),
+    (bool, _Rule("a bool", lambda v: isinstance(v, (bool, np.bool_)))),
+    (str, _Rule("a string", lambda v: isinstance(v, str))),
+    (int, _Rule("a whole number", lambda v: _is_number(v) and (
+        isinstance(v, (int, np.integer)) or float(v).is_integer()))),
+    (float, _Rule("a number", _is_number)),
+    (list, _Rule("a list of numbers", _numbers)),
+    (dict, _OBJECT),
 )
+# rules that stand in for a null default, which gives no kind
+_FACING = _Rule("null or a list of 3 numbers", lambda v: v is None or _numbers(v, 3))
+_DAMPING = _Rule("null or a list of 6 numbers", lambda v: v is None or _numbers(v, 6))
+_TRACE = _Rule("a non-empty list of rows of 6 numbers", lambda v: isinstance(
+    v, (list, tuple, np.ndarray)) and len(v) > 0 and all(_numbers(r, 6) for r in v))
 
 
 def _check_keys(cfg: dict, known: dict, kind: str, path: str = "") -> None:
-    """Reject a key of cfg that known lacks, or a value of another kind
-    than known's value at the same path, at any nesting level; the
-    message names the kind of config and the key's path."""
+    """Reject a cfg that is not an object, a key that known lacks, or a value
+    that breaks the rule of known's value at its path (a _Rule, or the kind
+    of a default), at any nesting level, naming the kind of config and the path."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a {kind} must be an object, got {cfg!r}")
     for key, value in cfg.items():
         where = path + str(key)
         if key not in known:
             raise ConfigError(f"unknown {kind} key {where!r}")
-        for default_type, wanted, ok in _VALUE_KINDS:
-            if isinstance(known[key], default_type):
-                if not ok(value):
-                    raise ConfigError(f"{kind} key {where!r} must be {wanted}, got {value!r}")
-                break
-        if isinstance(value, dict) and isinstance(known[key], dict):
-            _check_keys(value, known[key], kind, where + ".")
+        default = known[key]
+        rule = default if isinstance(default, _Rule) else next(
+            (r for default_type, r in _VALUE_KINDS if isinstance(default, default_type)), None)
+        if rule is not None and not rule.ok(value):
+            raise ConfigError(f"{kind} key {where!r} must be {rule.wanted}, got {value!r}")
+        if isinstance(value, dict) and isinstance(default, dict):
+            _check_keys(value, default, kind, where + ".")
 
 
 def _scenario_keys(cfg: dict) -> dict:
     """Keys a scenario may set, each with a value of its kind: the
-    defaults', a gain preset's, the optional mouth facing, and the
-    parameters of the disturbance and head-motion kinds that cfg selects."""
+    defaults', a gain preset's, the optional mouth facing and damping (by
+    rule), and the parameters of the disturbance and head-motion kinds that cfg selects."""
     known = _merge(default_scenario_dict(), GAIN_PRESETS["ours"])
-    known["mouth"]["facing"] = None
+    known["mouth"]["facing"] = _FACING
+    known["impedance"]["damping"] = _DAMPING
     for key, kinds in (("disturbance", DISTURBANCE_PARAMS),
                        ("head_perturbation", HEAD_MOTION_PARAMS)):
         kind = cfg[key].get("kind") if isinstance(cfg[key], dict) else None
@@ -140,9 +160,10 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, overrides: dict | None = None) -> "Scenario":
-        overrides = overrides or {}
+        overrides = {} if overrides is None else overrides
         cfg = default_scenario_dict()
-        _check_keys(overrides, _scenario_keys(_merge(cfg, overrides)), "scenario")
+        merged = _merge(cfg, overrides) if isinstance(overrides, dict) else cfg  # else fails below
+        _check_keys(overrides, _scenario_keys(merged), "scenario")
         preset = overrides.get("gain_preset", cfg["gain_preset"])
         if preset not in GAIN_PRESETS:
             raise ConfigError(f"unknown gain preset {preset!r}")
@@ -207,8 +228,7 @@ class WorldState:
 
 
 def simulate_tick(robot: VirtualRobotState, ctrl: ControllerState, fsm: FsmState,
-                  world: WorldState, t_idx: int, dt: float = TICK_PERIOD,
-                  prev_setpoint: Pose | None = None):
+                  world: WorldState, t_idx: int, prev_setpoint: Pose | None = None):
     """One 1 kHz tick; returns (robot', ctrl', fsm', record). The
     reference for _tick_kernel, which run_trial uses.
 
@@ -219,6 +239,7 @@ def simulate_tick(robot: VirtualRobotState, ctrl: ControllerState, fsm: FsmState
     correction, and integrate the virtual mass. After an abort the
     plant freezes and commands stay zero.
     """
+    dt = TICK_PERIOD
     t = t_idx * dt
     mouth_now = world.mouth
     off = world.perturb_trace[min(t_idx, len(world.perturb_trace) - 1)]
@@ -236,7 +257,7 @@ def simulate_tick(robot: VirtualRobotState, ctrl: ControllerState, fsm: FsmState
         elif (fsm.phase == TransferPhase.EXIT and fsm.bite_time is not None
               and fsm.wait_started_at is not None):
             rel = robot.pose.position - mouth_now.center.position
-            if float(rel @ mouth_now.center.z_axis) <= mouth_now.lip_margin:
+            if float(rel @ mouth_now.center.z_axis) <= LIP_MARGIN:
                 t_in_bite = t - fsm.wait_started_at
     if t_in_bite is not None:
         b_local = bite_force(world.bite, t_in_bite)
@@ -428,7 +449,7 @@ DISTURBANCE_PARAMS = {
     "none": {},
     "sinusoid": {"amplitude_n": 0.5, "period_s": 1.0, "direction": [1.0, 0.0, 0.0]},
     "random-walk": {"sigma_n": 1.0, "amplitude_n": 0.8},  # sigma in N / sqrt(s)
-    "array": {"trace": None},  # (n, 6) rows; the last row holds past its end
+    "array": {"trace": _TRACE},  # (n, 6) rows; the last row holds past its end
 }
 
 
@@ -439,10 +460,9 @@ def _disturbance_trace(cfg: dict, n: int, dt: float, seed: int) -> np.ndarray:
     if kind == "none":
         return np.zeros((1, 6))
     if kind == "array":
-        arr = np.asarray(cfg["trace"], dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 6:
-            raise ConfigError("disturbance trace must be (n, 6)")
-        return arr
+        if "trace" not in cfg:
+            raise ConfigError("scenario key 'disturbance.trace' must be set for kind 'array'")
+        return np.asarray(cfg["trace"], dtype=float)
     p = {**DISTURBANCE_PARAMS[kind], **cfg}
     out = np.zeros((n, 6))
     out[:, :3] = signal_trace(kind, n, dt, seed, float(p["amplitude_n"]),
@@ -674,7 +694,7 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
     # moves; columns of the rotation matrix for contact, the quaternion's
     # z axis for the lip test and the quaternion itself for the bite
     mouth = world.mouth
-    lip, cavity = mouth.lip_margin, mouth.cavity_depth
+    lip, cavity = LIP_MARGIN, CAVITY_DEPTH
     half_aperture = mouth.aperture / 2.0
     k_mouth, c_mouth, lateral = mouth.stiffness, mouth.damping, mouth.lateral_halfwidth
     mx0, my0, mz0 = mouth.center.position.tolist()
@@ -761,9 +781,7 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
     # FSM: integer phase, start times, the detector's elapsed time
     SCAN, FACE, APPROACH, ENTRY, WAIT, EXIT, RETRACT, DONE, ABORTED = range(9)
     names = [p.name for p in TransferPhase]
-    arc = _segment_or_none(plan, "arc")
-    entry = _segment_or_none(plan, "linear-entry") or _segment_or_none(plan, "dwell")
-    exit_seg = _segment_or_none(plan, "linear-exit") or _segment_or_none(plan, "arc-return")
+    arc, entry, exit_seg = phase_segments(plan)
     approach = arc if arc is not None else entry
     approach_dur = approach.t_end - approach.t_start
     entry_dur = entry.t_end - entry.t_start
@@ -1180,7 +1198,7 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
     for n, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"suite trials[{n}] must be an object")
-        _check_keys(entry, {"method": "ours", "scenario": None}, "suite", f"trials[{n}].")
+        _check_keys(entry, {"method": "ours", "scenario": _OBJECT}, "suite", f"trials[{n}].")
         overrides = dict(entry.get("scenario", {}))
         method = entry.get("method", overrides.get("gain_preset", "ours"))
         overrides.setdefault("gain_preset", method)
@@ -1216,7 +1234,7 @@ def build_study_inputs(study_cfg: dict | None = None):
     from .transfer import transfer_orientation
 
     defaults = default_study_dict()
-    _check_keys(study_cfg or {}, {**defaults, "mouth_facing": None}, "study")
+    _check_keys(study_cfg or {}, {**defaults, "mouth_facing": _FACING}, "study")
     cfg = _merge(defaults, study_cfg or {})
     chain_with = _resolve_chain(cfg["chain_with"])
     chain_without = _resolve_chain(cfg["chain_without"])

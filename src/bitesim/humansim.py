@@ -14,7 +14,7 @@ tool-applied reading the controller consumes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -27,6 +27,10 @@ SIZE_CLASSES = ("small", "medium", "large")
 DEFORMABILITY_CLASSES = ("fragile", "robust", "rigid")
 
 MAX_PERTURBATION_AMPLITUDE = 0.020  # m
+
+# the mouth contact region along the mouth-frame z axis
+CAVITY_DEPTH = 0.050  # m inside the lips
+LIP_MARGIN = 0.005  # m outside the lips still in contact range
 
 
 @dataclass(frozen=True)
@@ -112,15 +116,10 @@ def preset_from_dict(d: dict) -> FoodPreset:
     )
 
 
-def load_food_presets(path=None) -> dict[str, FoodPreset]:
-    """Food presets from a JSON file (bundled file when path is None)."""
-    if path is None:
-        ref = resources.files("bitesim.data").joinpath("foods.json")
-        with ref.open("r", encoding="utf-8") as f:
-            raw = json.load(f)
-    else:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
+def load_food_presets() -> dict[str, FoodPreset]:
+    """The bundled food presets."""
+    with resources.files("bitesim.data").joinpath("foods.json").open("r", encoding="utf-8") as f:
+        raw = json.load(f)
     return {d["name"]: preset_from_dict(d) for d in raw["presets"]}
 
 
@@ -133,8 +132,6 @@ class MouthModel:
     stiffness: float = 1000.0  # N/m
     damping: float = 10.0  # N*s/m
     lateral_halfwidth: float = 0.025  # m
-    cavity_depth: float = 0.050  # m inside the lips
-    lip_margin: float = 0.005  # m outside the lips still in contact range
 
     def __post_init__(self):
         if self.aperture <= 0:
@@ -143,8 +140,7 @@ class MouthModel:
             raise ValueError("contact stiffness/damping must be >= 0")
 
     def with_center(self, center: Pose) -> "MouthModel":
-        return MouthModel(center, self.aperture, self.stiffness, self.damping,
-                          self.lateral_halfwidth, self.cavity_depth, self.lip_margin)
+        return replace(self, center=center)
 
 
 def contact_force(fork_tip: Pose, fork_velocity, mouth: MouthModel) -> Wrench:
@@ -165,7 +161,7 @@ def contact_force(fork_tip: Pose, fork_velocity, mouth: MouthModel) -> Wrench:
     z_m = float(r @ z_hat)
 
     # contact only applies inside the mouth cavity region
-    if z_m > mouth.lip_margin or z_m < -mouth.cavity_depth:
+    if z_m > LIP_MARGIN or z_m < -CAVITY_DEPTH:
         return Wrench.zero()
 
     half = mouth.aperture / 2.0

@@ -505,8 +505,8 @@ def ik_damped_least_squares(chain: ChainModel, target: Pose, seed,
                                          params)[0]
 
 
-def joint_displacement(q_a, q_b, joint_subset=None):
-    """Per-joint |delta| (rad) over the subset, plus the arithmetic mean.
+def joint_displacement(q_a, q_b):
+    """Per-joint |delta| (rad), plus the arithmetic mean.
 
     Either config may be a stack (B, N); the mean is then one per row.
     """
@@ -515,11 +515,6 @@ def joint_displacement(q_a, q_b, joint_subset=None):
     if q_a.shape[-1] != q_b.shape[-1]:
         raise ValueError(f"config lengths differ: {q_a.shape[-1]} vs {q_b.shape[-1]}")
     delta = np.abs(q_a - q_b)
-    if joint_subset is not None:
-        idx = np.asarray(joint_subset, dtype=int)
-        if idx.size and (idx.min() < 0 or idx.max() >= q_a.shape[-1]):
-            raise ValueError("joint subset index out of range")
-        delta = delta[..., idx]
     mean = delta.mean(axis=-1)
     return delta, float(mean) if mean.ndim == 0 else mean
 

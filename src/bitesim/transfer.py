@@ -19,6 +19,7 @@ DEFAULT_LOWERING = 0.003  # m
 DEFAULT_BITE_THRESHOLD = 0.3  # N
 DEFAULT_BITE_TIMEOUT = 1.5  # s
 DEFAULT_FORK_PITCH = np.deg2rad(25.0)
+WAYPOINT_RATE = 100.0  # Hz: every plan samples its waypoints at this rate
 
 _UP = np.array([0.0, 0.0, 1.0])
 
@@ -80,12 +81,6 @@ class TrajectoryPlan:
     def end_pose(self) -> Pose:
         return self.poses[-1]
 
-    def segment(self, label: str) -> Segment:
-        for s in self.segments:
-            if s.label == label:
-                return s
-        raise KeyError(f"no segment labeled {label!r}")
-
 
 def interpolate(plan: TrajectoryPlan, t: float) -> Pose:
     """Pose at time t: linear position, slerp orientation between waypoints."""
@@ -120,20 +115,20 @@ def concat_plans(parts: list[TrajectoryPlan]) -> TrajectoryPlan:
     return TrajectoryPlan(np.concatenate(times), poses, segments)
 
 
-def _waypoint_times(duration: float, sample_rate: float) -> np.ndarray:
-    n = max(1, int(round(duration * sample_rate)))
+def _waypoint_times(duration: float) -> np.ndarray:
+    n = max(1, int(round(duration * WAYPOINT_RATE)))
     return np.linspace(0.0, duration, n + 1)
 
 
 def plan_arc(target_pre_mouth: Pose, out_direction, radius: float = DEFAULT_ARC_RADIUS,
-             start_angle: float = np.pi / 2, duration: float = 6.0,
-             sample_rate: float = 100.0, start_orientation=None) -> TrajectoryPlan:
+             start_angle: float = np.pi / 2, duration: float = 6.0) -> TrajectoryPlan:
     """Circular approach arc ending at the pre-mouth target.
 
     The arc lies in the vertical plane spanned by world-up and
     ``out_direction`` (the horizontal direction pointing away from the
     mouth), centered ``radius`` straight below the target. Angle 0 is at
-    the target; ``start_angle`` > 0 swings down/out along the arc.
+    the target; ``start_angle`` > 0 swings down/out along the arc, and
+    every waypoint holds the target orientation.
     """
     if radius <= 0:
         raise ValueError("arc radius must be > 0")
@@ -147,23 +142,22 @@ def plan_arc(target_pre_mouth: Pose, out_direction, radius: float = DEFAULT_ARC_
     u /= n
 
     center = target_pre_mouth.position - radius * _UP
-    times = _waypoint_times(duration, sample_rate)
+    times = _waypoint_times(duration)
     angles = start_angle + (times / duration) * (0.0 - start_angle)
-    q0 = target_pre_mouth.orientation if start_orientation is None else np.asarray(start_orientation)
+    q = target_pre_mouth.orientation
     poses = []
     for t, ang in zip(times, angles):
         p = center + radius * (np.cos(ang) * _UP + np.sin(ang) * u)
-        frac = t / duration
-        poses.append(Pose(p, interpolate_pose(
-            Pose(p, q0), Pose(p, target_pre_mouth.orientation), frac).orientation))
+        # slerp(q, q) and Pose's renormalisations each can move a last bit: keep them
+        poses.append(Pose(p, interpolate_pose(Pose(p, q), Pose(p, q), t / duration).orientation))
     return TrajectoryPlan(times, poses, [Segment("arc", 0.0, duration)])
 
 
-def linear_segment(start: Pose, end: Pose, duration: float, sample_rate: float = 100.0,
+def linear_segment(start: Pose, end: Pose, duration: float,
                    label: str = "linear-entry") -> TrajectoryPlan:
     if duration <= 0:
         raise ValueError("segment duration must be > 0")
-    times = _waypoint_times(duration, sample_rate)
+    times = _waypoint_times(duration)
     poses = [interpolate_pose(start, end, t / duration) for t in times]
     # pin the endpoints so terminal positions are exact
     poses[0] = start
@@ -171,15 +165,15 @@ def linear_segment(start: Pose, end: Pose, duration: float, sample_rate: float =
     return TrajectoryPlan(times, poses, [Segment(label, 0.0, duration)])
 
 
-def dwell_segment(pose: Pose, duration: float, sample_rate: float = 100.0) -> TrajectoryPlan:
-    times = _waypoint_times(duration, sample_rate)
+def dwell_segment(pose: Pose, duration: float) -> TrajectoryPlan:
+    times = _waypoint_times(duration)
     return TrajectoryPlan(times, [pose] * len(times), [Segment("dwell", 0.0, duration)])
 
 
 def entry_segment(pre_mouth: Pose, mouth_frame: Pose,
                   entry_depth: float = DEFAULT_ENTRY_DEPTH,
                   lowering: float = DEFAULT_LOWERING,
-                  duration: float = 2.0, sample_rate: float = 100.0) -> TrajectoryPlan:
+                  duration: float = 2.0) -> TrajectoryPlan:
     """Straight entry along -z of the mouth frame, then a small drop.
 
     Orientation is held. With zero depth and lowering this degenerates
@@ -194,9 +188,9 @@ def entry_segment(pre_mouth: Pose, mouth_frame: Pose,
     p_end = p0 - entry_depth * z_hat - lowering * y_hat
     total = entry_depth + lowering
     if total == 0.0:
-        return dwell_segment(pre_mouth, duration, sample_rate)
+        return dwell_segment(pre_mouth, duration)
 
-    times = _waypoint_times(duration, sample_rate)
+    times = _waypoint_times(duration)
     split = duration * (entry_depth / total)
     q = pre_mouth.orientation
     poses = []
@@ -274,11 +268,12 @@ class FsmState:
     bite_time: float | None = None
 
 
-def _segment_or_none(plan: TrajectoryPlan, label: str) -> Segment | None:
-    try:
-        return plan.segment(label)
-    except KeyError:
-        return None
+def phase_segments(plan: TrajectoryPlan) -> tuple[Segment | None, ...]:
+    """(arc, entry, exit): the segments that time APPROACH_ARC, ENTRY and EXIT, or
+    None; a fixed-pose plan's dwell is its entry and its arc return its exit."""
+    def first(*labels):
+        return next((s for label in labels for s in plan.segments if s.label == label), None)
+    return first("arc"), first("linear-entry", "dwell"), first("linear-exit", "arc-return")
 
 
 def step(state: FsmState, f_m: Wrench, clock: float, dt: float,
@@ -286,70 +281,49 @@ def step(state: FsmState, f_m: Wrench, clock: float, dt: float,
     """Advance the FSM one tick.
 
     Returns the new state, the motion setpoint for this tick, and any
-    transition/event records {t, phase_from, phase_to, event, f_y}.
-    Zero-duration phases are chained within the tick so motion phases
-    start on time.
+    transition/event records {t, phase_from, phase_to, event, f_y}. A
+    phase whose time is up hands its overshoot to the next within the
+    tick, so motion phases start on time. An abort logs ``safety_abort``
+    and then holds like DONE (the hold pose, else the plan's end pose);
+    the caller freezes the plant and never reads that setpoint.
     """
     events: list[dict] = []
     f_y = float(np.dot(f_m.force, state.detector.axis))
 
-    def log(prev, new, event=None):
-        events.append({"t": clock, "phase_from": prev.name, "phase_to": new.name,
+    def go(phase, t_start, event=None, **changes):
+        nonlocal state
+        events.append({"t": clock, "phase_from": state.phase.name, "phase_to": phase.name,
                        "event": event, "f_y": f_y})
+        state = replace(state, phase=phase, t_phase_start=t_start, **changes)
 
     plan = state.plan
-    arc = _segment_or_none(plan, "arc")
-    entry = _segment_or_none(plan, "linear-entry") or _segment_or_none(plan, "dwell")
-    exit_seg = _segment_or_none(plan, "linear-exit") or _segment_or_none(plan, "arc-return")
+    arc, entry, exit_seg = phase_segments(plan)
+    # the segment that each motion phase follows
+    motion = {TransferPhase.APPROACH_ARC: arc or entry, TransferPhase.ENTRY: entry,
+              TransferPhase.EXIT: exit_seg}
 
     if abort and state.phase != TransferPhase.ABORTED:
-        setpoint = _phase_setpoint(state, plan, arc, entry, exit_seg, clock)
-        log(state.phase, TransferPhase.ABORTED, "safety_abort")
-        state = replace(state, phase=TransferPhase.ABORTED, t_phase_start=clock,
-                        hold_pose=setpoint)
-        return state, setpoint, events
+        go(TransferPhase.ABORTED, clock, "safety_abort")
 
-    # chain through any zero/elapsed phases so motion starts on schedule
-    for _ in range(len(TransferPhase)):
+    while True:  # each pass either returns or moves to a later phase
         phase = state.phase
         t_in = clock - state.t_phase_start
 
-        if phase == TransferPhase.SCAN:
-            if t_in >= state.scan_duration:
-                log(phase, TransferPhase.FACE_DETECT)
-                over = t_in - state.scan_duration
-                state = replace(state, phase=TransferPhase.FACE_DETECT,
-                                t_phase_start=clock - over)
+        if phase in (TransferPhase.SCAN, TransferPhase.FACE_DETECT):
+            dur = state.scan_duration if phase == TransferPhase.SCAN else state.face_duration
+            if t_in >= dur:
+                go(TransferPhase(phase + 1), clock - (t_in - dur))
                 continue
             return state, plan.start_pose, events
 
-        if phase == TransferPhase.FACE_DETECT:
-            if t_in >= state.face_duration:
-                log(phase, TransferPhase.APPROACH_ARC)
-                over = t_in - state.face_duration
-                state = replace(state, phase=TransferPhase.APPROACH_ARC,
-                                t_phase_start=clock - over)
-                continue
-            return state, plan.start_pose, events
-
-        if phase == TransferPhase.APPROACH_ARC:
-            seg = arc if arc is not None else entry
-            if t_in >= seg.t_end - seg.t_start:
-                log(phase, TransferPhase.ENTRY)
-                over = t_in - (seg.t_end - seg.t_start)
-                state = replace(state, phase=TransferPhase.ENTRY, t_phase_start=clock - over)
-                continue
-            return state, interpolate(plan, seg.t_start + t_in), events
-
-        if phase == TransferPhase.ENTRY:
-            seg = entry
-            if t_in >= seg.t_end - seg.t_start:
-                hold = interpolate(plan, seg.t_end)
-                log(phase, TransferPhase.BITE_WAIT)
-                over = t_in - (seg.t_end - seg.t_start)
-                state = replace(state, phase=TransferPhase.BITE_WAIT,
-                                t_phase_start=clock - over, hold_pose=hold,
-                                wait_started_at=clock - over)
+        if phase in motion:
+            seg = motion[phase]
+            dur = seg.t_end - seg.t_start
+            if t_in >= dur:
+                start = clock - (t_in - dur)
+                wait = ({"hold_pose": interpolate(plan, seg.t_end), "wait_started_at": start}
+                        if phase == TransferPhase.ENTRY else {})
+                go(TransferPhase(phase + 1), start, **wait)
                 continue
             return state, interpolate(plan, seg.t_start + t_in), events
 
@@ -357,58 +331,22 @@ def step(state: FsmState, f_m: Wrench, clock: float, dt: float,
             status, det = detect_bite(state.detector, f_m, dt)
             state = replace(state, detector=det)
             if status != "waiting":
-                log(phase, TransferPhase.EXIT, "bite" if status == "bitten" else "timeout")
-                state = replace(state, phase=TransferPhase.EXIT, t_phase_start=clock,
-                                bite_time=clock if status == "bitten" else None)
+                bitten = status == "bitten"
+                go(TransferPhase.EXIT, clock, "bite" if bitten else "timeout",
+                   bite_time=clock if bitten else None)
             return state, state.hold_pose, events
 
-        if phase == TransferPhase.EXIT:
-            seg = exit_seg
-            if t_in >= seg.t_end - seg.t_start:
-                log(phase, TransferPhase.RETRACT_ARC)
-                over = t_in - (seg.t_end - seg.t_start)
-                state = replace(state, phase=TransferPhase.RETRACT_ARC,
-                                t_phase_start=clock - over)
-                continue
-            return state, interpolate(plan, seg.t_start + t_in), events
-
         if phase == TransferPhase.RETRACT_ARC:
-            if arc is None or state.retract_duration <= 0:
-                log(phase, TransferPhase.DONE)
-                state = replace(state, phase=TransferPhase.DONE, t_phase_start=clock,
-                                hold_pose=plan.start_pose if arc is None else interpolate(plan, arc.t_start))
+            dur = state.retract_duration
+            if arc is None or dur <= 0 or t_in >= dur:
+                go(TransferPhase.DONE, clock, hold_pose=(
+                    plan.start_pose if arc is None else interpolate(plan, arc.t_start)))
                 continue
-            if t_in >= state.retract_duration:
-                hold = interpolate(plan, arc.t_start)
-                log(phase, TransferPhase.DONE)
-                state = replace(state, phase=TransferPhase.DONE, t_phase_start=clock,
-                                hold_pose=hold)
-                continue
-            frac = t_in / state.retract_duration
-            arc_t = arc.t_end - frac * (arc.t_end - arc.t_start)
-            return state, interpolate(plan, arc_t), events
+            frac = t_in / dur
+            return state, interpolate(plan, arc.t_end - frac * (arc.t_end - arc.t_start)), events
 
         # DONE / ABORTED hold position
         return state, state.hold_pose if state.hold_pose is not None else plan.end_pose, events
-
-    raise RuntimeError("FSM failed to settle within one tick")  # pragma: no cover
-
-
-def _phase_setpoint(state: FsmState, plan, arc, entry, exit_seg, clock) -> Pose:
-    """Setpoint for the current phase without advancing (abort freeze)."""
-    t_in = clock - state.t_phase_start
-    if state.phase == TransferPhase.APPROACH_ARC and arc is not None:
-        return interpolate(plan, min(arc.t_start + t_in, arc.t_end))
-    if state.phase == TransferPhase.ENTRY and entry is not None:
-        return interpolate(plan, min(entry.t_start + t_in, entry.t_end))
-    if state.phase == TransferPhase.EXIT and exit_seg is not None:
-        return interpolate(plan, min(exit_seg.t_start + t_in, exit_seg.t_end))
-    if state.phase == TransferPhase.RETRACT_ARC and arc is not None:
-        frac = min(t_in / state.retract_duration, 1.0) if state.retract_duration > 0 else 1.0
-        return interpolate(plan, arc.t_end - frac * (arc.t_end - arc.t_start))
-    if state.hold_pose is not None:
-        return state.hold_pose
-    return plan.start_pose
 
 
 def build_transfer_plan(mouth_frame: Pose, target_pre_mouth: Pose,
@@ -416,29 +354,27 @@ def build_transfer_plan(mouth_frame: Pose, target_pre_mouth: Pose,
                         exit_duration: float = 2.0, radius: float = DEFAULT_ARC_RADIUS,
                         start_angle: float = np.pi / 2,
                         entry_depth: float = DEFAULT_ENTRY_DEPTH,
-                        lowering: float = DEFAULT_LOWERING,
-                        sample_rate: float = 100.0) -> TrajectoryPlan:
+                        lowering: float = DEFAULT_LOWERING) -> TrajectoryPlan:
     """Full in-mouth plan: arc, linear entry, linear exit (10 s default)."""
     out_dir = mouth_frame.z_axis
-    arc = plan_arc(target_pre_mouth, out_dir, radius, start_angle, arc_duration, sample_rate)
+    arc = plan_arc(target_pre_mouth, out_dir, radius, start_angle, arc_duration)
     entry = entry_segment(target_pre_mouth, mouth_frame, entry_depth, lowering,
-                          entry_duration, sample_rate)
+                          entry_duration)
     exit_part = linear_segment(entry.end_pose, target_pre_mouth, exit_duration,
-                               sample_rate, label="linear-exit")
+                               label="linear-exit")
     return concat_plans([arc, entry, exit_part])
 
 
 def build_fixed_pose_plan(mouth_frame: Pose, target_pre_mouth: Pose,
                           arc_duration: float = 6.0, dwell_duration: float = 2.0,
                           return_duration: float = 2.0, radius: float = DEFAULT_ARC_RADIUS,
-                          start_angle: float = np.pi / 2,
-                          sample_rate: float = 100.0) -> TrajectoryPlan:
+                          start_angle: float = np.pi / 2) -> TrajectoryPlan:
     """Out-of-mouth baseline: hold at the pre-mouth pose, then arc back."""
     out_dir = mouth_frame.z_axis
-    arc = plan_arc(target_pre_mouth, out_dir, radius, start_angle, arc_duration, sample_rate)
-    hold = dwell_segment(target_pre_mouth, dwell_duration, sample_rate)
+    arc = plan_arc(target_pre_mouth, out_dir, radius, start_angle, arc_duration)
+    hold = dwell_segment(target_pre_mouth, dwell_duration)
     # return along the same arc, compressed into the return duration
-    times = _waypoint_times(return_duration, sample_rate)
+    times = _waypoint_times(return_duration)
     back = [interpolate(arc, arc.duration * (1.0 - t / return_duration)) for t in times]
     ret = TrajectoryPlan(times, back, [Segment("arc-return", 0.0, return_duration)])
     return concat_plans([arc, hold, ret])

@@ -61,7 +61,10 @@ class TestTrialCommand:
     @pytest.mark.parametrize("overrides", [
         {"horizon_s": [1]}, {"mouth": 5}, {"segments": [1, 2]}, {"scan": None},
         {"mouth_error_mm": 3}, {"horizon_s": "ten"}, {"seed": "s"}, {"horizon_s": -1},
-        {"bite": {"refuse": "no"}}, {"joint_log_stride": -250}, {"joint_log_stride": 2.5}])
+        {"bite": {"refuse": "no"}}, {"joint_log_stride": -250}, {"joint_log_stride": 2.5},
+        {"mouth": {"facing": [0, 0]}}, {"mouth": {"facing": "x"}},
+        {"impedance": {"damping": "x"}}, {"impedance": {"damping": [1, 2]}},
+        {"disturbance": {"trace": "abc", "kind": "array"}}])
     def test_bad_value_exit_code(self, tmp_path, capsys, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
@@ -193,3 +196,17 @@ class TestExportCommand:
     def test_missing_log_config_error(self, tmp_path):
         assert main(["export", str(tmp_path / "nope.npz"),
                      str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("trial", [1, 2], "a scenario must be an object, got [1, 2]"),
+    ("suite", [1], "a suite must be an object, got [1]"),
+    ("suite", {"seed": 1, "trials": [{"scenario": 5}]},
+     "suite key 'trials[0].scenario' must be an object, got 5"),
+    ("suite", {"seed": 1, "trials": [{"scenario": [1]}]},
+     "suite key 'trials[0].scenario' must be an object, got [1]"),
+    ("wrist-study", [1], "a study must be an object, got [1]")])
+def test_config_that_is_not_an_object_exit_code(tmp_path, capsys, command, config, message):
+    path = write_json(tmp_path / "config.json", config)
+    assert main([command, path, "--seed", "3", "--out-dir", str(tmp_path)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err

@@ -141,16 +141,6 @@ class TestReactiveTerm:
 
 
 class TestPhaseGains:
-    def test_entry_values(self):
-        g = phase_gains(TransferPhase.ENTRY, [0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(g.k_p, [7, 7, 7, 0, 0, 0])
-        np.testing.assert_array_equal(g.k_i, [20, 20, 20, 0, 0, 0])
-
-    def test_exit_values_axis_aligned(self):
-        g = phase_gains(TransferPhase.EXIT, [0.0, 0.0, 1.0])
-        np.testing.assert_allclose(g.k_p, [7, 7, 2, 0, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(g.k_i, [20, 20, 1, 0, 0, 0], atol=1e-12)
-
     @pytest.mark.parametrize("phase", list(TransferPhase))
     def test_torque_gains_always_zero(self, phase):
         g = phase_gains(phase, [0.0, 0.0, 1.0])

@@ -9,8 +9,7 @@ from bitesim.harness import (CSV_HEADER, ConfigError, Scenario, TickLog, Virtual
                              mouth_frame_from_position, run_suite, run_trial, save_log,
                              simulate_tick)
 from bitesim.humansim import BiteScript, FoodAttachmentState, MouthModel, load_food_presets
-from bitesim.transfer import (BiteDetector, FsmState, TransferPhase,
-                              linear_segment)
+from bitesim.transfer import BiteDetector, FsmState, Segment, TrajectoryPlan, TransferPhase
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +66,7 @@ def run_ticks(robot, ctrl, fsm, world, ticks):
 def hold_fsm(pose, phase, timeout=1e6):
     """FSM pinned in one phase holding one pose."""
     seg_label = "linear-exit" if phase in (TransferPhase.EXIT,) else "linear-entry"
-    plan = linear_segment(pose, pose, 1e7, sample_rate=1e-6, label=seg_label)
+    plan = TrajectoryPlan(np.array([0.0, 1e7]), [pose, pose], [Segment(seg_label, 0.0, 1e7)])
     det = BiteDetector(axis=np.array([0.0, 0.0, 1.0]), threshold=1e6, timeout=timeout)
     return FsmState(plan=plan, detector=det, phase=phase, t_phase_start=0.0,
                     hold_pose=pose, retract_duration=0.0)
@@ -261,17 +260,42 @@ class TestConfigKeys:
         {"horizon_s": float("nan")}, {"mouth": 5}, {"segments": [1, 2]}, {"scan": None},
         {"mouth_error_mm": 3}, {"mouth_error_mm": [0, "1", 0]}, {"seed": "s"}, {"seed": None},
         {"gain_preset": 5}, {"bite": {"refuse": "no"}}, {"disturbance": {"kind": [1]}},
-        {"joint_log_stride": -250}, {"joint_log_stride": 2.5}])
+        {"joint_log_stride": -250}, {"joint_log_stride": 2.5},
+        {"mouth": {"facing": [0, 0]}}, {"mouth": {"facing": "x"}},
+        {"impedance": {"damping": "x"}}, {"impedance": {"damping": [1, 2]}},
+        {"disturbance": {"trace": "abc", "kind": "array"}},
+        {"disturbance": {"trace": [], "kind": "array"}},
+        {"disturbance": {"trace": [[0.0] * 6, [0.0] * 5], "kind": "array"}}])
     def test_value_of_another_kind_or_out_of_range(self, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
         with pytest.raises(ConfigError, match=f"^scenario key '{path}' must be"):
             Scenario.from_dict(overrides)
 
+    def test_array_disturbance_needs_a_trace(self):
+        scenario = Scenario.from_dict({"disturbance": {"kind": "array"}})
+        with pytest.raises(ConfigError, match="'disturbance.trace' must be set"):
+            run_trial(scenario)
+
+    @pytest.mark.parametrize("overrides", [[1, 2], 5, "x", []])
+    def test_scenario_not_an_object(self, overrides):
+        with pytest.raises(ConfigError, match="^a scenario must be an object"):
+            Scenario.from_dict(overrides)
+
+    @pytest.mark.parametrize("scenario", [5, [1], None])
+    def test_suite_scenario_not_an_object(self, scenario):
+        with pytest.raises(ConfigError,
+                           match=r"^suite key 'trials\[0\].scenario' must be an object"):
+            run_suite({"seed": 1, "trials": [{"scenario": scenario}]})
+
     def test_kinds_accepted(self):
         Scenario.from_dict({"horizon_s": np.float32(0.5), "joint_log_stride": 10.0,
                             "seed": np.int64(7), "mouth_error_mm": (1, 0.5, 0),
                             "bite": {"refuse": np.bool_(True)}})
+        Scenario.from_dict({"mouth": {"facing": None}, "impedance": {"damping": None}})
+        Scenario.from_dict({"mouth": {"facing": np.array([-1.0, 0.2, 0.0])},
+                            "impedance": {"damping": (40, 40, 40, 0.9, 0.9, 0.9)},
+                            "disturbance": {"kind": "array", "trace": np.zeros((3, 6))}})
 
     @pytest.mark.parametrize("cfg", [{"repetitions": 0}, {"repetitions": -1},
                                      {"repetitions": 1.5}, {"seed": "s"}, {"name": 3}])

@@ -155,16 +155,6 @@ class TestFoodPresets:
         assert foods["cheesecake"].deformability_class == "fragile"
         assert foods["broccoli"].shape_class == "irregular"
 
-    def test_custom_file(self, tmp_path):
-        path = tmp_path / "foods.json"
-        path.write_text(
-            '{"presets": [{"name": "pea", "geometry": [{"kind": "sphere", '
-            '"radius": 3.0}], "shape_class": "round", "size_class": "small", '
-            '"deformability_class": "robust", "detachment_force": 1.0, '
-            '"bite_release_force": 0.5}]}')
-        foods = load_food_presets(path)
-        assert foods["pea"].geometry[0].radius == 3.0
-
 
 class TestHeadPerturbation:
     def test_none_is_identity(self):

@@ -14,14 +14,12 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bitesim.controller import TICK_PERIOD
-from bitesim.geometry import quat_from_axis_angle, quat_mul
+from bitesim.geometry import Pose, quat_from_axis_angle, quat_mul
 from bitesim.harness import (Scenario, TickLog, VirtualRobotState, _finish_trial,
                              _log_joints, _prepare_trial, _tick_kernel, run_trial,
                              simulate_tick)
 from bitesim.presets import GAIN_PRESETS
-from bitesim.transfer import (concat_plans, entry_segment, interpolate, linear_segment,
-                              plan_arc)
+from bitesim.transfer import TrajectoryPlan, interpolate, phase_segments
 
 FOODS = ("carrot", "strawberry", "blueberry", "pineapple",
          "cherry_tomato", "broccoli", "cheesecake", "tofu")
@@ -32,7 +30,7 @@ TICK_FIELDS = ("t", "position", "orientation", "force", "torque", "phase",
 def reference_run(setup) -> TickLog:
     """run_trial's tick loop as it was: simulate_tick objects per tick."""
     world, fsm, ctrl, robot = setup.world, setup.fsm, setup.ctrl, setup.robot
-    n_ticks, dt = setup.n_ticks, TICK_PERIOD
+    n_ticks = setup.n_ticks
     log = TickLog(t=np.empty(n_ticks), position=np.empty((n_ticks, 3)),
                   orientation=np.empty((n_ticks, 4)), force=np.empty((n_ticks, 3)),
                   torque=np.empty((n_ticks, 3)), phase=np.empty(n_ticks, dtype=np.int8),
@@ -42,8 +40,7 @@ def reference_run(setup) -> TickLog:
     ik_targets = []
     prev_setpoint = None
     for i in range(n_ticks):
-        robot, ctrl, fsm, rec = simulate_tick(robot, ctrl, fsm, world, i, dt,
-                                              prev_setpoint)
+        robot, ctrl, fsm, rec = simulate_tick(robot, ctrl, fsm, world, i, prev_setpoint)
         prev_setpoint = rec["setpoint"]
         log.events.extend(rec["events"])
 
@@ -158,27 +155,26 @@ def test_nominal_trial_equals_reference_loop():
 
 
 def test_turning_plan_equals_reference_loop():
-    # run_trial's plans hold one fork orientation; this one turns it by
-    # 90 degrees over waypoints 0.2 s apart, which takes slerp's far
-    # branch and gives the plant orientation errors to correct
+    # run_trial's plans hold one fork orientation; this one follows the
+    # nominal plan's path but turns the fork by 90 degrees about world z
+    # over the arc, in waypoints about 0.2 s apart, which takes slerp's
+    # far branch and gives the plant orientation errors to correct
     scenario = Scenario.from_dict({
         "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 0.5},
         "horizon_s": 3.5, "joint_log_stride": 0})
+    times = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.25, 1.5, 1.75, 2.0])
     setups = []
     for _ in range(2):
         setup = _prepare_trial(scenario)
-        plan = setup.fsm.plan
-        pre = interpolate(plan, plan.segment("arc").t_end)
-        mouth = setup.world.perceived_mouth
-        turned = quat_mul(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2),
-                          pre.orientation)
-        entry = entry_segment(pre, mouth, duration=0.5, sample_rate=5.0)
-        plan = concat_plans([
-            plan_arc(pre, mouth.z_axis, duration=1.0, sample_rate=5.0,
-                     start_orientation=turned),
-            entry,
-            linear_segment(entry.end_pose, pre, 0.5, 5.0, label="linear-exit"),
-        ])
+        nominal = setup.fsm.plan
+        arc_end = phase_segments(nominal)[0].t_end
+        pre = interpolate(nominal, arc_end).orientation
+        poses = [Pose(interpolate(nominal, t).position,
+                      quat_mul(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]),
+                                                    np.pi / 2 * max(0.0, 1.0 - t / arc_end)),
+                               pre))
+                 for t in times]
+        plan = TrajectoryPlan(times, poses, nominal.segments)
         setup.fsm = replace(setup.fsm, plan=plan)
         setup.robot = VirtualRobotState(plan.start_pose, np.zeros(6), setup.robot.mass)
         setups.append(setup)
@@ -186,6 +182,8 @@ def test_turning_plan_equals_reference_loop():
     expected = _finish_trial(ref, reference_run(ref))
     new = setups[1]
     report = _finish_trial(new, _tick_kernel(new)[0])
+    q = np.array([p.orientation for p in new.fsm.plan.poses])
+    assert (np.abs(np.sum(q[1:] * q[:-1], axis=1)) <= 0.9995).any()  # slerp's far branch
     assert report.final_phase == "DONE"
     assert np.abs(report.log.orientation - report.log.set_orientation).max() > 1e-3
     assert_same_trial(report, expected)

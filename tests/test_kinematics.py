@@ -169,24 +169,20 @@ class TestJointDisplacement:
     def test_uniform_offset_subset(self):
         q_a = np.zeros(9)
         q_b = np.full(9, 0.1)
-        per, mean = joint_displacement(q_a, q_b, list(range(7)))
+        per, mean = joint_displacement(q_a[:7], q_b[:7])
         np.testing.assert_allclose(per, 0.1)
         assert mean == pytest.approx(0.1, abs=1e-15)
 
     def test_matches_bruteforce_sum(self):
         rng = np.random.default_rng(7)
         q_a, q_b = rng.standard_normal(9), rng.standard_normal(9)
-        per, mean = joint_displacement(q_a, q_b, list(range(7)))
+        per, mean = joint_displacement(q_a[:7], q_b[:7])
         brute = sum(abs(q_a[i] - q_b[i]) for i in range(7)) / 7
         assert abs(mean - brute) < 1e-12
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             joint_displacement(np.zeros(7), np.zeros(9))
-
-    def test_bad_subset(self):
-        with pytest.raises(ValueError):
-            joint_displacement(np.zeros(7), np.zeros(7), [7])
 
 
 class TestChainIO:

@@ -6,8 +6,8 @@ from bitesim.geometry import Pose, quat_conj, quat_distance, quat_mul
 from bitesim.harness import mouth_frame_from_position
 from bitesim.transfer import (BiteDetector, FsmState, TrajectoryPlan, TransferPhase,
                               build_fixed_pose_plan, build_transfer_plan, concat_plans,
-                              detect_bite, entry_segment, interpolate,
-                              linear_segment, plan_arc, step, transfer_orientation)
+                              detect_bite, entry_segment, interpolate, linear_segment,
+                              phase_segments, plan_arc, step, transfer_orientation)
 
 MOUTH = mouth_frame_from_position([0.55, 0.0, 0.45])
 TARGET = Pose(MOUTH.position, transfer_orientation(MOUTH))
@@ -36,14 +36,14 @@ class TestPlanArc:
 
     def test_polyline_length_matches_analytic(self):
         arc = plan_arc(TARGET, MOUTH.z_axis, radius=0.45, start_angle=np.pi / 2,
-                       duration=6.0, sample_rate=100.0)
+                       duration=6.0)
         pts = np.array([p.position for p in arc.poses])
         poly = np.linalg.norm(np.diff(pts, axis=0), axis=1).sum()
         analytic = 0.45 * (np.pi / 2)
         assert abs(poly - analytic) / analytic < 1e-3
 
     def test_waypoint_count(self):
-        arc = plan_arc(TARGET, MOUTH.z_axis, duration=6.0, sample_rate=100.0)
+        arc = plan_arc(TARGET, MOUTH.z_axis, duration=6.0)
         assert len(arc.poses) == 601
 
     def test_monotonic_angles(self):
@@ -77,7 +77,7 @@ class TestEntrySegment:
 
     def test_entry_portion_collinear(self):
         seg = entry_segment(TARGET, MOUTH, entry_depth=0.018, lowering=0.003,
-                            duration=2.0, sample_rate=200.0)
+                            duration=2.0)
         split = 2.0 * (0.018 / 0.021)
         direction = -MOUTH.z_axis
         for t, p in zip(seg.times, seg.poses):
@@ -130,7 +130,7 @@ class TestInterpolate:
     def test_midpoint_of_straight_segment(self):
         a = Pose(np.array([0.0, 0, 0]), np.array([1.0, 0, 0, 0]))
         b = Pose(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))
-        seg = linear_segment(a, b, 1.0, sample_rate=1.0)
+        seg = linear_segment(a, b, 1.0)
         mid = interpolate(seg, 0.5)
         np.testing.assert_allclose(mid.position, [0.5, 0, 0], atol=1e-15)
 
@@ -252,7 +252,7 @@ class TestFsm:
         fsm, sp_exit_end, _ = step(fsm, no_force(), 10.001, 0.001)
         assert fsm.phase == TransferPhase.RETRACT_ARC
         plan = fsm.plan
-        arc = plan.segment("arc")
+        arc, _, _ = phase_segments(plan)
         # halfway through retract equals halfway back along the arc
         fsm, sp_mid, _ = step(fsm, no_force(), 10.001 + 3.0, 0.001)
         expected = interpolate(plan, arc.t_end - 3.0 / 6.0 * (arc.t_end - arc.t_start))
