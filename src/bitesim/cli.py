@@ -34,22 +34,22 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _config(path, **flags):
+def _config(path, kind: str, **flags):
     """The JSON config in path ({} without one) updated with the flags that
-    are set; a config that is not an object is left for the harness to reject."""
+    are set; a file that holds no object is a ConfigError naming the kind."""
     cfg = {}
     if path:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
     if not isinstance(cfg, dict):
-        return cfg
+        raise ConfigError(f"a {kind} must be an object, got {cfg!r}")
     return {**cfg, **{key: value for key, value in flags.items() if value is not None}}
 
 
 def cmd_trial(args) -> int:
     try:
-        scenario = Scenario.from_dict(_config(args.scenario, gain_preset=args.preset,
-                                              seed=args.seed))
+        scenario = Scenario.from_dict(_config(args.scenario, "scenario",
+                                              gain_preset=args.preset, seed=args.seed))
         t0 = time.perf_counter()
         report = run_trial(scenario)
         wall = time.perf_counter() - t0
@@ -78,7 +78,7 @@ def cmd_trial(args) -> int:
 
 def cmd_suite(args) -> int:
     try:
-        report = run_suite(_config(args.suite, seed=args.seed))
+        report = run_suite(_config(args.suite, "suite", seed=args.seed))
     except SensorFault as e:
         print(f"sensor fault: {e}", file=sys.stderr)
         return EXIT_SENSOR_FAULT
@@ -96,7 +96,7 @@ def cmd_suite(args) -> int:
 def cmd_wrist_study(args) -> int:
     try:
         chain_with, chain_without, dist, ik_params, comfort, home = build_study_inputs(
-            _config(args.study, seed=args.seed))
+            _config(args.study, "study", seed=args.seed))
     except (ConfigError, ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -141,14 +141,16 @@ def _check_keys(cfg: dict, known: dict, kind: str, path: str = "") -> None:
 def _scenario_keys(cfg: dict) -> dict:
     """Keys a scenario may set, each with a value of its kind: the
     defaults', a gain preset's, the optional mouth facing and damping (by
-    rule), and the parameters of the disturbance and head-motion kinds that cfg selects."""
+    rule), a known disturbance and head-motion kind, and the parameters of the kind cfg selects."""
     known = _merge(default_scenario_dict(), GAIN_PRESETS["ours"])
     known["mouth"]["facing"] = _FACING
     known["impedance"]["damping"] = _DAMPING
     for key, kinds in (("disturbance", DISTURBANCE_PARAMS),
                        ("head_perturbation", HEAD_MOTION_PARAMS)):
         kind = cfg[key].get("kind") if isinstance(cfg[key], dict) else None
-        known[key] = {"kind": "none", **kinds.get(str(kind), {})}
+        kind_rule = _Rule(f"one of {sorted(kinds)}",
+                          lambda v, kinds=kinds: isinstance(v, str) and v in kinds)
+        known[key] = {"kind": kind_rule, **kinds.get(str(kind), {})}
     return known
 
 
@@ -173,6 +175,8 @@ class Scenario:
             if not 0 <= cfg[key] < math.inf:
                 raise ConfigError(f"scenario key {key!r} must be finite and >= 0, "
                                   f"got {cfg[key]!r}")
+        if cfg["disturbance"]["kind"] == "array" and "trace" not in cfg["disturbance"]:
+            raise ConfigError("scenario key 'disturbance.trace' must be set for kind 'array'")
         return cls(cfg)
 
     def __getitem__(self, key):
@@ -455,13 +459,9 @@ DISTURBANCE_PARAMS = {
 
 def _disturbance_trace(cfg: dict, n: int, dt: float, seed: int) -> np.ndarray:
     kind = cfg["kind"]
-    if kind not in DISTURBANCE_PARAMS:
-        raise ConfigError(f"unknown disturbance kind {kind!r}")
     if kind == "none":
         return np.zeros((1, 6))
     if kind == "array":
-        if "trace" not in cfg:
-            raise ConfigError("scenario key 'disturbance.trace' must be set for kind 'array'")
         return np.asarray(cfg["trace"], dtype=float)
     p = {**DISTURBANCE_PARAMS[kind], **cfg}
     out = np.zeros((n, 6))
@@ -1234,8 +1234,9 @@ def build_study_inputs(study_cfg: dict | None = None):
     from .transfer import transfer_orientation
 
     defaults = default_study_dict()
-    _check_keys(study_cfg or {}, {**defaults, "mouth_facing": _FACING}, "study")
-    cfg = _merge(defaults, study_cfg or {})
+    study_cfg = {} if study_cfg is None else study_cfg
+    _check_keys(study_cfg, {**defaults, "mouth_facing": _FACING}, "study")
+    cfg = _merge(defaults, study_cfg)
     chain_with = _resolve_chain(cfg["chain_with"])
     chain_without = _resolve_chain(cfg["chain_without"])
 

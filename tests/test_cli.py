@@ -200,12 +200,18 @@ class TestExportCommand:
 
 @pytest.mark.parametrize("command, config, message", [
     ("trial", [1, 2], "a scenario must be an object, got [1, 2]"),
+    ("trial", None, "a scenario must be an object, got None"),
+    ("trial", [], "a scenario must be an object, got []"),
     ("suite", [1], "a suite must be an object, got [1]"),
+    ("suite", None, "a suite must be an object, got None"),
+    ("suite", [], "a suite must be an object, got []"),
     ("suite", {"seed": 1, "trials": [{"scenario": 5}]},
      "suite key 'trials[0].scenario' must be an object, got 5"),
     ("suite", {"seed": 1, "trials": [{"scenario": [1]}]},
      "suite key 'trials[0].scenario' must be an object, got [1]"),
-    ("wrist-study", [1], "a study must be an object, got [1]")])
+    ("wrist-study", [1], "a study must be an object, got [1]"),
+    ("wrist-study", None, "a study must be an object, got None"),
+    ("wrist-study", [], "a study must be an object, got []")])
 def test_config_that_is_not_an_object_exit_code(tmp_path, capsys, command, config, message):
     path = write_json(tmp_path / "config.json", config)
     assert main([command, path, "--seed", "3", "--out-dir", str(tmp_path)]) == 2

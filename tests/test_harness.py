@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bitesim import harness
 from bitesim.controller import (ControllerState, ImpedanceParams, ReactivityGains,
                                 SafetyLatch)
 from bitesim.geometry import Pose
@@ -273,9 +274,19 @@ class TestConfigKeys:
             Scenario.from_dict(overrides)
 
     def test_array_disturbance_needs_a_trace(self):
-        scenario = Scenario.from_dict({"disturbance": {"kind": "array"}})
         with pytest.raises(ConfigError, match="'disturbance.trace' must be set"):
-            run_trial(scenario)
+            Scenario.from_dict({"disturbance": {"kind": "array"}})
+
+    @pytest.mark.parametrize("key", ["disturbance", "head_perturbation"])
+    def test_unknown_kind(self, key):
+        with pytest.raises(ConfigError, match=f"^scenario key '{key}.kind' must be one of"):
+            Scenario.from_dict({key: {"kind": "zap"}})
+
+    def test_scenario_checked_before_the_first_trial_runs(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_trial", lambda scenario: pytest.fail("trial ran"))
+        with pytest.raises(ConfigError, match="'disturbance.trace' must be set"):
+            run_suite({"seed": 1, "trials": [{"method": "ours"},
+                                             {"scenario": {"disturbance": {"kind": "array"}}}]})
 
     @pytest.mark.parametrize("overrides", [[1, 2], 5, "x", []])
     def test_scenario_not_an_object(self, overrides):
@@ -302,6 +313,11 @@ class TestConfigKeys:
     def test_suite_value_of_another_kind_or_out_of_range(self, cfg):
         with pytest.raises(ConfigError, match=f"^suite key '{next(iter(cfg))}' must be"):
             run_suite({"seed": 1, **cfg, "trials": [{"method": "ours"}]})
+
+    @pytest.mark.parametrize("study", [[], 0, False, ""])
+    def test_study_not_an_object(self, study):
+        with pytest.raises(ConfigError, match="^a study must be an object"):
+            build_study_inputs(study)
 
     def test_study_value_of_another_kind(self):
         with pytest.raises(ConfigError, match="^study key 'count' must be a whole number"):

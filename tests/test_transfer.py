@@ -4,9 +4,9 @@ import pytest
 from bitesim.controller import Wrench
 from bitesim.geometry import Pose, quat_conj, quat_distance, quat_mul
 from bitesim.harness import mouth_frame_from_position
-from bitesim.transfer import (BiteDetector, FsmState, TrajectoryPlan, TransferPhase,
-                              build_fixed_pose_plan, build_transfer_plan, concat_plans,
-                              detect_bite, entry_segment, interpolate, linear_segment,
+from bitesim.transfer import (BiteDetector, FsmState, Segment, TrajectoryPlan,
+                              TransferPhase, build_fixed_pose_plan, build_transfer_plan,
+                              concat_plans, detect_bite, entry_segment, interpolate,
                               phase_segments, plan_arc, step, transfer_orientation)
 
 MOUTH = mouth_frame_from_position([0.55, 0.0, 0.45])
@@ -130,8 +130,9 @@ class TestInterpolate:
     def test_midpoint_of_straight_segment(self):
         a = Pose(np.array([0.0, 0, 0]), np.array([1.0, 0, 0, 0]))
         b = Pose(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))
-        seg = linear_segment(a, b, 1.0)
-        mid = interpolate(seg, 0.5)
+        # two waypoints, so t = 0.5 falls between them and is interpolated
+        plan = TrajectoryPlan(np.array([0.0, 1.0]), [a, b], [Segment("linear-entry", 0.0, 1.0)])
+        mid = interpolate(plan, 0.5)
         np.testing.assert_allclose(mid.position, [0.5, 0, 0], atol=1e-15)
 
     def test_orientation_stays_unit(self):
