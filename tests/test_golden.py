@@ -3,7 +3,9 @@
 The study and joint-log values were recorded before the IK kernel was
 batched; the tick, event, report and suite values were recorded before
 the 1 kHz tick loop became a flat kernel; the trajectory CSV value was
-recorded before the CSV writer formatted rows in chunks. A change that alters any of
+recorded before the CSV writer formatted rows in chunks; the plan
+values were recorded while plans were still built one Pose per
+waypoint. A change that alters any of
 them changes the study or the trial log and has to be recorded, with
 its reason, in CHANGES.md.
 """
@@ -15,8 +17,8 @@ import numpy as np
 import pytest
 
 from bitesim.comfort import run_wrist_study
-from bitesim.harness import (Scenario, build_study_inputs, export_trajectory, run_suite,
-                             run_trial)
+from bitesim.harness import (Scenario, _prepare_trial, build_study_inputs,
+                             export_trajectory, run_suite, run_trial)
 
 STUDY_SAMPLES_SHA256 = "455ed03ac9dec2551a947634b9e7433e1890d0f45a0ecb9641b06c34cf225d0d"
 STUDY_DICT_SHA256 = "d6773a5f2e9b88bd653f32fc3c9a84262df0ac1ecd44f1eb7a485f2c87bcb274"
@@ -174,6 +176,23 @@ SHORT_SHA256 = {
     "teeth_contact": "b27766460083194da6ef746808ff4c4f8e1b7f772059ea8b846944db6589a1c6",
 }
 
+# the plans trials build, in both transfer modes, for the nominal mouth,
+# one facing off the line to the base and one mislocated by perception
+PLAN_MOUTHS = {
+    "nominal": {},
+    "facing": {"mouth": {"facing": [-1.0, 0.3, 0.0]}},
+    "mouth_error": {"mouth_error_mm": [3.0, -2.0, 5.0]},
+}
+PLAN_SHA256 = {
+    ("fixed_pose", "facing"): "56ea12940aa92dff9492e5c9445dd5b7522ddda6f915b6e9d6718769dc3afeff",
+    ("fixed_pose", "mouth_error"):
+        "72c538969095b29ad0a51ac2c3f71d79f959cd64d15d726a10096e52c08aa13b",
+    ("fixed_pose", "nominal"): "b58d8bc4e473846f197d720b1ffc657cb5b1d448a7cc1fd3c588d11917c98611",
+    ("in_mouth", "facing"): "d20934c2981ca2611a452015288b9aeaea766ca3a00bce22f0a1edbadc74044e",
+    ("in_mouth", "mouth_error"): "85418f2cd4f2fa7593cfe11af3a63dec559acc39ce48a4f4a8650523d9b2a3d9",
+    ("in_mouth", "nominal"): "20dc91adc6a11c5fd690a698114b7ac94ff4e1f88d4df99c5171cc675683d1d1",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -194,6 +213,17 @@ def trial_digest(report) -> str:
         h.update(report.log.joint_ticks.tobytes())
     h.update(json.dumps(report.events, sort_keys=True).encode())
     h.update(report_dict_json(report).encode())
+    return h.hexdigest()
+
+
+def plan_digest(plan) -> str:
+    """One sha256 over a plan's times, waypoint positions and orientations
+    and its segments."""
+    h = hashlib.sha256()
+    h.update(plan.times.tobytes())
+    h.update(np.array([p.position for p in plan.poses]).tobytes())
+    h.update(np.array([p.orientation for p in plan.poses]).tobytes())
+    h.update(json.dumps([[s.label, s.t_start, s.t_end] for s in plan.segments]).encode())
     return h.hexdigest()
 
 
@@ -258,3 +288,10 @@ def test_short_trial_digest(name):
 
 def test_suite_report_digest():
     assert sha256(run_suite(SUITE_CFG).to_json().encode()) == SUITE_SHA256
+
+
+@pytest.mark.parametrize("mode, mouth", sorted(PLAN_SHA256))
+def test_plan_waypoint_digest(mode, mouth):
+    setup = _prepare_trial(Scenario.from_dict({**PLAN_MOUTHS[mouth], "transfer_mode": mode,
+                                               "joint_log_stride": 0}))
+    assert plan_digest(setup.fsm.plan) == PLAN_SHA256[mode, mouth]
