@@ -19,6 +19,23 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / n
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b, both (n, k)
+    with contiguous rows: a stacked matmul, which makes for each row the
+    BLAS dot call that np.dot makes on two lone vectors, and so rounds
+    as it does."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def quat_normalize_rows(q: np.ndarray) -> np.ndarray:
+    """quat_normalize on each row of q (n, 4), to the bit."""
+    q = np.ascontiguousarray(q, dtype=float)
+    n = np.sqrt(row_dots(q, q))
+    if np.any(n == 0.0) or not np.all(np.isfinite(n)):
+        raise ValueError("cannot normalize zero or non-finite quaternion")
+    return q / n[:, None]
+
+
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a*b, both (w, x, y, z)."""
     aw, ax, ay, az = a
@@ -127,6 +144,28 @@ def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     return (np.sin((1.0 - t) * theta) / s) * a + (np.sin(t * theta) / s) * b
 
 
+def slerp_rows(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """slerp(a[i], b[i], t[i]) for each row of a and b (n, 4), to the bit."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    t = np.asarray(t, dtype=float)
+    dot = row_dots(a, b)
+    flip = dot < 0.0
+    b = np.where(flip[:, None], -b, b)
+    dot = np.where(flip, -dot, dot)
+    near = dot > 0.9995
+    out = np.empty_like(a)
+    out[near] = quat_normalize_rows(a[near] + t[near, None] * (b[near] - a[near]))
+    far = ~near
+    if far.any():
+        theta = np.arccos(np.clip(dot[far], -1.0, 1.0))
+        s = np.sin(theta)
+        tf = t[far]
+        out[far] = ((np.sin((1.0 - tf) * theta) / s)[:, None] * a[far]
+                    + (np.sin(tf * theta) / s)[:, None] * b[far])
+    return out
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: position (m) plus unit quaternion orientation."""
@@ -143,6 +182,16 @@ class Pose:
         q.setflags(write=False)
         object.__setattr__(self, "position", p)
         object.__setattr__(self, "orientation", q)
+
+    @classmethod
+    def unchecked(cls, position: np.ndarray, orientation: np.ndarray) -> "Pose":
+        """A Pose holding these arrays as they are, without the checks and
+        the renormalisation, which can move a last bit: for read-only,
+        finite arrays whose orientation is already unit."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "position", position)
+        object.__setattr__(pose, "orientation", orientation)
+        return pose
 
     def transform_point(self, p: np.ndarray) -> np.ndarray:
         return self.position + quat_rotate(self.orientation, np.asarray(p, dtype=float))

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import (Pose, pose_error, quat_conj, quat_from_rotvec, quat_mul,
-                       quat_normalize, quat_rotate, quat_to_matrix, quat_to_rotvec)
+                       quat_normalize, quat_rotate, quat_to_matrix, quat_to_rotvec, row_dots)
 from .kinematics import (ChainModel, IkParams, bundled_chain, ik_damped_least_squares,
                          load_chain, _mat_to_quat)
 from .controller import (ControllerState, ImpedanceParams, ReactivityGains, SafetyLatch,
@@ -740,23 +740,20 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
     times = plan.times.tolist()
     t_first, t_last = times[0], times[-1]
     last_wp = len(times) - 1
-    waypoints = [(*p.position.tolist(), *p.orientation.tolist()) for p in plan.poses]
-    intervals = []
-    for j in range(last_wp):
-        a, b = plan.poses[j].orientation, plan.poses[j + 1].orientation
-        dot = float(np.dot(a, b))
-        if dot < 0.0:
-            b = -b
-            dot = -dot
-        span = times[j + 1] - times[j]
-        if dot > 0.9995:
-            intervals.append((span, (b - a).tolist(), None, None, None))
-        else:
-            theta = np.arccos(np.clip(dot, -1.0, 1.0))
-            intervals.append((span, None, theta, np.sin(theta), b.tolist()))
+    waypoints = np.hstack([plan.positions, plan.orientations]).tolist()
+    a, b = plan.orientations[:-1], plan.orientations[1:]
+    dots = row_dots(a, b)
+    flip = dots < 0.0
+    b = np.where(flip[:, None], -b, b)
+    dots = np.where(flip, -dots, dots)
+    intervals = [(span, delta, None, None, None)
+                 for span, delta in zip(np.diff(plan.times).tolist(), (b - a).tolist())]
+    for j in np.flatnonzero(~(dots > 0.9995)).tolist():  # slerp's far branch
+        theta = np.arccos(np.clip(dots[j], -1.0, 1.0))
+        intervals[j] = (intervals[j][0], None, theta, np.sin(theta), b[j].tolist())
 
     def interpolate_at(t):
-        # transfer.interpolate, as a 7-tuple
+        # transfer.interpolate, as 7 floats
         t = min(max(t, t_first), t_last)
         j = bisect_right(times, t) - 1
         if j >= last_wp:

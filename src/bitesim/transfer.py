@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Pose, interpolate_pose, quat_from_axis_angle, quat_mul
+from .geometry import (Pose, interpolate_pose, quat_from_axis_angle, quat_mul, quat_normalize,
+                       quat_normalize_rows, slerp_rows)
 from .controller import Wrench
 
 DEFAULT_ARC_RADIUS = 0.45  # m
@@ -50,36 +51,53 @@ class Segment:
 
 @dataclass(frozen=True)
 class TrajectoryPlan:
-    """Timed waypoints with labeled segments."""
+    """Timed waypoints with labeled segments: waypoint i is at times[i],
+    at positions[i] (m) with the unit quaternion orientations[i]. The
+    arrays are read-only and keep the bits the plan was built with."""
 
-    times: np.ndarray
-    poses: tuple[Pose, ...]
+    times: np.ndarray  # (n,)
+    positions: np.ndarray  # (n, 3)
+    orientations: np.ndarray  # (n, 4)
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float).copy()
-        if t.ndim != 1 or t.shape[0] != len(self.poses):
-            raise ValueError("times and poses must have equal length")
-        if t.shape[0] < 1:
+        t = np.array(self.times, dtype=float)
+        p = np.array(self.positions, dtype=float)
+        q = np.array(self.orientations, dtype=float)
+        n = len(t) if t.ndim == 1 else -1
+        if p.shape != (n, 3) or q.shape != (n, 4):
+            raise ValueError("times (n,), positions (n, 3) and orientations (n, 4) "
+                             "must hold the same n waypoints")
+        if n < 1:
             raise ValueError("plan needs at least one waypoint")
         if np.any(np.diff(t) <= 0):
             raise ValueError("waypoint timestamps must be strictly increasing")
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "poses", tuple(self.poses))
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+            raise ValueError("waypoints must be finite")
+        for name, a in (("times", t), ("positions", p), ("orientations", q)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "segments", tuple(self.segments))
 
     @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
+    def pose(self, i: int) -> Pose:
+        """Waypoint i as a Pose with the stored bits."""
+        return Pose.unchecked(self.positions[i], self.orientations[i])
+
+    @property
+    def poses(self) -> tuple[Pose, ...]:
+        return tuple(map(Pose.unchecked, self.positions, self.orientations))
+
     @property
     def start_pose(self) -> Pose:
-        return self.poses[0]
+        return self.pose(0)
 
     @property
     def end_pose(self) -> Pose:
-        return self.poses[-1]
+        return self.pose(-1)
 
 
 def interpolate(plan: TrajectoryPlan, t: float) -> Pose:
@@ -90,11 +108,33 @@ def interpolate(plan: TrajectoryPlan, t: float) -> Pose:
     t = min(max(t, times[0]), times[-1])
     i = int(np.searchsorted(times, t, side="right")) - 1
     if i >= len(times) - 1:
-        return plan.poses[-1]
+        return plan.end_pose
     if t == times[i]:
-        return plan.poses[i]
+        return plan.pose(i)
     frac = (t - times[i]) / (times[i + 1] - times[i])
-    return interpolate_pose(plan.poses[i], plan.poses[i + 1], frac)
+    return interpolate_pose(plan.pose(i), plan.pose(i + 1), frac)
+
+
+def interpolate_rows(plan: TrajectoryPlan, ts) -> tuple[np.ndarray, np.ndarray]:
+    """interpolate at each of the times ts, to the bit, as stacked
+    positions (m, 3) and orientations (m, 4)."""
+    times = plan.times
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts < times[0] - 1e-12) or np.any(ts > times[-1] + 1e-12):
+        raise ValueError(f"times outside plan span [{times[0]}, {times[-1]}]")
+    ts = np.minimum(np.maximum(ts, times[0]), times[-1])
+    i = np.searchsorted(times, ts, side="right") - 1
+    # on a waypoint, the last one included, the plan holds its bits
+    between = (i < len(times) - 1) & (ts != times[i])
+    j = i[between]
+    frac = (ts[between] - times[j]) / (times[j + 1] - times[j])
+    positions = plan.positions[i]
+    orientations = plan.orientations[i]
+    positions[between] = ((1.0 - frac)[:, None] * plan.positions[j]
+                          + frac[:, None] * plan.positions[j + 1])
+    orientations[between] = quat_normalize_rows(
+        slerp_rows(plan.orientations[j], plan.orientations[j + 1], frac))
+    return positions, orientations
 
 
 def concat_plans(parts: list[TrajectoryPlan]) -> TrajectoryPlan:
@@ -102,17 +142,20 @@ def concat_plans(parts: list[TrajectoryPlan]) -> TrajectoryPlan:
     if not parts:
         raise ValueError("nothing to concatenate")
     times = [parts[0].times]
-    poses = list(parts[0].poses)
+    positions = [parts[0].positions]
+    orientations = [parts[0].orientations]
     segments = list(parts[0].segments)
     offset = float(parts[0].times[-1])
     for p in parts[1:]:
         shifted = p.times - p.times[0] + offset
         times.append(shifted[1:])
-        poses.extend(p.poses[1:])
+        positions.append(p.positions[1:])
+        orientations.append(p.orientations[1:])
         segments.extend(Segment(s.label, s.t_start - p.times[0] + offset,
                                 s.t_end - p.times[0] + offset) for s in p.segments)
         offset = float(shifted[-1])
-    return TrajectoryPlan(np.concatenate(times), poses, segments)
+    return TrajectoryPlan(np.concatenate(times), np.concatenate(positions),
+                          np.concatenate(orientations), segments)
 
 
 def _waypoint_times(duration: float) -> np.ndarray:
@@ -144,30 +187,34 @@ def plan_arc(target_pre_mouth: Pose, out_direction, radius: float = DEFAULT_ARC_
     center = target_pre_mouth.position - radius * _UP
     times = _waypoint_times(duration)
     angles = start_angle + (times / duration) * (0.0 - start_angle)
+    positions = center + radius * (np.cos(angles)[:, None] * _UP + np.sin(angles)[:, None] * u)
+    # the held orientation is the target's slerped to itself, which does not
+    # depend on t, but the renormalisations of slerp and of three Poses on
+    # the way can each move a last bit
     q = target_pre_mouth.orientation
-    poses = []
-    for t, ang in zip(times, angles):
-        p = center + radius * (np.cos(ang) * _UP + np.sin(ang) * u)
-        # slerp(q, q) and Pose's renormalisations each can move a last bit: keep them
-        poses.append(Pose(p, interpolate_pose(Pose(p, q), Pose(p, q), t / duration).orientation))
-    return TrajectoryPlan(times, poses, [Segment("arc", 0.0, duration)])
+    slerped = interpolate_pose(Pose(center, q), Pose(center, q), 0.0)
+    held = Pose(center, slerped.orientation).orientation
+    return TrajectoryPlan(times, positions, np.tile(held, (len(times), 1)),
+                          [Segment("arc", 0.0, duration)])
 
 
 def linear_segment(start: Pose, end: Pose, duration: float,
                    label: str = "linear-entry") -> TrajectoryPlan:
+    """Linear position and slerp orientation from start to end; the end
+    waypoints are start and end themselves, so terminal positions are exact."""
     if duration <= 0:
         raise ValueError("segment duration must be > 0")
+    ends = TrajectoryPlan([0.0, duration], [start.position, end.position],
+                          [start.orientation, end.orientation], [])
     times = _waypoint_times(duration)
-    poses = [interpolate_pose(start, end, t / duration) for t in times]
-    # pin the endpoints so terminal positions are exact
-    poses[0] = start
-    poses[-1] = end
-    return TrajectoryPlan(times, poses, [Segment(label, 0.0, duration)])
+    return TrajectoryPlan(times, *interpolate_rows(ends, times), [Segment(label, 0.0, duration)])
 
 
 def dwell_segment(pose: Pose, duration: float) -> TrajectoryPlan:
     times = _waypoint_times(duration)
-    return TrajectoryPlan(times, [pose] * len(times), [Segment("dwell", 0.0, duration)])
+    n = len(times)
+    return TrajectoryPlan(times, np.tile(pose.position, (n, 1)),
+                          np.tile(pose.orientation, (n, 1)), [Segment("dwell", 0.0, duration)])
 
 
 def entry_segment(pre_mouth: Pose, mouth_frame: Pose,
@@ -192,18 +239,18 @@ def entry_segment(pre_mouth: Pose, mouth_frame: Pose,
 
     times = _waypoint_times(duration)
     split = duration * (entry_depth / total)
-    q = pre_mouth.orientation
-    poses = []
-    for t in times:
-        if t <= split or entry_depth == 0.0:
-            frac = t / split if split > 0 else 1.0
-            p = p0 + frac * (p_in - p0)
-        else:
-            frac = (t - split) / (duration - split)
-            p = p_in + frac * (p_end - p_in)
-        poses.append(Pose(p, q))
-    poses[-1] = Pose(p_end, q)
-    return TrajectoryPlan(times, poses, [Segment("linear-entry", 0.0, duration)])
+    # in along -z until split, then down; the last waypoint is the drop's end
+    inward = (times <= split) | (entry_depth == 0.0)
+    frac_in = times[inward] / split if split > 0 else 1.0
+    frac_down = (times[~inward] - split) / (duration - split)
+    positions = np.empty((len(times), 3))
+    positions[inward] = p0 + np.multiply.outer(frac_in, p_in - p0)
+    positions[~inward] = p_in + frac_down[:, None] * (p_end - p_in)
+    positions[-1] = p_end
+    # the held orientation, as Pose renormalises it
+    q = quat_normalize(pre_mouth.orientation)
+    return TrajectoryPlan(times, positions, np.tile(q, (len(times), 1)),
+                          [Segment("linear-entry", 0.0, duration)])
 
 
 def transfer_orientation(mouth_frame: Pose, pitch: float = DEFAULT_FORK_PITCH) -> np.ndarray:
@@ -375,6 +422,6 @@ def build_fixed_pose_plan(mouth_frame: Pose, target_pre_mouth: Pose,
     hold = dwell_segment(target_pre_mouth, dwell_duration)
     # return along the same arc, compressed into the return duration
     times = _waypoint_times(return_duration)
-    back = [interpolate(arc, arc.duration * (1.0 - t / return_duration)) for t in times]
-    ret = TrajectoryPlan(times, back, [Segment("arc-return", 0.0, return_duration)])
+    back = interpolate_rows(arc, arc.duration * (1.0 - times / return_duration))
+    ret = TrajectoryPlan(times, *back, [Segment("arc-return", 0.0, return_duration)])
     return concat_plans([arc, hold, ret])

@@ -67,7 +67,8 @@ def run_ticks(robot, ctrl, fsm, world, ticks):
 def hold_fsm(pose, phase, timeout=1e6):
     """FSM pinned in one phase holding one pose."""
     seg_label = "linear-exit" if phase in (TransferPhase.EXIT,) else "linear-entry"
-    plan = TrajectoryPlan(np.array([0.0, 1e7]), [pose, pose], [Segment(seg_label, 0.0, 1e7)])
+    plan = TrajectoryPlan([0.0, 1e7], [pose.position] * 2, [pose.orientation] * 2,
+                          [Segment(seg_label, 0.0, 1e7)])
     det = BiteDetector(axis=np.array([0.0, 0.0, 1.0]), threshold=1e6, timeout=timeout)
     return FsmState(plan=plan, detector=det, phase=phase, t_phase_start=0.0,
                     hold_pose=pose, retract_duration=0.0)

@@ -14,7 +14,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bitesim.geometry import Pose, quat_from_axis_angle, quat_mul
+from bitesim.geometry import (Pose, quat_from_axis_angle, quat_mul, quat_normalize,
+                              quat_normalize_rows, row_dots, slerp, slerp_rows)
 from bitesim.harness import (Scenario, TickLog, VirtualRobotState, _finish_trial,
                              _log_joints, _prepare_trial, _tick_kernel, run_trial,
                              simulate_tick)
@@ -174,7 +175,8 @@ def test_turning_plan_equals_reference_loop():
                                                     np.pi / 2 * max(0.0, 1.0 - t / arc_end)),
                                pre))
                  for t in times]
-        plan = TrajectoryPlan(times, poses, nominal.segments)
+        plan = TrajectoryPlan(times, [p.position for p in poses],
+                              [p.orientation for p in poses], nominal.segments)
         setup.fsm = replace(setup.fsm, plan=plan)
         setup.robot = VirtualRobotState(plan.start_pose, np.zeros(6), setup.robot.mass)
         setups.append(setup)
@@ -182,7 +184,7 @@ def test_turning_plan_equals_reference_loop():
     expected = _finish_trial(ref, reference_run(ref))
     new = setups[1]
     report = _finish_trial(new, _tick_kernel(new)[0])
-    q = np.array([p.orientation for p in new.fsm.plan.poses])
+    q = new.fsm.plan.orientations
     assert (np.abs(np.sum(q[1:] * q[:-1], axis=1)) <= 0.9995).any()  # slerp's far branch
     assert report.final_phase == "DONE"
     assert np.abs(report.log.orientation - report.log.set_orientation).max() > 1e-3
@@ -218,3 +220,34 @@ def test_blas_forms_the_kernel_relies_on():
         f"of {n} draws each, these forms rounded differently: {mismatches}; "
         f"the flat kernel's bit identity with simulate_tick does not hold on "
         f"{_numpy_and_blas()}")
+
+
+def test_stacked_forms_the_plans_rely_on():
+    """Plans are built on arrays but keep the bits of the one-waypoint-at-a-
+    time build: row_dots, quat_normalize_rows and slerp_rows must round as
+    np.dot, quat_normalize and slerp do on each row (the stacked matmul
+    makes the same BLAS dot call), and numpy's cos, sin and arccos must
+    give an array the values they give each of its elements."""
+    rng = np.random.default_rng(2025)
+    n = 4000
+    a = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-6.0, 3.0, (n, 1))
+    b = rng.standard_normal((n, 4))
+    b[: n // 2] = a[: n // 2] + 1e-4 * b[: n // 2]  # slerp's near branch
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    t = rng.uniform(0.0, 1.0, n)
+    angles = rng.uniform(-7.0, 7.0, n)
+    cosines = rng.uniform(-1.0, 1.0, n)
+    mismatches = {
+        "row_dots": int(np.sum(row_dots(a, b) != [np.dot(x, y) for x, y in zip(a, b)])),
+        "quat_normalize_rows": int(np.sum(
+            quat_normalize_rows(a * 3.0) != [quat_normalize(x * 3.0) for x in a])),
+        "slerp_rows": int(np.sum(
+            slerp_rows(a, b, t) != [slerp(x, y, s) for x, y, s in zip(a, b, t)])),
+        "cos": int(np.sum(np.cos(angles) != [np.cos(x) for x in angles])),
+        "sin": int(np.sum(np.sin(angles) != [np.sin(x) for x in angles])),
+        "arccos": int(np.sum(np.arccos(cosines) != [np.arccos(x) for x in cosines])),
+    }
+    assert not any(mismatches.values()), (
+        f"of {n} draws each, these stacked forms rounded differently: {mismatches}; "
+        f"plans built on arrays do not keep their golden bits on {_numpy_and_blas()}")

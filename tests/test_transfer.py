@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitesim.controller import Wrench
 from bitesim.geometry import Pose, quat_conj, quat_distance, quat_mul
@@ -7,7 +9,8 @@ from bitesim.harness import mouth_frame_from_position
 from bitesim.transfer import (BiteDetector, FsmState, Segment, TrajectoryPlan,
                               TransferPhase, build_fixed_pose_plan, build_transfer_plan,
                               concat_plans, detect_bite, entry_segment, interpolate,
-                              phase_segments, plan_arc, step, transfer_orientation)
+                              interpolate_rows, linear_segment, phase_segments, plan_arc,
+                              step, transfer_orientation)
 
 MOUTH = mouth_frame_from_position([0.55, 0.0, 0.45])
 TARGET = Pose(MOUTH.position, transfer_orientation(MOUTH))
@@ -131,7 +134,8 @@ class TestInterpolate:
         a = Pose(np.array([0.0, 0, 0]), np.array([1.0, 0, 0, 0]))
         b = Pose(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))
         # two waypoints, so t = 0.5 falls between them and is interpolated
-        plan = TrajectoryPlan(np.array([0.0, 1.0]), [a, b], [Segment("linear-entry", 0.0, 1.0)])
+        plan = TrajectoryPlan([0.0, 1.0], [a.position, b.position], [a.orientation, b.orientation],
+                              [Segment("linear-entry", 0.0, 1.0)])
         mid = interpolate(plan, 0.5)
         np.testing.assert_allclose(mid.position, [0.5, 0, 0], atol=1e-15)
 
@@ -173,7 +177,72 @@ class TestPlanAssembly:
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
-            TrajectoryPlan(np.array([0.0, 0.0]), [Pose(), Pose()], [])
+            TrajectoryPlan([0.0, 0.0], np.zeros((2, 3)), [[1.0, 0.0, 0.0, 0.0]] * 2, [])
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@st.composite
+def plan_cases(draw):
+    """A plan of either transfer mode for a random mouth frame, pre-mouth
+    orientation and segment durations, and the target it was built for."""
+    def num(lo, hi):
+        return draw(st.floats(lo, hi, allow_nan=False))
+    yaw = num(-np.pi, np.pi)
+    mouth = mouth_frame_from_position([num(0.3, 0.8), num(-0.3, 0.3), num(0.2, 0.7)],
+                                      [np.cos(yaw), np.sin(yaw), 0.0])
+    q = np.array([num(-1.0, 1.0) for _ in range(4)])
+    q = q if np.linalg.norm(q) > 0.1 else np.array([1.0, 0.0, 0.0, 0.0])
+    target = Pose(mouth.position + 0.01 * mouth.z_axis, q)
+    arc, entry, exit_s = num(0.005, 8.0), num(0.005, 4.0), num(0.005, 4.0)
+    radius, start = num(0.05, 0.8), num(-np.pi, np.pi)
+    if draw(st.booleans()):
+        depth, lowering = draw(st.sampled_from([0.0, 0.018])), draw(st.sampled_from([0.0, 0.003]))
+        plan = build_transfer_plan(mouth, target, arc, entry, exit_s, radius, start, depth,
+                                   lowering)
+    else:
+        plan = build_fixed_pose_plan(mouth, target, arc, entry, exit_s, radius, start)
+    return plan, target
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan_cases(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_plan_arrays(case, fractions):
+    plan, target = case
+    n = len(plan.times)
+    assert plan.positions.shape == (n, 3) and plan.orientations.shape == (n, 4)
+    for a in (plan.times, plan.positions, plan.orientations):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # pinned ends: the exit ends on the target, the fixed-pose return where the arc began
+    last = plan.pose(-1)
+    if plan.segments[-1].label == "linear-exit":
+        assert same_bits(last.position, target.position)
+        assert same_bits(last.orientation, target.orientation)
+    else:
+        assert same_bits(last.position, plan.positions[0])
+        assert same_bits(last.orientation, plan.orientations[0])
+    for i in range(n):
+        pose = interpolate(plan, float(plan.times[i]))
+        assert same_bits(pose.position, plan.positions[i])
+        assert same_bits(pose.orientation, plan.orientations[i])
+    # the stacked interpolation gives interpolate's bits anywhere in the span
+    ts = [plan.times[0] + f * plan.duration for f in fractions]
+    positions, orientations = interpolate_rows(plan, ts)
+    for t, p, q in zip(ts, positions, orientations):
+        pose = interpolate(plan, t)
+        assert same_bits(pose.position, p) and same_bits(pose.orientation, q)
+
+
+def test_linear_segment_ends_are_its_poses():
+    a = Pose([0.1, 0.2, 0.3], [0.9, 0.1, -0.2, 0.3])
+    b = Pose([0.4, -0.1, 0.2], [0.2, 0.8, 0.1, -0.4])
+    seg = linear_segment(a, b, 1.234)
+    assert same_bits(seg.positions[[0, -1]], [a.position, b.position])
+    assert same_bits(seg.orientations[[0, -1]], [a.orientation, b.orientation])
 
 
 def make_fsm(plan=None, timeout=1.5):
