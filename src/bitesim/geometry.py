@@ -157,12 +157,11 @@ def slerp_rows(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     out[near] = quat_normalize_rows(a[near] + t[near, None] * (b[near] - a[near]))
     far = ~near
-    if far.any():
-        theta = np.arccos(np.clip(dot[far], -1.0, 1.0))
-        s = np.sin(theta)
-        tf = t[far]
-        out[far] = ((np.sin((1.0 - tf) * theta) / s)[:, None] * a[far]
-                    + (np.sin(tf * theta) / s)[:, None] * b[far])
+    theta = np.arccos(np.clip(dot[far], -1.0, 1.0))
+    s = np.sin(theta)
+    tf = t[far]
+    out[far] = ((np.sin((1.0 - tf) * theta) / s)[:, None] * a[far]
+                + (np.sin(tf * theta) / s)[:, None] * b[far])
     return out
 
 

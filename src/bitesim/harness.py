@@ -36,7 +36,8 @@ from .controller import (ControllerState, ImpedanceParams, ReactivityGains, Safe
 from .transfer import (BiteDetector, FsmState, TransferPhase, EXIT_SIDE_PHASES,
                        build_fixed_pose_plan, build_transfer_plan, phase_segments, step)
 from .perception import compute_offsets, food_bounding_box, synth_depth_scan, target_pose
-from .humansim import (CAVITY_DEPTH, HEAD_MOTION_PARAMS, LIP_MARGIN, BiteScript,
+from .humansim import (CAVITY_DEPTH, HEAD_MOTION_PARAMS, LIP_MARGIN,
+                       MAX_PERTURBATION_AMPLITUDE, BiteScript,
                        FoodAttachmentState, MouthModel, bite_force, contact_force,
                        load_food_presets, perturbation_trace, signal_trace)
 from .presets import GAIN_PRESETS, default_scenario_dict, default_study_dict
@@ -102,14 +103,14 @@ class _Rule(NamedTuple):
 
 _OBJECT = _Rule("an object", lambda v: isinstance(v, dict))
 # the rule of a key by the type of its default (bool before int, which
-# it subclasses); a default of another type, None, takes anything
+# it subclasses); a list of numbers must keep the default's length, and a
+# default of another type, None, takes anything
 _VALUE_KINDS = (
     (bool, _Rule("a bool", lambda v: isinstance(v, (bool, np.bool_)))),
     (str, _Rule("a string", lambda v: isinstance(v, str))),
     (int, _Rule("a whole number", lambda v: _is_number(v) and (
         isinstance(v, (int, np.integer)) or float(v).is_integer()))),
     (float, _Rule("a number", _is_number)),
-    (list, _Rule("a list of numbers", _numbers)),
     (dict, _OBJECT),
 )
 # rules that stand in for a null default, which gives no kind
@@ -117,6 +118,19 @@ _FACING = _Rule("null or a list of 3 numbers", lambda v: v is None or _numbers(v
 _DAMPING = _Rule("null or a list of 6 numbers", lambda v: v is None or _numbers(v, 6))
 _TRACE = _Rule("a non-empty list of rows of 6 numbers", lambda v: isinstance(
     v, (list, tuple, np.ndarray)) and len(v) > 0 and all(_numbers(r, 6) for r in v))
+# the study's home matches the without-wrist chain, which may be any chain
+_HOME = _Rule("a list of numbers", _numbers)
+
+
+def _rule(default) -> _Rule | None:
+    """The rule of a value whose default, or stand-in rule, is default."""
+    if isinstance(default, _Rule):
+        return default
+    if isinstance(default, list):
+        n = len(default)
+        return _Rule(f"a list of {n} numbers", lambda v: _numbers(v, n))
+    return next((r for default_type, r in _VALUE_KINDS if isinstance(default, default_type)),
+                None)
 
 
 def _check_keys(cfg: dict, known: dict, kind: str, path: str = "") -> None:
@@ -130,8 +144,7 @@ def _check_keys(cfg: dict, known: dict, kind: str, path: str = "") -> None:
         if key not in known:
             raise ConfigError(f"unknown {kind} key {where!r}")
         default = known[key]
-        rule = default if isinstance(default, _Rule) else next(
-            (r for default_type, r in _VALUE_KINDS if isinstance(default, default_type)), None)
+        rule = _rule(default)
         if rule is not None and not rule.ok(value):
             raise ConfigError(f"{kind} key {where!r} must be {rule.wanted}, got {value!r}")
         if isinstance(value, dict) and isinstance(default, dict):
@@ -177,6 +190,11 @@ class Scenario:
                                   f"got {cfg[key]!r}")
         if cfg["disturbance"]["kind"] == "array" and "trace" not in cfg["disturbance"]:
             raise ConfigError("scenario key 'disturbance.trace' must be set for kind 'array'")
+        head = cfg["head_perturbation"]
+        amplitude = {**HEAD_MOTION_PARAMS[head["kind"]], **head}.get("amplitude", 0.0)
+        if not 0.0 <= amplitude <= MAX_PERTURBATION_AMPLITUDE:
+            raise ConfigError(f"scenario key 'head_perturbation.amplitude' must be in "
+                              f"[0, {MAX_PERTURBATION_AMPLITUDE}] m, got {amplitude!r}")
         return cls(cfg)
 
     def __getitem__(self, key):
@@ -1236,7 +1254,7 @@ def build_study_inputs(study_cfg: dict | None = None):
 
     defaults = default_study_dict()
     study_cfg = {} if study_cfg is None else study_cfg
-    _check_keys(study_cfg, {**defaults, "mouth_facing": _FACING}, "study")
+    _check_keys(study_cfg, {**defaults, "mouth_facing": _FACING, "home": _HOME}, "study")
     cfg = _merge(defaults, study_cfg)
     chain_with = _resolve_chain(cfg["chain_with"])
     chain_without = _resolve_chain(cfg["chain_without"])

@@ -64,7 +64,11 @@ class TestTrialCommand:
         {"bite": {"refuse": "no"}}, {"joint_log_stride": -250}, {"joint_log_stride": 2.5},
         {"mouth": {"facing": [0, 0]}}, {"mouth": {"facing": "x"}},
         {"impedance": {"damping": "x"}}, {"impedance": {"damping": [1, 2]}},
-        {"disturbance": {"trace": "abc", "kind": "array"}}])
+        {"disturbance": {"trace": "abc", "kind": "array"}},
+        {"mouth_error_mm": [1, 2]}, {"mouth": {"center_position": [0, 0]}},
+        {"virtual_mass": [1, 2]}, {"entry_gains": {"k_p": [1, 2]}},
+        {"disturbance": {"direction": [1, 0], "kind": "sinusoid"}},
+        {"head_perturbation": {"amplitude": 0.5, "kind": "sinusoid"}}])
     def test_bad_value_exit_code(self, tmp_path, capsys, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key

@@ -221,8 +221,8 @@ def plan_digest(plan) -> str:
     and its segments."""
     h = hashlib.sha256()
     h.update(plan.times.tobytes())
-    h.update(np.array([p.position for p in plan.poses]).tobytes())
-    h.update(np.array([p.orientation for p in plan.poses]).tobytes())
+    h.update(plan.positions.tobytes())
+    h.update(plan.orientations.tobytes())
     h.update(json.dumps([[s.label, s.t_start, s.t_end] for s in plan.segments]).encode())
     return h.hexdigest()
 

@@ -267,7 +267,16 @@ class TestConfigKeys:
         {"impedance": {"damping": "x"}}, {"impedance": {"damping": [1, 2]}},
         {"disturbance": {"trace": "abc", "kind": "array"}},
         {"disturbance": {"trace": [], "kind": "array"}},
-        {"disturbance": {"trace": [[0.0] * 6, [0.0] * 5], "kind": "array"}}])
+        {"disturbance": {"trace": [[0.0] * 6, [0.0] * 5], "kind": "array"}},
+        {"mouth_error_mm": [1, 2]}, {"mouth_error_mm": [0, 0, 0, 0]},
+        {"mouth": {"center_position": [0, 0]}}, {"virtual_mass": [1, 2]},
+        {"impedance": {"stiffness": [1.0] * 7}}, {"entry_gains": {"k_p": [1, 2]}},
+        {"exit_gains": {"k_i": []}},
+        {"disturbance": {"direction": [1, 0], "kind": "sinusoid"}},
+        {"head_perturbation": {"direction": [1, 0], "kind": "sinusoid"}},
+        {"head_perturbation": {"amplitude": 0.5, "kind": "sinusoid"}},
+        {"head_perturbation": {"amplitude": -0.001, "kind": "random-walk"}},
+        {"head_perturbation": {"amplitude": float("nan"), "kind": "sinusoid"}}])
     def test_value_of_another_kind_or_out_of_range(self, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
@@ -362,6 +371,14 @@ class TestConfigKeys:
                                              {"method": "ours", "scenaro": {}}]})
         with pytest.raises(ConfigError, match=r"suite trials\[0\] must be an object"):
             run_suite({"seed": 1, "trials": ["ours"]})
+
+    def test_suite_checks_head_motion_amplitude_before_running(self, monkeypatch):
+        import bitesim.harness as harness
+        monkeypatch.setattr(harness, "run_trial", lambda *a: pytest.fail("a trial ran"))
+        with pytest.raises(ConfigError, match="^scenario key 'head_perturbation.amplitude'"):
+            run_suite({"seed": 1, "trials": [
+                {"scenario": {"horizon_s": 1.0}},
+                {"scenario": {"head_perturbation": {"kind": "sinusoid", "amplitude": 0.5}}}]})
 
     def test_suite_checks_every_scenario_before_running(self, monkeypatch):
         import bitesim.harness as harness
