@@ -112,6 +112,18 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     return (angle / s) * q[1:]
 
 
+def quat_to_rotvec_rows(q: np.ndarray) -> np.ndarray:
+    """quat_to_rotvec on each row of q (n, 4), to the bit."""
+    q = np.asarray(q, dtype=float)
+    q = np.where((q[:, 0] < 0.0)[:, None], -q, q)
+    v = np.ascontiguousarray(q[:, 1:])
+    s = np.sqrt(row_dots(v, v))
+    scale = np.full(len(q), 2.0)  # the small-angle limit
+    big = ~(s < 1e-12)
+    scale[big] = 2.0 * np.arctan2(s[big], q[big, 0]) / s[big]
+    return scale[:, None] * v
+
+
 def quat_canonical(q: np.ndarray) -> np.ndarray:
     """Flip sign so the scalar part is non-negative (double-cover pick)."""
     return -q if q[0] < 0.0 else np.asarray(q, dtype=float)

@@ -6,7 +6,8 @@ The robot is a task-space virtual-mass admittance plant: the commanded
 wrench minus the reactive correction, plus the physical contact forces,
 integrates through the virtual mass with semi-implicit Euler. Joint
 configurations are recovered by IK at a configurable stride for logging
-only. Every run is seed-deterministic end to end.
+only: run_trial logs them, run_suite, which reports outcomes only, does
+not. Every run is seed-deterministic end to end.
 
 run_trial prepares a trial, runs its ticks from t = 0 in _tick_kernel,
 a flat loop over floats that only records, and reads the report from
@@ -20,22 +21,24 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .geometry import (Pose, pose_error, quat_conj, quat_from_rotvec, quat_mul,
-                       quat_normalize, quat_rotate, quat_to_matrix, quat_to_rotvec, row_dots)
+                       quat_normalize, quat_rotate, quat_to_matrix, quat_to_rotvec,
+                       quat_to_rotvec_rows)
 from .kinematics import (ChainModel, IkParams, bundled_chain, ik_damped_least_squares,
                          load_chain, _mat_to_quat)
 from .controller import (ControllerState, ImpedanceParams, ReactivityGains, SafetyLatch,
                          SensorFault, TICK_PERIOD, Wrench, desired_wrench, phase_gains,
                          reactive_term, safety_check)
 from .transfer import (BiteDetector, FsmState, TransferPhase, EXIT_SIDE_PHASES,
-                       build_fixed_pose_plan, build_transfer_plan, phase_segments, step)
-from .perception import compute_offsets, food_bounding_box, synth_depth_scan, target_pose
+                       build_fixed_pose_plan, build_transfer_plan, interpolate_rows,
+                       phase_segments, step)
+from .perception import (FoodOffsets, compute_offsets, food_bounding_box, synth_depth_scan,
+                         target_pose)
 from .humansim import (CAVITY_DEPTH, HEAD_MOTION_PARAMS, LIP_MARGIN,
                        MAX_PERTURBATION_AMPLITUDE, BiteScript,
                        FoodAttachmentState, MouthModel, bite_force, contact_force,
@@ -121,6 +124,30 @@ _TRACE = _Rule("a non-empty list of rows of 6 numbers", lambda v: isinstance(
 # the study's home matches the without-wrist chain, which may be any chain
 _HOME = _Rule("a list of numbers", _numbers)
 
+# the ranges of scenario values, by key path, checked once the preset and
+# the overrides are merged; NaN and infinities fail every one
+_POSITIVE = _Rule("finite and > 0", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = _Rule("finite and >= 0", lambda v: 0 <= v < math.inf)
+_SCENARIO_RANGES = {
+    "horizon_s": _NON_NEGATIVE,
+    "joint_log_stride": _NON_NEGATIVE,
+    "lowpass_cutoff_hz": _NON_NEGATIVE,  # 0 turns the filter off
+    "arc_radius_m": _POSITIVE,
+    "entry_depth_m": _POSITIVE,
+    "lowering_m": _NON_NEGATIVE,
+    "bite_threshold_n": _POSITIVE,
+    "bite_timeout_s": _POSITIVE,
+    "safety_limit_n": _POSITIVE,
+    "virtual_mass": _Rule("a list of numbers > 0", lambda v: all(0 < x < math.inf for x in v)),
+    "mouth.aperture_m": _POSITIVE,
+    "segments.arc_s": _POSITIVE,
+    "segments.entry_s": _POSITIVE,
+    "segments.exit_s": _POSITIVE,
+    "bite.ramp_s": _NON_NEGATIVE,
+    "scan.resolution_mm": _POSITIVE,
+    "scan.noise_mm": _NON_NEGATIVE,
+}
+
 
 def _rule(default) -> _Rule | None:
     """The rule of a value whose default, or stand-in rule, is default."""
@@ -184,10 +211,12 @@ class Scenario:
             raise ConfigError(f"unknown gain preset {preset!r}")
         # the preset sets the baseline; explicit gains in the overrides win
         cfg = _merge(_merge(cfg, GAIN_PRESETS[preset]), overrides)
-        for key in ("horizon_s", "joint_log_stride"):
-            if not 0 <= cfg[key] < math.inf:
-                raise ConfigError(f"scenario key {key!r} must be finite and >= 0, "
-                                  f"got {cfg[key]!r}")
+        for path, rule in _SCENARIO_RANGES.items():
+            value = cfg
+            for key in path.split("."):
+                value = value[key]
+            if not rule.ok(value):
+                raise ConfigError(f"scenario key {path!r} must be {rule.wanted}, got {value!r}")
         if cfg["disturbance"]["kind"] == "array" and "trace" not in cfg["disturbance"]:
             raise ConfigError("scenario key 'disturbance.trace' must be set for kind 'array'")
         head = cfg["head_perturbation"]
@@ -504,6 +533,12 @@ class TrialSetup:
     mouth_error_mm: np.ndarray
 
 
+# the offsets of every noiseless scan so far, by (food, resolution): such
+# a scan reads neither the seed nor the pose, so its offsets are a
+# function of the bundled food and the resolution alone
+_SCAN_OFFSETS: dict[tuple[str, float], FoodOffsets] = {}
+
+
 def _prepare_trial(scenario: Scenario) -> TrialSetup:
     """Scan, targeting, plan, traces and the initial states of one trial.
 
@@ -533,11 +568,15 @@ def _prepare_trial(scenario: Scenario) -> TrialSetup:
 
     # perception: scan the food, then target the (possibly mislocated) mouth
     scan_cfg = cfg["scan"]
-    scan_pose = Pose(true_mouth_frame.position, true_mouth_frame.orientation)
-    cloud = synth_depth_scan(food, scan_pose,
-                             resolution=float(scan_cfg["resolution_mm"]),
-                             seed=seed, noise_mm=float(scan_cfg["noise_mm"]))
-    offsets = compute_offsets(food_bounding_box(cloud))
+    resolution, noise = float(scan_cfg["resolution_mm"]), float(scan_cfg["noise_mm"])
+    offsets = _SCAN_OFFSETS.get((food_name, resolution)) if noise == 0.0 else None
+    if offsets is None:
+        scan_pose = Pose(true_mouth_frame.position, true_mouth_frame.orientation)
+        cloud = synth_depth_scan(food, scan_pose, resolution=resolution, seed=seed,
+                                 noise_mm=noise)
+        offsets = compute_offsets(food_bounding_box(cloud))
+        if noise == 0.0:
+            _SCAN_OFFSETS[food_name, resolution] = offsets
 
     err_mm = np.asarray(cfg["mouth_error_mm"], dtype=float)
     perceived_center = true_mouth_frame.position + (
@@ -640,6 +679,88 @@ _REC_T, _REC_POS, _REC_ORI, _REC_FORCE, _REC_TORQUE = 0, 1, 4, 8, 11
 _REC_PHASE, _REC_SET_POS, _REC_SET_ORI, _REC_WIDTH = 14, 15, 18, 22
 
 
+class _SetpointTable(NamedTuple):
+    """The FSM of a trial from tick ``first`` on, as far as time alone
+    drives it. Lists run over ticks first, first + 1, ... n_ticks - 1."""
+
+    phases: list[int]
+    setpoints: np.ndarray  # (m, 7): position, then orientation (w, x, y, z)
+    velocities: np.ndarray  # (m, 6) feed-forward: linear, then angular
+    transitions: dict[int, list[tuple[int, int, None]]]  # tick: (from, to, event)
+    wait_start: float | None  # the time BITE_WAIT begins, if it does
+
+
+def _setpoint_table(fsm: FsmState, first: int, n_ticks: int, phase: int,
+                    t_phase_start: float, prev_setpoint: np.ndarray | None = None
+                    ) -> _SetpointTable:
+    """Run transfer.step from tick first on, in phase since t_phase_start,
+    as far as no force can change its course: to BITE_WAIT, which holds
+    its setpoint until the bite detector ends it, or to DONE.
+
+    As in step, a phase ends on the first tick whose time in it reaches
+    its duration and hands its overshoot to the next within that tick.
+    Every setpoint is the plan at some time, so one interpolate_rows call
+    gives them all. The feed-forward velocity of a tick is its setpoint's
+    change since the tick before (prev_setpoint for the first, none at
+    t = 0) over the tick period, the rotation as quat_to_rotvec of
+    q[i] * conj(q[i - 1]); each row rounds as the per-tick sums do."""
+    P = TransferPhase
+    plan = fsm.plan
+    arc, entry, exit_seg = phase_segments(plan)
+    approach = arc if arc is not None else entry
+    t_first = float(plan.times[0])
+    retract_dur = fsm.retract_duration
+    # each timed phase: its duration and the plan time of a time in it
+    timed = {
+        P.SCAN: (fsm.scan_duration, lambda t_in: np.full(len(t_in), t_first)),
+        P.FACE_DETECT: (fsm.face_duration, lambda t_in: np.full(len(t_in), t_first)),
+        P.APPROACH_ARC: (approach.t_end - approach.t_start,
+                         lambda t_in: approach.t_start + t_in),
+        P.ENTRY: (entry.t_end - entry.t_start, lambda t_in: entry.t_start + t_in),
+        P.EXIT: (exit_seg.t_end - exit_seg.t_start, lambda t_in: exit_seg.t_start + t_in),
+        # without an arc or a duration the retract ends at once
+        P.RETRACT_ARC: ((retract_dur if arc is not None and retract_dur > 0 else -math.inf),
+                        lambda t_in: arc.t_end - (t_in / retract_dur) * (arc.t_end - arc.t_start)),
+    }
+    ts = np.arange(first, n_ticks) * TICK_PERIOD
+    at = np.empty(len(ts))  # the plan time of each tick's setpoint
+    phases = np.empty(len(ts), dtype=np.int8)
+    transitions: dict[int, list[tuple[int, int, None]]] = {}
+    wait_start = None
+    lo = 0
+    while lo < len(ts):
+        if phase not in timed:  # BITE_WAIT or DONE holds to the end
+            at[lo:] = (entry.t_end if phase == P.BITE_WAIT
+                       else t_first if arc is None else arc.t_start)
+            phases[lo:] = phase
+            break
+        dur, plan_time = timed[phase]
+        t_in = ts[lo:] - t_phase_start
+        ends = np.flatnonzero(t_in >= dur)
+        hi = lo + (int(ends[0]) if len(ends) else len(t_in))
+        if hi > lo:
+            at[lo:hi] = plan_time(t_in[:hi - lo])
+            phases[lo:hi] = phase
+        if hi == len(ts):
+            break
+        t = float(ts[hi])
+        t_phase_start = t if phase == P.RETRACT_ARC else t - ((t - t_phase_start) - dur)
+        if phase == P.ENTRY:
+            wait_start = t_phase_start
+        transitions.setdefault(first + hi, []).append((int(phase), int(phase) + 1, None))
+        phase, lo = phase + 1, hi
+
+    positions, orientations = interpolate_rows(plan, at)
+    rows = np.hstack([positions, orientations])
+    prev = np.vstack([rows[:1] if prev_setpoint is None else [prev_setpoint], rows[:-1]])
+    turn = quat_mul(orientations.T, quat_conj(prev[:, 3:].T)).T
+    velocities = np.hstack([(positions - prev[:, :3]) / TICK_PERIOD,
+                            quat_to_rotvec_rows(turn) / TICK_PERIOD])
+    if prev_setpoint is None:
+        velocities[0] = 0.0
+    return _SetpointTable(phases.tolist(), rows, velocities, transitions, wait_start)
+
+
 def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
     """The 1 kHz loop of run_trial as one flat kernel, run from t = 0;
     returns the tick log and the robot pose at each joint-log tick.
@@ -654,6 +775,13 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
     BLAS call on a float64 array (BLAS fuses multiply-adds, so a Python
     sum can differ in the last bit), the integral clamp stays np.clip,
     and the trigonometric functions stay numpy's.
+
+    What time alone decides, the FSM's phases up to the bite wait and from
+    the exit on, their setpoints and the feed-forward velocities, comes
+    from setpoint tables (_setpoint_table) built at t = 0 and again on the
+    tick the exit starts; the loop keeps what feeds back on itself: bite
+    detection, the safety trip, contact, the reactive PI term and the
+    integration.
 
     The kernel only records: the report is read from the log and its
     events, and the one state updated in place is the food attachment,
@@ -753,67 +881,22 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
     damp = world.impedance.damping.tolist()
     mass = robot.mass.tolist()
 
-    # plan: waypoints and, per waypoint interval, slerp's constants
-    plan = fsm.plan
-    times = plan.times.tolist()
-    t_first, t_last = times[0], times[-1]
-    last_wp = len(times) - 1
-    waypoints = np.hstack([plan.positions, plan.orientations]).tolist()
-    a, b = plan.orientations[:-1], plan.orientations[1:]
-    dots = row_dots(a, b)
-    flip = dots < 0.0
-    b = np.where(flip[:, None], -b, b)
-    dots = np.where(flip, -dots, dots)
-    intervals = [(span, delta, None, None, None)
-                 for span, delta in zip(np.diff(plan.times).tolist(), (b - a).tolist())]
-    for j in np.flatnonzero(~(dots > 0.9995)).tolist():  # slerp's far branch
-        theta = np.arccos(np.clip(dots[j], -1.0, 1.0))
-        intervals[j] = (intervals[j][0], None, theta, np.sin(theta), b[j].tolist())
-
-    def interpolate_at(t):
-        # transfer.interpolate, as 7 floats
-        t = min(max(t, t_first), t_last)
-        j = bisect_right(times, t) - 1
-        if j >= last_wp:
-            return waypoints[-1]
-        if t == times[j]:
-            return waypoints[j]
-        span, delta, theta, sin_theta, b = intervals[j]
-        frac = (t - times[j]) / span
-        ax, ay, az, aw, aqx, aqy, aqz = waypoints[j]
-        bx, by, bz = waypoints[j + 1][:3]
-        if delta is not None:
-            qw, qx, qy, qz = unit(aw + frac * delta[0], aqx + frac * delta[1],
-                                  aqy + frac * delta[2], aqz + frac * delta[3])
-        else:
-            ca = float(np.sin((1.0 - frac) * theta) / sin_theta)
-            cb = float(np.sin(frac * theta) / sin_theta)
-            qw, qx, qy, qz = (ca * aw + cb * b[0], ca * aqx + cb * b[1],
-                              ca * aqy + cb * b[2], ca * aqz + cb * b[3])
-        return ((1.0 - frac) * ax + frac * bx, (1.0 - frac) * ay + frac * by,
-                (1.0 - frac) * az + frac * bz, *unit(qw, qx, qy, qz))
-
-    # FSM: integer phase, start times, the detector's elapsed time
+    # FSM: integer phase, the detector's elapsed time; the phases that
+    # time alone drives come from setpoint tables
     SCAN, FACE, APPROACH, ENTRY, WAIT, EXIT, RETRACT, DONE, ABORTED = range(9)
     names = [p.name for p in TransferPhase]
-    arc, entry, exit_seg = phase_segments(plan)
-    approach = arc if arc is not None else entry
-    approach_dur = approach.t_end - approach.t_start
-    entry_dur = entry.t_end - entry.t_start
-    exit_dur = exit_seg.t_end - exit_seg.t_start
-    retract_dur = fsm.retract_duration
-    start_sp = waypoints[0]
+    table = _setpoint_table(fsm, 0, n_ticks, SCAN, 0.0)
+    phases, setpoints, velocities, transitions = table[:4]
+    wait_started_at = table.wait_start
     detector = fsm.detector
     axis = detector.axis
     timeout_at = detector.timeout - 1e-9
-    phase, t_phase_start, elapsed, bitten = SCAN, 0.0, 0.0, False
-    wait_started_at = hold = None
+    phase, elapsed, bitten = SCAN, 0.0, False
 
     px, py, pz = robot.pose.position.tolist()
     qw, qx, qy, qz = robot.pose.orientation.tolist()
     raw_q = None  # orientation before its last normalisation, once integrated
     tw = [0.0] * 6
-    prev_sp = None
 
     rec = np.empty((n_ticks, _REC_WIDTH))
     events: list[dict] = []
@@ -856,13 +939,10 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
                 mag = max(0.0, k_mouth * (-lateral - x_m) + c_mouth * (-v_x))
                 f0, f1, f2 = f0 + mag * xh[0], f1 + mag * xh[1], f2 + mag * xh[2]
         bite_n = 0.0
-        if not detached and not script.refuse:
-            t_in_bite = None
-            if phase == WAIT:
-                t_in_bite = t - t_phase_start
-            elif phase == EXIT and bitten and float(b3.dot(z_axis)) <= lip:
-                t_in_bite = t - wait_started_at
-            if t_in_bite is not None and t_in_bite >= script.t_bite:
+        if not detached and not script.refuse and (
+                phase == WAIT or phase == EXIT and bitten and float(b3.dot(z_axis)) <= lip):
+            t_in_bite = t - wait_started_at
+            if t_in_bite >= script.t_bite:
                 frac = (min(1.0, (t_in_bite - script.t_bite) / script.ramp)
                         if script.ramp > 0 else 1.0)
                 bite_y = -frac * script.peak_force
@@ -886,71 +966,34 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
             else:
                 tripped = abs(fm0) > limit or abs(fm1) > limit or abs(fm2) > limit
 
-        # transfer.step: chain through elapsed phases to this tick's setpoint
-        tick_events = []
+        # transfer.step: a safety trip aborts; otherwise the table gives the
+        # phase, the transitions into it and the setpoint, and in BITE_WAIT
+        # the bite detector (transfer.detect_bite) may start the exit
+        tick_events = ()
         f_y = None
-        if tripped and phase != ABORTED:
+        if phase == ABORTED:
+            pass
+        elif tripped:
             b3[0], b3[1], b3[2] = fm0, fm1, fm2
             f_y = float(np.dot(b3, axis))
-            tick_events.append((phase, ABORTED, "safety_abort"))
+            tick_events = ((phase, ABORTED, "safety_abort"),)
             phase = ABORTED
-            t_phase_start = t
-        while phase != ABORTED:
-            t_in = t - t_phase_start
-            if phase == SCAN or phase == FACE:
-                dur = fsm.scan_duration if phase == SCAN else fsm.face_duration
-                if t_in >= dur:
-                    tick_events.append((phase, phase + 1, None))
-                    phase += 1
-                    t_phase_start = t - (t_in - dur)
-                    continue
-                sp = start_sp
-            elif phase == APPROACH:
-                if t_in >= approach_dur:
-                    tick_events.append((phase, ENTRY, None))
-                    phase = ENTRY
-                    t_phase_start = t - (t_in - approach_dur)
-                    continue
-                sp = interpolate_at(approach.t_start + t_in)
-            elif phase == ENTRY:
-                if t_in >= entry_dur:
-                    hold = interpolate_at(entry.t_end)
-                    tick_events.append((phase, WAIT, None))
-                    phase = WAIT
-                    t_phase_start = wait_started_at = t - (t_in - entry_dur)
-                    continue
-                sp = interpolate_at(entry.t_start + t_in)
-            elif phase == WAIT:
-                # transfer.detect_bite
+        else:
+            phase = phases[i]
+            tick_events = transitions.get(i, ())
+            if phase == WAIT:
                 b3[0], b3[1], b3[2] = fm0, fm1, fm2
                 f_y = float(np.dot(b3, axis))
                 bitten = abs(f_y) > detector.threshold
                 if not bitten:
                     elapsed = elapsed + dt
                 if bitten or elapsed >= timeout_at:
-                    tick_events.append((phase, EXIT, "bite" if bitten else "timeout"))
+                    tick_events = (*tick_events, (WAIT, EXIT, "bite" if bitten else "timeout"))
                     phase = EXIT
-                    t_phase_start = t
-                sp = hold
-            elif phase == EXIT:
-                if t_in >= exit_dur:
-                    tick_events.append((phase, RETRACT, None))
-                    phase = RETRACT
-                    t_phase_start = t - (t_in - exit_dur)
-                    continue
-                sp = interpolate_at(exit_seg.t_start + t_in)
-            elif phase == RETRACT:
-                if arc is None or retract_dur <= 0 or t_in >= retract_dur:
-                    hold = start_sp if arc is None else interpolate_at(arc.t_start)
-                    tick_events.append((phase, DONE, None))
-                    phase = DONE
-                    t_phase_start = t
-                    continue
-                frac = t_in / retract_dur
-                sp = interpolate_at(arc.t_end - frac * (arc.t_end - arc.t_start))
-            else:  # DONE
-                sp = hold
-            break
+                    # the exit runs on time from this tick on
+                    table = _setpoint_table(fsm, i + 1, n_ticks, EXIT, t, setpoints[i])
+                    phases[i + 1:], setpoints[i + 1:], velocities[i + 1:] = table[:3]
+                    transitions.update(table.transitions)
         for p_from, p_to, kind in tick_events:
             if f_y is None:
                 b3[0], b3[1], b3[2] = fm0, fm1, fm2
@@ -973,18 +1016,12 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
         else:
             # impedance wrench from the setpoint error (geometry.pose_error,
             # controller.desired_wrench)
+            sp = setpoints[i].tolist()
             spx, spy, spz, sqw, sqx, sqy, sqz = sp
             e0, e1, e2 = spx - px, spy - py, spz - pz
             e3, e4, e5 = rotvec(*qmul(sqw, sqx, sqy, sqz, qw, -qx, -qy, -qz))
-            if prev_sp is None:
-                vd = (0.0,) * 6
-            else:
-                ppx, ppy, ppz, pqw, pqx, pqy, pqz = prev_sp
-                r3, r4, r5 = rotvec(*qmul(sqw, sqx, sqy, sqz, pqw, -pqx, -pqy, -pqz))
-                vd = ((spx - ppx) / dt, (spy - ppy) / dt, (spz - ppz) / dt,
-                      r3 / dt, r4 / dt, r5 / dt)
             err = (e0, e1, e2, e3, e4, e5)
-            v_err = [v - w for v, w in zip(vd, tw)]
+            v_err = [v - w for v, w in zip(velocities[i].tolist(), tw)]
             f_cmd = [k * e + c * v for k, e, c, v in zip(stiff, err, damp, v_err)]
             # a non-finite error makes its wrench component non-finite too
             if not math.isfinite(sum(f_cmd)):
@@ -1039,7 +1076,6 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
                     raise ValueError("pose position must be finite")
                 if not all(map(math.isfinite, tw)):
                     raise ValueError("twist must be finite")
-        prev_sp = sp
 
         # food attachment, on-fork forces split by source
         transport = (norm3(f0, f1, f2) if f0 != 0.0 or f1 != 0.0 or f2 != 0.0
@@ -1224,7 +1260,9 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
     per_method: dict[str, dict[str, int]] = {}
     outcomes = []
     for idx, (method, scenario) in enumerate(trials):
-        report = run_trial(scenario)
+        # run_trial less the joint log, which the suite's outcomes never read
+        setup = _prepare_trial(scenario)
+        report = _finish_trial(setup, _tick_kernel(setup)[0])
         bucket = per_method.setdefault(method, {k: 0 for k in OUTCOMES})
         bucket[report.outcome] += 1
         outcomes.append({"index": idx, "method": method, "seed": report.seed,

@@ -223,8 +223,9 @@ def entry_segment(pre_mouth: Pose, mouth_frame: Pose,
                   duration: float = 2.0) -> TrajectoryPlan:
     """Straight entry along -z of the mouth frame, then a small drop.
 
-    Orientation is held. With zero depth and lowering this degenerates
-    to a dwell at the pre-mouth pose.
+    Orientation is held. With zero depth the drop takes the whole
+    duration; with zero depth and lowering this degenerates to a dwell
+    at the pre-mouth pose.
     """
     if entry_depth < 0 or lowering < 0:
         raise ValueError("entry depth and lowering must be >= 0")
@@ -240,7 +241,7 @@ def entry_segment(pre_mouth: Pose, mouth_frame: Pose,
     times = _waypoint_times(duration)
     split = duration * (entry_depth / total)
     # in along -z until split, then down; the last waypoint is the drop's end
-    inward = (times <= split) | (entry_depth == 0.0)
+    inward = times <= split
     frac_in = times[inward] / split if split > 0 else 1.0
     frac_down = (times[~inward] - split) / (duration - split)
     positions = np.empty((len(times), 3))

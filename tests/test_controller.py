@@ -141,12 +141,6 @@ class TestReactiveTerm:
 
 
 class TestPhaseGains:
-    @pytest.mark.parametrize("phase", list(TransferPhase))
-    def test_torque_gains_always_zero(self, phase):
-        g = phase_gains(phase, [0.0, 0.0, 1.0])
-        assert np.all(g.k_p[3:] == 0)
-        assert np.all(g.k_i[3:] == 0)
-
     def test_retract_uses_exit_gains(self):
         g = phase_gains(TransferPhase.RETRACT_ARC, [0.0, 0.0, 1.0])
         np.testing.assert_allclose(g.k_p[:3], [7, 7, 2], atol=1e-12)

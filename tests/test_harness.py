@@ -10,6 +10,7 @@ from bitesim.harness import (CSV_HEADER, ConfigError, Scenario, TickLog, Virtual
                              mouth_frame_from_position, run_suite, run_trial, save_log,
                              simulate_tick)
 from bitesim.humansim import BiteScript, FoodAttachmentState, MouthModel, load_food_presets
+from bitesim.perception import compute_offsets, food_bounding_box, synth_depth_scan
 from bitesim.transfer import BiteDetector, FsmState, Segment, TrajectoryPlan, TransferPhase
 
 
@@ -256,6 +257,16 @@ class TestFinalPhase:
         assert rep.completed is True
 
 
+# one value out of the range of its key, which a scenario rejects at load
+RANGE_ERRORS = [
+    {"lowpass_cutoff_hz": -5}, {"arc_radius_m": 0}, {"arc_radius_m": -0.1},
+    {"bite_threshold_n": -1}, {"bite_timeout_s": -1}, {"mouth": {"aperture_m": -0.1}},
+    {"scan": {"resolution_mm": 0}}, {"scan": {"noise_mm": -0.1}},
+    {"entry_depth_m": 0}, {"lowering_m": -0.5}, {"safety_limit_n": 0},
+    {"segments": {"arc_s": -1}}, {"segments": {"entry_s": 0}}, {"bite": {"ramp_s": -1}},
+    {"virtual_mass": [2.0, 2.0, 0.0, 0.02, 0.02, 0.02]}, {"bite_timeout_s": float("inf")}]
+
+
 class TestConfigKeys:
     @pytest.mark.parametrize("overrides", [
         {"horizon_s": [1]}, {"horizon_s": "ten"}, {"horizon_s": True}, {"horizon_s": -1},
@@ -276,7 +287,8 @@ class TestConfigKeys:
         {"head_perturbation": {"direction": [1, 0], "kind": "sinusoid"}},
         {"head_perturbation": {"amplitude": 0.5, "kind": "sinusoid"}},
         {"head_perturbation": {"amplitude": -0.001, "kind": "random-walk"}},
-        {"head_perturbation": {"amplitude": float("nan"), "kind": "sinusoid"}}])
+        {"head_perturbation": {"amplitude": float("nan"), "kind": "sinusoid"}},
+        *RANGE_ERRORS])
     def test_value_of_another_kind_or_out_of_range(self, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
@@ -293,7 +305,7 @@ class TestConfigKeys:
             Scenario.from_dict({key: {"kind": "zap"}})
 
     def test_scenario_checked_before_the_first_trial_runs(self, monkeypatch):
-        monkeypatch.setattr(harness, "run_trial", lambda scenario: pytest.fail("trial ran"))
+        monkeypatch.setattr(harness, "_prepare_trial", lambda scenario: pytest.fail("trial ran"))
         with pytest.raises(ConfigError, match="'disturbance.trace' must be set"):
             run_suite({"seed": 1, "trials": [{"method": "ours"},
                                              {"scenario": {"disturbance": {"kind": "array"}}}]})
@@ -374,18 +386,63 @@ class TestConfigKeys:
 
     def test_suite_checks_head_motion_amplitude_before_running(self, monkeypatch):
         import bitesim.harness as harness
-        monkeypatch.setattr(harness, "run_trial", lambda *a: pytest.fail("a trial ran"))
+        monkeypatch.setattr(harness, "_prepare_trial", lambda *a: pytest.fail("a trial ran"))
         with pytest.raises(ConfigError, match="^scenario key 'head_perturbation.amplitude'"):
             run_suite({"seed": 1, "trials": [
                 {"scenario": {"horizon_s": 1.0}},
                 {"scenario": {"head_perturbation": {"kind": "sinusoid", "amplitude": 0.5}}}]})
 
+    @pytest.mark.parametrize("overrides", RANGE_ERRORS[:6])
+    def test_suite_checks_ranges_before_running(self, monkeypatch, overrides):
+        monkeypatch.setattr(harness, "_prepare_trial", lambda *a: pytest.fail("a trial ran"))
+        (key, value), = overrides.items()
+        path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
+        with pytest.raises(ConfigError, match=f"^scenario key '{path}' must be"):
+            run_suite({"seed": 1, "trials": [{"scenario": {"horizon_s": 1.0}},
+                                             {"scenario": overrides}]})
+
     def test_suite_checks_every_scenario_before_running(self, monkeypatch):
         import bitesim.harness as harness
-        monkeypatch.setattr(harness, "run_trial", lambda *a: pytest.fail("a trial ran"))
+        monkeypatch.setattr(harness, "_prepare_trial", lambda *a: pytest.fail("a trial ran"))
         with pytest.raises(ConfigError, match="unknown scenario key 'horizn_s'"):
             run_suite({"seed": 1, "trials": [{"method": "ours"},
                                              {"scenario": {"horizn_s": 1.0}}]})
+
+
+class TestScanOffsets:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """An empty offsets cache, and the list of foods scanned since."""
+        monkeypatch.setattr(harness, "_SCAN_OFFSETS", {})
+        scanned = []
+        scan = harness.synth_depth_scan
+
+        def counted(food, *args, **kwargs):
+            scanned.append(food.name)
+            return scan(food, *args, **kwargs)
+        monkeypatch.setattr(harness, "synth_depth_scan", counted)
+        return scanned
+
+    def test_each_food_and_resolution_scanned_once(self, scans):
+        foods = load_food_presets()
+        for _ in range(2):
+            for food in ("carrot", "tofu"):
+                for resolution in (0.5, 1.0):
+                    harness._prepare_trial(Scenario.from_dict({
+                        "food": food, "scan": {"resolution_mm": resolution},
+                        "seed": len(scans), "joint_log_stride": 0}))
+        assert sorted(scans) == ["carrot", "carrot", "tofu", "tofu"]
+        for (food, resolution), offsets in harness._SCAN_OFFSETS.items():
+            cloud = synth_depth_scan(foods[food], Pose(), resolution=resolution)
+            assert offsets == compute_offsets(food_bounding_box(cloud))
+
+    def test_noisy_scans_are_taken_per_trial(self, scans):
+        plans = [harness._prepare_trial(Scenario.from_dict({
+            "food": "tofu", "scan": {"resolution_mm": 0.5, "noise_mm": 0.2}, "seed": seed,
+            "joint_log_stride": 0})).fsm.plan for seed in (1, 2, 1)]
+        assert scans == ["tofu"] * 3 and not harness._SCAN_OFFSETS
+        assert not np.array_equal(plans[0].positions, plans[1].positions)
+        np.testing.assert_array_equal(plans[0].positions, plans[2].positions)
 
 
 class TestIntegralCap:

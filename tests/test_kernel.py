@@ -14,13 +14,15 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bitesim.geometry import (Pose, quat_from_axis_angle, quat_mul, quat_normalize,
-                              quat_normalize_rows, row_dots, slerp, slerp_rows)
+from bitesim.geometry import (Pose, quat_conj, quat_from_axis_angle, quat_mul, quat_normalize,
+                              quat_normalize_rows, quat_to_rotvec, quat_to_rotvec_rows,
+                              row_dots, slerp, slerp_rows)
+from bitesim.controller import Wrench
 from bitesim.harness import (Scenario, TickLog, VirtualRobotState, _finish_trial,
-                             _log_joints, _prepare_trial, _tick_kernel, run_trial,
-                             simulate_tick)
+                             _log_joints, _prepare_trial, _setpoint_table, _tick_kernel,
+                             run_trial, simulate_tick)
 from bitesim.presets import GAIN_PRESETS
-from bitesim.transfer import TrajectoryPlan, interpolate, phase_segments
+from bitesim.transfer import TrajectoryPlan, TransferPhase, interpolate, phase_segments, step
 
 FOODS = ("carrot", "strawberry", "blueberry", "pineapple",
          "cherry_tomato", "broccoli", "cheesecake", "tofu")
@@ -191,6 +193,68 @@ def test_turning_plan_equals_reference_loop():
     assert_same_trial(report, expected)
 
 
+def test_setpoint_tables_equal_step_on_the_turning_plan():
+    # the tables against transfer.step (which calls transfer.interpolate)
+    # tick by tick, and against simulate_tick's feed-forward velocity, on
+    # a plan that turns the fork over the arc in slerp's far branch
+    # (waypoint orientations 9 degrees apart); no force, so the bite
+    # wait ends by its timeout and the exit table starts at that tick
+    setup = _prepare_trial(Scenario.from_dict({
+        "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 0.5,
+                     "scan_s": 0.05, "face_detect_s": 0.0},
+        "horizon_s": 3.0, "bite_timeout_s": 0.25, "joint_log_stride": 0}))
+    nominal = setup.fsm.plan
+    arc_end = phase_segments(nominal)[0].t_end
+    pre = interpolate(nominal, arc_end).orientation
+    times = np.linspace(0.0, 2.0, 21)
+    poses = [Pose(interpolate(nominal, t).position,
+                  quat_mul(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]),
+                                                np.pi / 2 * max(0.0, 1.0 - t / arc_end)), pre))
+             for t in times]
+    plan = TrajectoryPlan(times, [p.position for p in poses], [p.orientation for p in poses],
+                          nominal.segments)
+    fsm = replace(setup.fsm, plan=plan)
+    dt, n = 0.001, setup.n_ticks
+
+    state, setpoints, phases, transitions = fsm, [], [], {}
+    for i in range(n):
+        state, sp, events = step(state, Wrench.zero(), i * dt, dt)
+        setpoints.append(np.concatenate([sp.position, sp.orientation]))
+        phases.append(int(state.phase))
+        if events:
+            transitions[i] = [(TransferPhase[ev["phase_from"]], TransferPhase[ev["phase_to"]])
+                              for ev in events]
+    exit_tick = phases.index(TransferPhase.EXIT)
+    assert transitions[exit_tick] == [(TransferPhase.BITE_WAIT, TransferPhase.EXIT)]
+    assert phases[-1] == TransferPhase.DONE
+
+    first = _setpoint_table(fsm, 0, n, TransferPhase.SCAN, 0.0)
+    then = _setpoint_table(fsm, exit_tick + 1, n, TransferPhase.EXIT, exit_tick * dt,
+                           first.setpoints[exit_tick])
+    cut = exit_tick + 1
+    assert first.phases[:exit_tick] == phases[:exit_tick]
+    assert first.phases[exit_tick] == TransferPhase.BITE_WAIT
+    assert then.phases == phases[cut:]
+    table_setpoints = np.vstack([first.setpoints[:cut], then.setpoints])
+    assert table_setpoints.tobytes() == np.array(setpoints).tobytes()
+    table_transitions = {i: [(a, b) for a, b, _ in ts]
+                         for i, ts in {**first.transitions, **then.transitions}.items()}
+    assert table_transitions == {i: ts for i, ts in transitions.items() if i != exit_tick}
+    assert first.wait_start == state.wait_started_at
+
+    # simulate_tick's v_des from consecutive setpoints
+    velocities = [np.zeros(6)]
+    for prev, sp in zip(setpoints, setpoints[1:]):
+        velocities.append(np.concatenate([
+            (sp[:3] - prev[:3]) / dt,
+            quat_to_rotvec(quat_mul(sp[3:], quat_conj(prev[3:]))) / dt]))
+    table_velocities = np.vstack([first.velocities[:cut], then.velocities])
+    assert table_velocities.tobytes() == np.array(velocities).tobytes()
+    assert np.abs(table_velocities[:, 3:]).max() > 1.0  # the fork does turn
+    q = plan.orientations
+    assert (np.abs(np.sum(q[1:] * q[:-1], axis=1)) <= 0.9995).any()  # slerp's far branch
+
+
 def _numpy_and_blas() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')} "
@@ -223,10 +287,12 @@ def test_blas_forms_the_kernel_relies_on():
 
 
 def test_stacked_forms_the_plans_rely_on():
-    """Plans are built on arrays but keep the bits of the one-waypoint-at-a-
-    time build: row_dots, quat_normalize_rows and slerp_rows must round as
-    np.dot, quat_normalize and slerp do on each row (the stacked matmul
-    makes the same BLAS dot call), and numpy's cos, sin and arccos must
+    """Plans and the kernel's setpoint tables are built on arrays but keep
+    the bits of the one-waypoint- and one-tick-at-a-time forms: row_dots,
+    quat_normalize_rows, slerp_rows, quat_mul on stacked columns and
+    quat_to_rotvec_rows must round as np.dot, quat_normalize, slerp,
+    quat_mul and quat_to_rotvec do on each row (the stacked matmul makes
+    the same BLAS dot call), and numpy's cos, sin, arccos and arctan2 must
     give an array the values they give each of its elements."""
     rng = np.random.default_rng(2025)
     n = 4000
@@ -238,16 +304,27 @@ def test_stacked_forms_the_plans_rely_on():
     t = rng.uniform(0.0, 1.0, n)
     angles = rng.uniform(-7.0, 7.0, n)
     cosines = rng.uniform(-1.0, 1.0, n)
+    ys, xs = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-14.0, 1.0, (2, n))
+    v = a[:, 1:] * 10.0 ** rng.uniform(-14.0, 0.0, (n, 1))  # both rotvec branches
+    turns = np.column_stack([a[:, :1], v])
     mismatches = {
         "row_dots": int(np.sum(row_dots(a, b) != [np.dot(x, y) for x, y in zip(a, b)])),
+        "row_dots3": int(np.sum(row_dots(v, v) != [x.dot(x) for x in v])),
         "quat_normalize_rows": int(np.sum(
             quat_normalize_rows(a * 3.0) != [quat_normalize(x * 3.0) for x in a])),
         "slerp_rows": int(np.sum(
             slerp_rows(a, b, t) != [slerp(x, y, s) for x, y, s in zip(a, b, t)])),
+        "quat_mul": int(np.sum(quat_mul(a.T, quat_conj(b.T)).T
+                               != [quat_mul(x, quat_conj(y)) for x, y in zip(a, b)])),
+        "quat_to_rotvec_rows": int(np.sum(
+            quat_to_rotvec_rows(turns) != [quat_to_rotvec(x) for x in turns])),
         "cos": int(np.sum(np.cos(angles) != [np.cos(x) for x in angles])),
         "sin": int(np.sum(np.sin(angles) != [np.sin(x) for x in angles])),
         "arccos": int(np.sum(np.arccos(cosines) != [np.arccos(x) for x in cosines])),
+        "arctan2": int(np.sum(np.arctan2(ys, xs)
+                              != [np.arctan2(y, x) for y, x in zip(ys.tolist(), xs.tolist())])),
     }
     assert not any(mismatches.values()), (
         f"of {n} draws each, these stacked forms rounded differently: {mismatches}; "
-        f"plans built on arrays do not keep their golden bits on {_numpy_and_blas()}")
+        f"plans and setpoint tables built on arrays do not keep their golden bits on "
+        f"{_numpy_and_blas()}")

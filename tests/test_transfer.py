@@ -78,6 +78,13 @@ class TestEntrySegment:
         for p in seg.poses:
             np.testing.assert_array_equal(p.position, TARGET.position)
 
+    def test_zero_depth_lowers_evenly(self):
+        seg = entry_segment(TARGET, MOUTH, entry_depth=0.0, lowering=0.003, duration=2.0)
+        steps = np.diff(seg.positions, axis=0)
+        assert len(steps) == 200
+        np.testing.assert_allclose(steps, np.tile(-15e-6 * MOUTH.y_axis, (200, 1)), atol=1e-15)
+        np.testing.assert_array_equal(seg.positions[0], TARGET.position)
+
     def test_entry_portion_collinear(self):
         seg = entry_segment(TARGET, MOUTH, entry_depth=0.018, lowering=0.003,
                             duration=2.0)
