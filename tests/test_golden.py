@@ -5,7 +5,9 @@ batched; the tick, event, report and suite values were recorded before
 the 1 kHz tick loop became a flat kernel; the trajectory CSV value was
 recorded before the CSV writer formatted rows in chunks; the plan
 values were recorded while plans were still built one Pose per
-waypoint. A change that alters any of
+waypoint; the sample-row and mouth-frame values were recorded while
+the wrist study still built one Pose per sample and kinematics kept its
+own stacked rotation forms. A change that alters any of
 them changes the study or the trial log and has to be recorded, with
 its reason, in CHANGES.md.
 """
@@ -17,14 +19,24 @@ import numpy as np
 import pytest
 
 from bitesim import harness
-from bitesim.comfort import run_wrist_study
+from bitesim.comfort import run_wrist_study, sample_fork_poses
 from bitesim.harness import (Scenario, _prepare_trial, build_study_inputs,
-                             export_trajectory, run_suite, run_trial)
+                             export_trajectory, mouth_frame_from_position, run_suite,
+                             run_trial)
+from bitesim.presets import DEFAULT_MOUTH_POSITION
 
 STUDY_SAMPLES_SHA256 = "455ed03ac9dec2551a947634b9e7433e1890d0f45a0ecb9641b06c34cf225d0d"
 STUDY_DICT_SHA256 = "d6773a5f2e9b88bd653f32fc3c9a84262df0ac1ecd44f1eb7a485f2c87bcb274"
 NOMINAL_JOINTS_SHA256 = "36a638aa80223c8a1d622725b53d500b3c526726890dc6ae007c3dbd41f9f4e2"
 NOMINAL_CSV_SHA256 = "eee466a86000d8747ba9d59febe6391faec10f663091b6f8ec53f420c3dbdc87"
+# [x, y, z, qw, qx, qy, qz] of each of the default study's 10,000 samples
+SAMPLE_ROWS_SHA256 = "43d5bacb280d417cc5179746c6c2ebf22ea0e588941e81e3bfdf4a57d228b644"
+# position and orientation of the default mouth, facing the base or turned
+MOUTH_FACINGS = {"base": None, "turned": [-1.0, 0.3, 0.0]}
+MOUTH_FRAME_SHA256 = {
+    "base": "d7a1b819232916e8fd31abf90ea3a5f6ca4f9175960ddaa1ef46d9067b3f4a69",
+    "turned": "6c5cc7ba3989954374704e3601a692de765b8fd4a972ff7ff1e51018884dc2be",
+}
 
 # the report keys the digest covers; keys added later are left out
 STUDY_DICT_KEYS = (
@@ -298,3 +310,17 @@ def test_plan_waypoint_digest(mode, mouth):
     setup = _prepare_trial(Scenario.from_dict({**PLAN_MOUTHS[mouth], "transfer_mode": mode,
                                                "joint_log_stride": 0}))
     assert plan_digest(setup.fsm.plan) == PLAN_SHA256[mode, mouth]
+
+
+def test_study_sample_rows_digest():
+    poses = sample_fork_poses(build_study_inputs()[2])
+    rows = np.array([np.concatenate([p.position, p.orientation]) for p in poses])
+    assert rows.shape == (10000, 7)
+    assert sha256(rows.tobytes()) == SAMPLE_ROWS_SHA256
+
+
+@pytest.mark.parametrize("facing", sorted(MOUTH_FACINGS))
+def test_mouth_frame_digest(facing):
+    frame = mouth_frame_from_position(DEFAULT_MOUTH_POSITION, MOUTH_FACINGS[facing])
+    assert sha256(frame.position.tobytes() + frame.orientation.tobytes()) == \
+        MOUTH_FRAME_SHA256[facing]
