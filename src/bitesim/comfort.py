@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, quat_from_axis_angle, quat_mul
+from .geometry import Pose, quat_mul, quat_normalize_rows, quat_rotate
 from .kinematics import (ChainModel, IkBatchResult, IkParams,
                          ik_damped_least_squares_batch, joint_displacement, link_points)
 
@@ -58,21 +58,30 @@ class PoseDistribution:
         return cls(center, t, r, count, seed)
 
 
-def sample_fork_poses(dist: PoseDistribution) -> list[Pose]:
-    """Deterministic uniform pose samples, exactly dist.count of them."""
+def _sample_rows(dist: PoseDistribution) -> np.ndarray:
+    """The samples as read-only rows [x, y, z, qw, qx, qy, qz], (count, 7),
+    from one numpy pass in which quat_mul and quat_rotate work column by
+    column: each row has the bits a lone Pose of its sample would have."""
     rng = np.random.default_rng(dist.seed)
     tb = dist.translation_bounds
     rb = dist.rotation_bounds
     offsets = rng.uniform(tb[:, 0], tb[:, 1], size=(dist.count, 3))
     angles = rng.uniform(rb[:, 0], rb[:, 1], size=(dist.count, 3))
-    axes = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
-    poses = []
-    for off, ang in zip(offsets, angles):
-        q = dist.center.orientation
-        for axis, a in zip(axes, ang):
-            q = quat_mul(q, quat_from_axis_angle(axis, a))
-        poses.append(Pose(dist.center.transform_point(off), q))
-    return poses
+    q = dist.center.orientation
+    for axis, half in zip(np.eye(3), 0.5 * angles.T):
+        # quat_from_axis_angle(axis, angle) for every angle at once
+        q = quat_mul(q, np.vstack([np.cos(half), np.sin(half) * axis[:, None]]))
+    rows = np.column_stack([
+        dist.center.position + quat_rotate(dist.center.orientation, offsets.T).T,
+        quat_normalize_rows(q.T)])
+    rows.setflags(write=False)
+    return rows
+
+
+def sample_fork_poses(dist: PoseDistribution) -> list[Pose]:
+    """Deterministic uniform pose samples, exactly dist.count of them:
+    read-only views of the rows run_wrist_study solves."""
+    return [Pose.unchecked(row[:3], row[3:]) for row in _sample_rows(dist)]
 
 
 @dataclass(frozen=True)
@@ -235,10 +244,10 @@ def run_wrist_study(chain_with: ChainModel, chain_without: ChainModel,
     home_with = np.concatenate([
         home_without, chain_with.home[chain_without.dof:]])
 
-    poses = sample_fork_poses(dist)
-    n = len(poses)
-    rw = ik_damped_least_squares_batch(chain_with, poses, home_with, ik_params)
-    rwo = ik_damped_least_squares_batch(chain_without, poses, home_without, ik_params)
+    rows = _sample_rows(dist)
+    n = len(rows)
+    rw = ik_damped_least_squares_batch(chain_with, rows, home_with, ik_params)
+    rwo = ik_damped_least_squares_batch(chain_without, rows, home_without, ik_params)
     conv_w, conv_wo = rw.converged, rwo.converged
     per_joint_w, disp_w = _arm_displacement(rw, home_with)
     per_joint_wo, disp_wo = _arm_displacement(rwo, home_without)
@@ -258,8 +267,7 @@ def run_wrist_study(chain_with: ChainModel, chain_without: ChainModel,
 
     samples = np.column_stack([
         np.arange(n),
-        np.array([p.position for p in poses]),
-        np.array([p.orientation for p in poses]),
+        rows,
         conv_w.astype(float), conv_wo.astype(float),
         disp_w, disp_wo, cost_w, cost_wo,
     ])

@@ -37,7 +37,8 @@ def quat_normalize_rows(q: np.ndarray) -> np.ndarray:
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a*b, both (w, x, y, z)."""
+    """Hamilton product a*b, both (w, x, y, z) or stacks (4, n) taken
+    column by column, each column with the bits of a lone product."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     return np.array([
@@ -60,7 +61,8 @@ def _cross3(a, b) -> np.ndarray:
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector v by unit quaternion q."""
+    """Rotate vector v, or each column of a stack (3, n) to the bit, by
+    unit quaternion q."""
     w = q[0]
     u = q[1:]
     # v' = v + 2w (u x v) + 2 u x (u x v)
@@ -69,6 +71,7 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix of q, or (3, 3, n) of a stack (4, n), to the bit."""
     w, x, y, z = q
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -113,15 +116,61 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
 
 
 def quat_to_rotvec_rows(q: np.ndarray) -> np.ndarray:
-    """quat_to_rotvec on each row of q (n, 4), to the bit."""
+    """quat_to_rotvec on each row of q (n, 4), to the bit; q is left as it is."""
     q = np.asarray(q, dtype=float)
-    q = np.where((q[:, 0] < 0.0)[:, None], -q, q)
-    v = np.ascontiguousarray(q[:, 1:])
+    flip = q[:, 0] < 0.0
+    if np.count_nonzero(flip):
+        q = np.where(flip[:, None], -q, q)
+    v = q[:, 1:]
     s = np.sqrt(row_dots(v, v))
-    scale = np.full(len(q), 2.0)  # the small-angle limit
-    big = ~(s < 1e-12)
-    scale[big] = 2.0 * np.arctan2(s[big], q[big, 0]) / s[big]
-    return scale[:, None] * v
+    angle = 2.0 * np.arctan2(s, q[:, 0])
+    small = s < 1e-12
+    if not np.count_nonzero(small):
+        return (angle / s)[:, None] * v
+    # small-angle limit
+    return np.where(small[:, None], 2.0 * v, (angle / np.where(small, 1.0, s))[:, None] * v)
+
+
+# Shepperd's branches, one row per branch: 0 for a positive trace, else
+# 1 + the index of the largest diagonal entry. A row names, for each
+# quaternion slot, the column of the term table built in
+# mat_to_quat_rows that fills it; column 6 holds s / 4.
+_SHEPPERD_SLOTS = np.array([[6, 0, 1, 2], [0, 6, 3, 4], [1, 3, 6, 5], [2, 4, 5, 6]])
+# signs of (r00, r11, r22) under the square root, by largest diagonal entry
+_SHEPPERD_SIGNS = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+# the six off-diagonal terms as flat indices into a row-major 3x3:
+# r21 - r12, r02 - r20, r10 - r01, r01 + r10, r02 + r20, r12 + r21
+_TERM_A = np.array([7, 2, 3, 1, 2, 5])
+_TERM_B = np.array([5, 6, 1, 3, 6, 7])
+_TERM_SIGN = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+
+
+def mat_to_quat_rows(r: np.ndarray) -> np.ndarray:
+    """Rotation matrices (n, 3, 3) to (w, x, y, z) rows (n, 4), Shepperd's
+    branch selection per row, rounding exactly as the branch-by-branch
+    scalar form does: x - y is taken as x + (-1 * y), which rounds the
+    same, and sums run left to right."""
+    b = r.shape[0]
+    rf = r.reshape(b, 9)
+    d = rf[:, ::4]
+    t = d[:, 0] + d[:, 1] + d[:, 2]
+    positive = t > 0.0
+    all_positive = np.count_nonzero(positive) == b
+    arg = t + 1.0
+    if not all_positive:
+        i = d.argmax(axis=1)
+        sd = _SHEPPERD_SIGNS[i] * d
+        np.copyto(arg, 1.0 + sd[:, 0] + sd[:, 1] + sd[:, 2], where=~positive)
+    s = np.sqrt(arg)
+    s *= 2.0
+    terms = np.empty((b, 7))
+    np.divide(rf[:, _TERM_A] + _TERM_SIGN * rf[:, _TERM_B], s[:, None], out=terms[:, :6])
+    np.multiply(s, 0.25, out=terms[:, 6])
+    if all_positive:
+        return terms[:, _SHEPPERD_SLOTS[0]]
+    i += 1
+    i *= ~positive
+    return terms.take(_SHEPPERD_SLOTS[i] + 7 * np.arange(b)[:, None])
 
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:

@@ -26,14 +26,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import (Pose, pose_error, quat_conj, quat_from_rotvec, quat_mul,
-                       quat_normalize, quat_rotate, quat_to_matrix, quat_to_rotvec,
+from .geometry import (Pose, mat_to_quat_rows, pose_error, quat_conj, quat_from_rotvec,
+                       quat_mul, quat_normalize, quat_rotate, quat_to_matrix, quat_to_rotvec,
                        quat_to_rotvec_rows)
-from .kinematics import (ChainModel, IkParams, bundled_chain, ik_damped_least_squares,
-                         load_chain, _mat_to_quat)
+from .kinematics import (BUNDLED_CHAINS, ChainModel, IkParams, bundled_chain,
+                         ik_damped_least_squares, load_chain)
 from .controller import (ControllerState, ImpedanceParams, ReactivityGains, SafetyLatch,
                          SensorFault, TICK_PERIOD, Wrench, desired_wrench, phase_gains,
-                         reactive_term, safety_check)
+                         reactive_term)
 from .transfer import (BiteDetector, FsmState, TransferPhase, EXIT_SIDE_PHASES,
                        build_fixed_pose_plan, build_transfer_plan, interpolate_rows,
                        phase_segments, step)
@@ -76,7 +76,7 @@ def mouth_frame_from_position(position, facing=None) -> Pose:
     z /= n
     y = np.array([0.0, 0.0, 1.0])
     x = np.cross(y, z)
-    return Pose(p, _mat_to_quat(np.column_stack([x, y, z])))
+    return Pose(p, mat_to_quat_rows(np.column_stack([x, y, z])[None])[0])
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -124,11 +124,22 @@ _TRACE = _Rule("a non-empty list of rows of 6 numbers", lambda v: isinstance(
 # the study's home matches the without-wrist chain, which may be any chain
 _HOME = _Rule("a list of numbers", _numbers)
 
+
+def _one_of(choices) -> _Rule:
+    """The rule of a string that must be one of choices."""
+    return _Rule(f"one of {sorted(choices)}", lambda v: isinstance(v, str) and v in choices)
+
+
 # the ranges of scenario values, by key path, checked once the preset and
-# the overrides are merged; NaN and infinities fail every one
+# the overrides are merged; NaN and infinities fail every numeric one
 _POSITIVE = _Rule("finite and > 0", lambda v: 0 < v < math.inf)
 _NON_NEGATIVE = _Rule("finite and >= 0", lambda v: 0 <= v < math.inf)
 _SCENARIO_RANGES = {
+    "food": _Rule("the name of a bundled food", lambda v: v in load_food_presets()),
+    "transfer_mode": _one_of(("in_mouth", "fixed_pose")),
+    "safety_mode": _one_of(("component", "norm")),
+    "chain": _Rule(f"a .json path or one of {sorted(BUNDLED_CHAINS)}",
+                   lambda v: isinstance(v, str) and (v.endswith(".json") or v in BUNDLED_CHAINS)),
     "horizon_s": _NON_NEGATIVE,
     "joint_log_stride": _NON_NEGATIVE,
     "lowpass_cutoff_hz": _NON_NEGATIVE,  # 0 turns the filter off
@@ -188,9 +199,7 @@ def _scenario_keys(cfg: dict) -> dict:
     for key, kinds in (("disturbance", DISTURBANCE_PARAMS),
                        ("head_perturbation", HEAD_MOTION_PARAMS)):
         kind = cfg[key].get("kind") if isinstance(cfg[key], dict) else None
-        kind_rule = _Rule(f"one of {sorted(kinds)}",
-                          lambda v, kinds=kinds: isinstance(v, str) and v in kinds)
-        known[key] = {"kind": kind_rule, **kinds.get(str(kind), {})}
+        known[key] = {"kind": _one_of(kinds), **kinds.get(str(kind), {})}
     return known
 
 
@@ -217,6 +226,10 @@ class Scenario:
                 value = value[key]
             if not rule.ok(value):
                 raise ConfigError(f"scenario key {path!r} must be {rule.wanted}, got {value!r}")
+        cap = cfg["integral_cap_n"]
+        if not 0 < cap < math.inf:  # in the words of ControllerState's own check
+            raise ConfigError(f"scenario key 'integral_cap_n': integral cap must be finite "
+                              f"and > 0, got {cap!r}")
         if cfg["disturbance"]["kind"] == "array" and "trace" not in cfg["disturbance"]:
             raise ConfigError("scenario key 'disturbance.trace' must be set for kind 'array'")
         head = cfg["head_perturbation"]
@@ -529,7 +542,6 @@ class TrialSetup:
     ctrl: ControllerState
     robot: VirtualRobotState
     n_ticks: int
-    chain: ChainModel | None
     mouth_error_mm: np.ndarray
 
 
@@ -547,13 +559,8 @@ def _prepare_trial(scenario: Scenario) -> TrialSetup:
     dt = TICK_PERIOD
     seed = int(cfg["seed"])
 
-    foods = load_food_presets()
     food_name = cfg["food"]
-    if food_name not in foods:
-        raise ConfigError(f"unknown food preset {food_name!r}")
-    food = foods[food_name]
-
-    chain = _resolve_chain(cfg["chain"]) if cfg["joint_log_stride"] else None
+    food = load_food_presets()[food_name]
 
     mcfg = cfg["mouth"]
     true_mouth_frame = mouth_frame_from_position(mcfg["center_position"],
@@ -602,14 +609,12 @@ def _prepare_trial(scenario: Scenario) -> TrialSetup:
             entry_depth=entry_depth, lowering=float(cfg["lowering_m"]),
         )
         retract_s = float(seg["retract_s"])
-    elif mode == "fixed_pose":
+    else:  # fixed_pose
         plan = build_fixed_pose_plan(
             perceived_mouth, pre_mouth, arc_duration=arc_s, dwell_duration=entry_s,
             return_duration=exit_s, radius=radius, start_angle=start_angle,
         )
         retract_s = 0.0
-    else:
-        raise ConfigError(f"unknown transfer mode {mode!r}")
 
     detector = BiteDetector(
         threshold=float(cfg["bite_threshold_n"]),
@@ -665,12 +670,8 @@ def _prepare_trial(scenario: Scenario) -> TrialSetup:
     )
 
     robot = VirtualRobotState(plan.start_pose, np.zeros(6), mass)
-    try:
-        ctrl = ControllerState(gains=world.gains_entry,
-                               integral_cap=float(cfg["integral_cap_n"]))
-    except ValueError as e:
-        raise ConfigError(f"scenario key 'integral_cap_n': {e}") from e
-    return TrialSetup(cfg, world, fsm, ctrl, robot, n_ticks, chain, err_mm)
+    ctrl = ControllerState(gains=world.gains_entry, integral_cap=float(cfg["integral_cap_n"]))
+    return TrialSetup(cfg, world, fsm, ctrl, robot, n_ticks, err_mm)
 
 
 # column layout of the kernel's per-tick record rows: t, position,
@@ -794,7 +795,6 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
     ik_stride = int(setup.cfg["joint_log_stride"])
     dt = TICK_PERIOD
     safety = world.safety
-    safety_check(Wrench.zero(), safety.limit, safety.mode)  # a bad limit or mode raises
     tripped = False
     norm_mode = safety.mode == "norm"
     limit = safety.limit
@@ -1106,8 +1106,6 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
 def _log_joints(log: TickLog, ik_targets: list[tuple[int, Pose]], chain: ChainModel) -> None:
     """Joint configurations at the logged ticks, each IK solve warm-started
     from the one before."""
-    if not ik_targets:
-        return
     q_guess = chain.home
     ik_params = IkParams(max_iter=60)
     rows = []
@@ -1174,9 +1172,12 @@ def _finish_trial(setup: TrialSetup, log: TickLog) -> TrialReport:
 
 def run_trial(scenario: Scenario) -> TrialReport:
     """Execute scan, targeting, and the full transfer FSM for one trial."""
+    # a chain file that cannot be read fails before the ticks run
+    chain = _resolve_chain(scenario["chain"]) if scenario["joint_log_stride"] else None
     setup = _prepare_trial(scenario)
     log, ik_targets = _tick_kernel(setup)
-    _log_joints(log, ik_targets, setup.chain)
+    if chain is not None:
+        _log_joints(log, ik_targets, chain)
     return _finish_trial(setup, log)
 
 

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .geometry import Pose, quat_to_matrix
+from .geometry import Pose, mat_to_quat_rows, quat_to_matrix, quat_to_rotvec_rows, row_dots
 
 __all__ = [
     "JointSpec",
@@ -33,6 +33,7 @@ __all__ = [
     "link_points",
     "load_chain",
     "bundled_chain",
+    "BUNDLED_CHAINS",
 ]
 
 
@@ -116,75 +117,6 @@ _EYE6 = np.eye(6)
 _ROLL1 = np.array([1, 2, 0])
 _ROLL2 = np.array([2, 0, 1])
 
-# Shepperd's branches, one row per branch: 0 for a positive trace, else
-# 1 + the index of the largest diagonal entry. A row names, for each
-# quaternion slot, the column of the term table built in
-# _mat_to_quat_batch that fills it; column 6 holds s / 4.
-_SHEPPERD_SLOTS = np.array([[6, 0, 1, 2], [0, 6, 3, 4], [1, 3, 6, 5], [2, 4, 5, 6]])
-# signs of (r00, r11, r22) under the square root, by largest diagonal entry
-_SHEPPERD_SIGNS = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
-# the six off-diagonal terms as flat indices into a row-major 3x3:
-# r21 - r12, r02 - r20, r10 - r01, r01 + r10, r02 + r20, r12 + r21
-_TERM_A = np.array([7, 2, 3, 1, 2, 5])
-_TERM_B = np.array([5, 6, 1, 3, 6, 7])
-_TERM_SIGN = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-
-
-def _mat_to_quat_batch(r: np.ndarray) -> np.ndarray:
-    """Rotation matrices (B,3,3) to (w, x, y, z) rows (B,4), Shepperd's
-    branch selection per row, rounding exactly as the branch-by-branch
-    scalar form does: x - y is taken as x + (-1 * y), which rounds the
-    same, and sums run left to right."""
-    b = r.shape[0]
-    rf = r.reshape(b, 9)
-    d = rf[:, ::4]
-    t = d[:, 0] + d[:, 1] + d[:, 2]
-    positive = t > 0.0
-    all_positive = np.count_nonzero(positive) == b
-    arg = t + 1.0
-    if not all_positive:
-        i = d.argmax(axis=1)
-        sd = _SHEPPERD_SIGNS[i] * d
-        np.copyto(arg, 1.0 + sd[:, 0] + sd[:, 1] + sd[:, 2], where=~positive)
-    s = np.sqrt(arg)
-    s *= 2.0
-    terms = np.empty((b, 7))
-    np.divide(rf[:, _TERM_A] + _TERM_SIGN * rf[:, _TERM_B], s[:, None], out=terms[:, :6])
-    np.multiply(s, 0.25, out=terms[:, 6])
-    if all_positive:
-        return terms[:, _SHEPPERD_SLOTS[0]]
-    i += 1
-    i *= ~positive
-    return terms.take(_SHEPPERD_SLOTS[i] + 7 * np.arange(b)[:, None])
-
-
-def _mat_to_quat(r: np.ndarray) -> np.ndarray:
-    """Rotation matrix to (w, x, y, z), Shepperd's branch selection."""
-    return _mat_to_quat_batch(np.asarray(r, dtype=float).reshape(1, 3, 3))[0]
-
-
-def _norms3(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the 3-vectors along v's last axis, bit for bit
-    the value np.linalg.norm gives each one alone. That call takes BLAS
-    ddot; norm(axis=-1) and einsum round differently in the last bit."""
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
-def _rotvec_batch(q: np.ndarray) -> np.ndarray:
-    """quat_to_rotvec of each row of q (B,4); flips signs in q."""
-    flip = q[:, 0] < 0.0
-    if np.count_nonzero(flip):
-        q[flip] = -q[flip]
-    v = q[:, 1:]
-    s = _norms3(v)
-    angle = 2.0 * np.arctan2(s, q[:, 0])
-    small = s < 1e-12
-    if not np.count_nonzero(small):
-        return (angle / s)[:, None] * v
-    # small-angle limit
-    return np.where(small[:, None], 2.0 * v, (angle / np.where(small, 1.0, s))[:, None] * v)
-
-
 def fk_frames_batch(chain: ChainModel, q) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                                    np.ndarray]:
     """Forward kinematics of a stack of configurations q (B, N).
@@ -233,7 +165,7 @@ def fk_frames(chain: ChainModel, q) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 def forward_kinematics(chain: ChainModel, q) -> Pose:
     """Fork-tip pose in the world frame (pure function of chain and q)."""
     _, _, tip_p, tip_r = fk_frames(chain, q)
-    return Pose(tip_p, _mat_to_quat(tip_r))
+    return Pose(tip_p, mat_to_quat_rows(tip_r[None])[0])
 
 
 def link_points(chain: ChainModel, q) -> np.ndarray:
@@ -263,18 +195,21 @@ def jacobian(chain: ChainModel, q) -> np.ndarray:
     return _jacobian(origins, axes, tip_p)
 
 
+# per-iterate error clip, keeps far targets from causing wild steps
+_MAX_LIN_STEP = 0.2
+_MAX_ANG_STEP = 0.5
+# the seed of the one re-seed stream every solve replays
+_RESTART_SEED = 0x5EED
+
+
 @dataclass(frozen=True)
 class IkParams:
     damping: float = 0.02
     pos_tol: float = 1e-3
     rot_tol: float = 1e-2
     max_iter: int = 200
-    # per-iterate error clip, keeps far targets from causing wild steps
-    max_lin_step: float = 0.2
-    max_ang_step: float = 0.5
     # iterations without relative improvement before a seeded re-seed
     stall_window: int = 10
-    restart_seed: int = 0x5EED
 
     def __post_init__(self):
         if self.damping <= 0:
@@ -313,14 +248,14 @@ class IkBatchResult:
 
 
 @functools.lru_cache(maxsize=16)
-def _restart_draws(seed: int, dof: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _restart_draws(dof: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The first `count` re-seed draws of the restart stream.
 
     Restart k (1-based) takes the uniforms in row k-1 and, on odd k, the
     base-yaw jitter yaw[k-1] (NaN on even k). Every solve replays the
     same stream, so one table serves every row of every batch.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RESTART_SEED)
     uniforms = np.empty((count, dof))
     yaw = np.full(count, np.nan)
     for k in range(count):
@@ -343,27 +278,30 @@ def _tip_error(target_p: np.ndarray, target_r: np.ndarray, tip_p: np.ndarray,
     """Position error and rotation vector to the targets, (B, 6)."""
     e = np.empty((tip_p.shape[0], 6))
     np.subtract(target_p, tip_p, out=e[:, :3])
-    e[:, 3:] = _rotvec_batch(_mat_to_quat_batch(target_r @ tip_r.swapaxes(1, 2)))
+    e[:, 3:] = quat_to_rotvec_rows(mat_to_quat_rows(target_r @ tip_r.swapaxes(1, 2)))
     return e
 
 
 def ik_damped_least_squares_batch(chain: ChainModel, targets, seeds,
                                   params: IkParams = IkParams()) -> IkBatchResult:
-    """ik_damped_least_squares for a sequence of B target poses, in lock step.
+    """ik_damped_least_squares for B target poses, in lock step.
 
-    ``seeds`` is one configuration (N,) shared by every target, or one
-    per target (B, N). All rows advance through the same iterations as
-    one array program: per iteration one stacked FK, Jacobian and linear
-    solve, with per-row masks for convergence, stall restarts and pinned
-    joints. A row leaves the stack when it converges and sits out the
-    step of an iteration in which it restarts. Each row gets exactly the
-    bits a lone solve of it gets.
+    ``targets`` holds one pose per row, (B, 7) as [x, y, z, qw, qx, qy,
+    qz] with a unit quaternion. ``seeds`` is one configuration (N,)
+    shared by every target, or one per target (B, N). All rows advance
+    through the same iterations as one array program: per iteration one
+    stacked FK, Jacobian and linear solve, with per-row masks for
+    convergence, stall restarts and pinned joints. A row leaves the stack
+    when it converges and sits out the step of an iteration in which it
+    restarts. Each row gets exactly the bits a lone solve of it gets.
     """
     n = chain.dof
-    b = len(targets)
-    target_p = np.array([t.position for t in targets], dtype=float).reshape(b, 3)
-    target_r = np.array([quat_to_matrix(t.orientation) for t in targets],
-                        dtype=float).reshape(b, 3, 3)
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2 or targets.shape[1] != 7:
+        raise ValueError(f"targets of shape {targets.shape} are not rows of 7")
+    b = targets.shape[0]
+    target_p = np.ascontiguousarray(targets[:, :3])
+    target_r = np.ascontiguousarray(quat_to_matrix(targets[:, 3:].T).transpose(2, 0, 1))
     seeds = np.asarray(seeds, dtype=float)
     if seeds.ndim not in (1, 2) or seeds.shape[-1] != n:
         raise ValueError(f"seeds of shape {seeds.shape} do not match chain DOF {n}")
@@ -381,8 +319,7 @@ def ik_damped_least_squares_batch(chain: ChainModel, targets, seeds,
     near_lower = lower + 1e-9
     near_upper = upper - 1e-9
     # restarts come at least max(stall_window, 1) iterations apart
-    uniforms, yaw = _restart_draws(params.restart_seed, n,
-                                   params.max_iter // max(params.stall_window, 1) + 1)
+    uniforms, yaw = _restart_draws(n, params.max_iter // max(params.stall_window, 1) + 1)
 
     # state of the rows still iterating; idx maps them to output rows
     idx = np.arange(b)
@@ -397,7 +334,8 @@ def ik_damped_least_squares_batch(chain: ChainModel, targets, seeds,
     for it in range(params.max_iter + 1 if b else 0):  # an empty stack has no work
         origins, axes, tip_p, tip_r = fk_frames_batch(chain, q)
         err = _tip_error(target_p, target_r, tip_p, tip_r)
-        pos_n, rot_n = _norms3(err.reshape(-1, 2, 3)).T
+        e3 = err.reshape(-1, 3)
+        pos_n, rot_n = np.sqrt(row_dots(e3, e3)).reshape(-1, 2).T
         done = (pos_n <= params.pos_tol) & (rot_n <= params.rot_tol)
         n_done = np.count_nonzero(done)
         if n_done:
@@ -456,12 +394,12 @@ def ik_damped_least_squares_batch(chain: ChainModel, targets, seeds,
             go = None
             q_go, step = q, err
 
-        far = pos_n > params.max_lin_step
+        far = pos_n > _MAX_LIN_STEP
         if np.count_nonzero(far):
-            step[far, :3] *= (params.max_lin_step / pos_n[far])[:, None]
-        far = rot_n > params.max_ang_step
+            step[far, :3] *= (_MAX_LIN_STEP / pos_n[far])[:, None]
+        far = rot_n > _MAX_ANG_STEP
         if np.count_nonzero(far):
-            step[far, 3:] *= (params.max_ang_step / rot_n[far])[:, None]
+            step[far, 3:] *= (_MAX_ANG_STEP / rot_n[far])[:, None]
 
         jac = _jacobian(origins, axes, tip_p)
         dq = _dls_step(jac, step, damping)
@@ -496,13 +434,13 @@ def ik_damped_least_squares(chain: ChainModel, target: Pose, seed,
     This is the B = 1 case of ik_damped_least_squares_batch, which runs
     a stack of targets in lock step and gives each the bits of its lone
     solve. Every solve draws its re-seeds from one shared stream,
-    ``default_rng(params.restart_seed)``: restart k takes ``random(N)``
+    ``default_rng(0x5EED)``: restart k takes ``random(N)``
     and then, on odd k, ``normal(0, 0.3)`` for the base yaw. Restart k
     thus draws the same numbers in every solve, and one cached table of
     them serves a whole batch.
     """
-    return ik_damped_least_squares_batch(chain, (target,), chain.check_config(seed),
-                                         params)[0]
+    row = np.concatenate([target.position, target.orientation])[None]
+    return ik_damped_least_squares_batch(chain, row, chain.check_config(seed), params)[0]
 
 
 def joint_displacement(q_a, q_b):
@@ -550,12 +488,13 @@ def load_chain(path) -> ChainModel:
         return chain_from_dict(json.load(f))
 
 
-def bundled_chain(name: str) -> ChainModel:
-    """Load one of the packaged chain definitions by name.
+# the packaged chains: the tool on the stock mount, and behind the 2-DOF
+# scoop/twirl wrist
+BUNDLED_CHAINS = ("panda_7dof", "panda_wrist_9dof")
 
-    Names: ``panda_7dof`` (tool on the stock mount) and ``panda_wrist_9dof``
-    (tool behind the 2-DOF scoop/twirl wrist).
-    """
+
+def bundled_chain(name: str) -> ChainModel:
+    """Load one of the packaged chain definitions (BUNDLED_CHAINS) by name."""
     ref = resources.files("bitesim.data").joinpath(f"{name}.json")
     with ref.open("r", encoding="utf-8") as f:
         return chain_from_dict(json.load(f))

@@ -71,7 +71,9 @@ class TestTrialCommand:
         {"head_perturbation": {"amplitude": 0.5, "kind": "sinusoid"}},
         {"lowpass_cutoff_hz": -5}, {"arc_radius_m": 0}, {"bite_threshold_n": -1},
         {"bite_timeout_s": -1}, {"mouth": {"aperture_m": -0.1}},
-        {"scan": {"resolution_mm": 0}}, {"entry_depth_m": 0}, {"segments": {"entry_s": 0}}])
+        {"scan": {"resolution_mm": 0}}, {"entry_depth_m": 0}, {"segments": {"entry_s": 0}},
+        {"food": "pizza"}, {"transfer_mode": "teleport"}, {"safety_mode": "nrom"},
+        {"chain": "nochain"}])
     def test_bad_value_exit_code(self, tmp_path, capsys, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key

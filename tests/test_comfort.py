@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitesim.comfort import (ComfortParams, PoseDistribution, StudyInvalidError,
                              comfort_cost, run_wrist_study, sample_fork_poses)
-from bitesim.geometry import Pose
+from bitesim.geometry import Pose, quat_from_axis_angle, quat_mul
 from bitesim.harness import ConfigError, build_study_inputs
 from bitesim.kinematics import (ChainModel, IkParams, JointSpec,
                                 ik_damped_least_squares, joint_displacement)
@@ -49,6 +51,47 @@ class TestSampleForkPoses:
     def test_count_positive(self):
         with pytest.raises(ValueError):
             PoseDistribution(Pose(), np.zeros((3, 2)), np.zeros((3, 2)), count=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(position=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           orientation=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+               lambda q: np.linalg.norm(q) > 0.1),
+           translation=st.lists(st.tuples(st.floats(-0.2, 0.2), st.sampled_from(
+               [0.0, 0.01, 0.2])), min_size=3, max_size=3),
+           rotation=st.lists(st.tuples(st.floats(-np.pi, np.pi), st.sampled_from(
+               [0.0, 1e-9, 0.5, np.pi])), min_size=3, max_size=3),
+           count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_equal_to_per_pose_loop(self, position, orientation, translation, rotation,
+                                    count, seed):
+        # (lo, width) pairs, zero widths included
+        tb = [[lo, lo + width] for lo, width in translation]
+        rb = [[lo, lo + width] for lo, width in rotation]
+        dist = PoseDistribution(Pose(np.array(position), np.array(orientation)), tb, rb,
+                                count=count, seed=seed)
+        got = sample_fork_poses(dist)
+        want = per_pose_samples(dist)
+        assert len(got) == len(want) == count
+        for g, w in zip(got, want):
+            assert g.position.tobytes() == w.position.tobytes()
+            assert g.orientation.tobytes() == w.orientation.tobytes()
+
+
+def per_pose_samples(dist):
+    """sample_fork_poses as a loop that builds one Pose per sample: the
+    form the stacked sampler must match bit for bit."""
+    rng = np.random.default_rng(dist.seed)
+    tb = dist.translation_bounds
+    rb = dist.rotation_bounds
+    offsets = rng.uniform(tb[:, 0], tb[:, 1], size=(dist.count, 3))
+    angles = rng.uniform(rb[:, 0], rb[:, 1], size=(dist.count, 3))
+    axes = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
+    poses = []
+    for off, ang in zip(offsets, angles):
+        q = dist.center.orientation
+        for axis, a in zip(axes, ang):
+            q = quat_mul(q, quat_from_axis_angle(axis, a))
+        poses.append(Pose(dist.center.transform_point(off), q))
+    return poses
 
 
 def point_chain(point):
@@ -139,8 +182,13 @@ class TestRunWristStudy:
 
         # independent re-execution of the same ten samples
         home_w = np.concatenate([home, np.zeros(chain_with.dof - len(home))])
+        poses = sample_fork_poses(dist)
+        # the samples table holds the sampled poses, which are read-only
+        rows = np.array([np.concatenate([p.position, p.orientation]) for p in poses])
+        assert rep.samples[:, 1:8].tobytes() == rows.tobytes()
+        assert not any(a.flags.writeable for p in poses for a in (p.position, p.orientation))
         disp_w, disp_wo, cost_w, cost_wo = [], [], [], []
-        for pose in sample_fork_poses(dist):
+        for pose in poses:
             rw = ik_damped_least_squares(chain_with, pose, home_w, ik_params)
             rwo = ik_damped_least_squares(chain_without, pose, home, ik_params)
             if not (rw.converged and rwo.converged):

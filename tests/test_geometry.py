@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
-from bitesim.geometry import (Pose, interpolate_pose, pose_error, quat_angle_between,
-                              quat_canonical, quat_distance, quat_from_axis_angle,
-                              quat_from_rotvec, quat_mul, quat_normalize, quat_rotate,
-                              quat_to_matrix, quat_to_rotvec, slerp)
+from bitesim.geometry import (Pose, interpolate_pose, mat_to_quat_rows, pose_error,
+                              quat_angle_between, quat_canonical, quat_distance,
+                              quat_from_axis_angle, quat_from_rotvec, quat_mul, quat_normalize,
+                              quat_rotate, quat_to_matrix, quat_to_rotvec, quat_to_rotvec_rows,
+                              slerp)
 from conftest import random_pose
 
 
@@ -157,3 +161,65 @@ class TestInterpolatePose:
         mid = interpolate_pose(a, b, 0.5)
         np.testing.assert_allclose(mid.position, (a.position + b.position) / 2,
                                    atol=1e-12)
+
+
+UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def quat_rows(draw, n):
+    """n unit quaternions with w of either sign, some of them turns by a
+    small angle (a vector part scaled by 1e-7, 1e-13 or 0)."""
+    q = draw(arrays(np.float64, (n, 4), elements=UNIT))
+    scale = draw(arrays(np.float64, n, elements=st.sampled_from([1.0, 1e-7, 1e-13, 0.0])))
+    q[:, 1:] *= scale[:, None]
+    q[np.abs(q).max(axis=1) < 1e-3, 0] = -1.0  # keeps the norm clear of underflow
+    return np.array([x / np.linalg.norm(x) for x in q])
+
+
+def same_rows(stacked, lone):
+    """The stacked result carries, row for row, the bytes of the lone ones."""
+    assert stacked.tobytes() == np.array(lone).tobytes()
+
+
+class TestStackedForms:
+    """The stacked forms give each row the bits of its lone call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(quat_rows(n), quat_rows(n))))
+    def test_quat_mul(self, pair):
+        a, b = pair
+        same_rows(quat_mul(a.T, b.T).T, [quat_mul(x, y) for x, y in zip(a, b)])
+        same_rows(quat_mul(a[0], b.T).T, [quat_mul(a[0], y) for y in b])
+
+    @settings(max_examples=60, deadline=None)
+    @given(quat_rows(1), arrays(np.float64, (8, 3), elements=UNIT))
+    def test_quat_rotate(self, q, v):
+        same_rows(quat_rotate(q[0], v.T).T, [quat_rotate(q[0], x) for x in v])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(quat_rows))
+    def test_quat_to_matrix(self, q):
+        same_rows(quat_to_matrix(q.T).transpose(2, 0, 1),
+                  [quat_to_matrix(x) for x in q])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(quat_rows))
+    def test_mat_to_quat_rows(self, q):
+        # every Shepperd branch, mixed in one stack and alone
+        r = np.array([quat_to_matrix(x) for x in q])
+        same_rows(mat_to_quat_rows(r), [mat_to_quat_rows(m[None])[0] for m in r])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(quat_rows))
+    def test_quat_to_rotvec_rows(self, q):
+        before = q.copy()
+        same_rows(quat_to_rotvec_rows(q), [quat_to_rotvec(x) for x in q])
+        assert q.tobytes() == before.tobytes()  # the caller's rows keep their signs
+
+    def test_mat_to_quat_rows_inverts_quat_to_matrix(self):
+        rng = np.random.default_rng(5)
+        r = np.array([quat_to_matrix(random_quat(rng)) for _ in range(50)])
+        q = mat_to_quat_rows(r)
+        np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose([quat_to_matrix(x) for x in q], r, atol=1e-12)

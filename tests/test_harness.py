@@ -265,6 +265,9 @@ RANGE_ERRORS = [
     {"entry_depth_m": 0}, {"lowering_m": -0.5}, {"safety_limit_n": 0},
     {"segments": {"arc_s": -1}}, {"segments": {"entry_s": 0}}, {"bite": {"ramp_s": -1}},
     {"virtual_mass": [2.0, 2.0, 0.0, 0.02, 0.02, 0.02]}, {"bite_timeout_s": float("inf")}]
+# one value that is none of its key's choices
+CHOICE_ERRORS = [{"food": "pizza"}, {"transfer_mode": "teleport"}, {"safety_mode": "nrom"},
+                 {"chain": "nochain"}]
 
 
 class TestConfigKeys:
@@ -288,7 +291,7 @@ class TestConfigKeys:
         {"head_perturbation": {"amplitude": 0.5, "kind": "sinusoid"}},
         {"head_perturbation": {"amplitude": -0.001, "kind": "random-walk"}},
         {"head_perturbation": {"amplitude": float("nan"), "kind": "sinusoid"}},
-        *RANGE_ERRORS])
+        *RANGE_ERRORS, *CHOICE_ERRORS])
     def test_value_of_another_kind_or_out_of_range(self, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
@@ -392,7 +395,7 @@ class TestConfigKeys:
                 {"scenario": {"horizon_s": 1.0}},
                 {"scenario": {"head_perturbation": {"kind": "sinusoid", "amplitude": 0.5}}}]})
 
-    @pytest.mark.parametrize("overrides", RANGE_ERRORS[:6])
+    @pytest.mark.parametrize("overrides", RANGE_ERRORS[:6] + CHOICE_ERRORS)
     def test_suite_checks_ranges_before_running(self, monkeypatch, overrides):
         monkeypatch.setattr(harness, "_prepare_trial", lambda *a: pytest.fail("a trial ran"))
         (key, value), = overrides.items()
@@ -400,6 +403,11 @@ class TestConfigKeys:
         with pytest.raises(ConfigError, match=f"^scenario key '{path}' must be"):
             run_suite({"seed": 1, "trials": [{"scenario": {"horizon_s": 1.0}},
                                              {"scenario": overrides}]})
+
+    def test_unreadable_chain_fails_before_the_ticks(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "_tick_kernel", lambda *a: pytest.fail("the ticks ran"))
+        with pytest.raises(ConfigError, match="^cannot resolve chain"):
+            run_trial(Scenario.from_dict({"chain": str(tmp_path / "missing.json")}))
 
     def test_suite_checks_every_scenario_before_running(self, monkeypatch):
         import bitesim.harness as harness
@@ -448,11 +456,17 @@ class TestScanOffsets:
 class TestIntegralCap:
     @pytest.mark.parametrize("cap", [0, -1, float("nan"), float("inf")])
     def test_rejected_naming_the_key(self, cap):
-        scenario = Scenario.from_dict({"integral_cap_n": cap, "horizon_s": 0.1,
-                                       "joint_log_stride": 0})
         with pytest.raises(ConfigError,
                            match="'integral_cap_n': integral cap must be finite and > 0"):
+            scenario = Scenario.from_dict({"integral_cap_n": cap, "horizon_s": 0.1,
+                                           "joint_log_stride": 0})
             run_trial(scenario)
+
+    def test_suite_checks_it_before_running(self, monkeypatch):
+        monkeypatch.setattr(harness, "_prepare_trial", lambda *a: pytest.fail("a trial ran"))
+        with pytest.raises(ConfigError, match="^scenario key 'integral_cap_n': integral cap"):
+            run_suite({"seed": 1, "trials": [{"scenario": {"horizon_s": 1.0}},
+                                             {"scenario": {"integral_cap_n": 0}}]})
 
 
 class TestDeterminism:

@@ -31,6 +31,11 @@ def make_target(chain, kind, seed):
     return pose
 
 
+def rows(poses):
+    """The poses as the (B, 7) rows [x, y, z, qw, qx, qy, qz] batch IK takes."""
+    return np.array([np.concatenate([p.position, p.orientation]) for p in poses]).reshape(-1, 7)
+
+
 def assert_same(a, b):
     assert np.array_equal(a.q, b.q)
     assert a.converged == b.converged
@@ -47,13 +52,13 @@ def assert_same(a, b):
 def test_batch_rows_equal_lone_solves_in_any_order(chain_name, spec, data):
     chain = CHAINS[chain_name]
     targets = [make_target(chain, kind, seed) for kind, seed in spec]
-    batch = ik_damped_least_squares_batch(chain, targets, chain.home, PARAMS)
+    batch = ik_damped_least_squares_batch(chain, rows(targets), chain.home, PARAMS)
     assert len(batch) == len(targets)
     for i, target in enumerate(targets):
         assert_same(batch[i], ik_damped_least_squares(chain, target, chain.home, PARAMS))
 
     order = data.draw(st.permutations(range(len(targets))))
-    permuted = ik_damped_least_squares_batch(chain, [targets[i] for i in order],
+    permuted = ik_damped_least_squares_batch(chain, rows([targets[i] for i in order]),
                                              chain.home, PARAMS)
     for j, i in enumerate(order):
         assert_same(permuted[j], batch[i])
@@ -65,7 +70,7 @@ def test_fixed_mix_covers_every_exit():
     chain = CHAINS["panda_7dof"]
     targets = [make_target(chain, "reach", s) for s in (0, 1, 10, 13)]
     targets.append(make_target(chain, "far", 0))
-    batch = ik_damped_least_squares_batch(chain, targets, chain.home, PARAMS)
+    batch = ik_damped_least_squares_batch(chain, rows(targets), chain.home, PARAMS)
     assert batch.converged.tolist() == [False, True, True, True, False]
     assert batch.restarts[1] == 0
     assert (batch.restarts[[0, 2, 3, 4]] > 0).all()
@@ -78,7 +83,7 @@ def test_per_row_seeds(chain7):
     targets = [make_target(chain7, "reach", s) for s in range(5)]
     seeds = chain7.lower + np.random.default_rng(9).random((5, 7)) * (chain7.upper
                                                                       - chain7.lower)
-    batch = ik_damped_least_squares_batch(chain7, targets, seeds, PARAMS)
+    batch = ik_damped_least_squares_batch(chain7, rows(targets), seeds, PARAMS)
     for i, target in enumerate(targets):
         assert_same(batch[i], ik_damped_least_squares(chain7, target, seeds[i], PARAMS))
 
@@ -86,13 +91,13 @@ def test_per_row_seeds(chain7):
 def test_seed_shape_mismatch(chain7):
     targets = [make_target(chain7, "reach", s) for s in range(3)]
     with pytest.raises(ValueError):
-        ik_damped_least_squares_batch(chain7, targets, np.zeros(6))
+        ik_damped_least_squares_batch(chain7, rows(targets), np.zeros(6))
     with pytest.raises(ValueError):
-        ik_damped_least_squares_batch(chain7, targets, np.zeros((2, 7)))
+        ik_damped_least_squares_batch(chain7, rows(targets), np.zeros((2, 7)))
 
 
 def test_empty_batch(chain7):
-    batch = ik_damped_least_squares_batch(chain7, [], chain7.home)
+    batch = ik_damped_least_squares_batch(chain7, rows([]), chain7.home)
     assert len(batch) == 0
     assert batch.q.shape == (0, 7)
 
@@ -122,3 +127,10 @@ def test_fk_frames_batch_rejects_bad_shape(chain7):
         fk_frames_batch(chain7, np.zeros(7))
     with pytest.raises(ValueError):
         fk_frames_batch(chain7, np.zeros((3, 9)))
+
+
+def test_target_shape_mismatch(chain7):
+    with pytest.raises(ValueError, match="rows of 7"):
+        ik_damped_least_squares_batch(chain7, np.zeros((3, 6)), chain7.home)
+    with pytest.raises(ValueError, match="rows of 7"):
+        ik_damped_least_squares_batch(chain7, np.zeros(7), chain7.home)

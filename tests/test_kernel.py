@@ -19,8 +19,8 @@ from bitesim.geometry import (Pose, quat_conj, quat_from_axis_angle, quat_mul, q
                               row_dots, slerp, slerp_rows)
 from bitesim.controller import Wrench
 from bitesim.harness import (Scenario, TickLog, VirtualRobotState, _finish_trial,
-                             _log_joints, _prepare_trial, _setpoint_table, _tick_kernel,
-                             run_trial, simulate_tick)
+                             _log_joints, _prepare_trial, _resolve_chain, _setpoint_table,
+                             _tick_kernel, run_trial, simulate_tick)
 from bitesim.presets import GAIN_PRESETS
 from bitesim.transfer import TrajectoryPlan, TransferPhase, interpolate, phase_segments, step
 
@@ -65,7 +65,8 @@ def reference_run(setup) -> TickLog:
 
         if stride and i % stride == 0:
             ik_targets.append((i, rec["pose"]))
-    _log_joints(log, ik_targets, setup.chain)  # the kernel must keep these very poses
+    if ik_targets:  # the kernel must keep these very poses
+        _log_joints(log, ik_targets, _resolve_chain(setup.cfg["chain"]))
     return log
 
 
