@@ -772,10 +772,21 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
     FSM state live in float locals and preallocated float64 arrays, and
     each tick writes one row of a preallocated record array. Plain floats
     carry only +, -, *, /, square roots, comparisons, abs, min and max,
-    which round exactly as numpy does. Every dot product and norm stays a
-    BLAS call on a float64 array (BLAS fuses multiply-adds, so a Python
-    sum can differ in the last bit), the integral clamp stays np.clip,
-    and the trigonometric functions stay numpy's.
+    which round exactly as numpy does; the integral clamp compares floats
+    and, like np.clip, keeps a value equal to a bound. Every dot product
+    and norm stays a BLAS call on a float64 array (BLAS fuses
+    multiply-adds, so a Python sum can differ in the last bit), and the
+    trigonometric functions stay numpy's.
+
+    Most ticks meet no force: no contact (contact_force is exactly zero
+    outside the mouth's planes), no bite and no disturbance. Without the
+    low-pass filter such a tick measures (-0.0,) * 6, which adds nothing
+    to the integral, and the integral was clamped under the same gains
+    already, so the reactive term is that of the last force-free tick:
+    the kernel reuses it until a tick measures a force or the gain set
+    switches. A tick without force skips the food attachment too, as a
+    zero force never exceeds its thresholds (food presets keep them
+    >= 0).
 
     What time alone decides, the FSM's phases up to the bite wait and from
     the exit on, their setpoints and the feed-forward velocities, comes
@@ -868,15 +879,15 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
     # the two gain sets: force matrices, torque gains, clamp of the integral
     def gain_set(g):
         cap = setup.ctrl.integral_cap * g._cap_per_newton
-        return g.p_force, g.i_force, g.p_torque.tolist(), g.i_torque.tolist(), -cap, cap
+        return (g.p_force, g.i_force, g.p_torque.tolist(), g.i_torque.tolist(),
+                (-cap).tolist(), cap.tolist())
     gains = {False: gain_set(world.gains_entry), True: gain_set(world.gains_exit)}
     exit_gains = False
     p_force, i_force, p_torque, i_torque, cap_lo, cap_hi = gains[exit_gains]
-    integral = np.zeros(6)
-    integral_force = integral[:3]
-    acc = np.empty(6)
-    f_meas = np.empty(6)
-    f_meas_force = f_meas[:3]
+    integral = [0.0] * 6
+    f_meas_force = np.empty(3)  # the BLAS operands of the force gains
+    integral_force = np.empty(3)
+    free_f_bar = None  # the reactive wrench of the last force-free tick
     stiff = world.impedance.stiffness.tolist()
     damp = world.impedance.damping.tolist()
     mass = robot.mass.tolist()
@@ -1006,8 +1017,9 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
         if want_exit != exit_gains:
             exit_gains = want_exit
             p_force, i_force, p_torque, i_torque, cap_lo, cap_hi = gains[exit_gains]
+            free_f_bar = None
             if exit_gains:
-                integral[:] = 0.0
+                integral = [0.0] * 6
 
         if phase == ABORTED:
             # the plant freezes where it is
@@ -1029,23 +1041,31 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
                     raise ValueError("pose/velocity errors must be finite")
 
             # reactive PI term on the (optionally low-passed) measurement
-            # (controller.reactive_term)
-            fm = (fm0, fm1, fm2, tm0, tm1, tm2)
-            if alpha is not None:
-                filt = [y + alpha * (x - y) for x, y in zip(fm, filt)]
-                fm = filt
-            if not math.isfinite(sum(fm)):
-                if not all(map(math.isfinite, fm)):
-                    raise SensorFault("non-finite force measurement")
-            f_meas[:] = fm
-            np.multiply(f_meas, dt, out=acc)
-            np.add(integral, acc, out=acc)
-            np.clip(acc, cap_lo, cap_hi, out=integral)
-            bar_f = (p_force.dot(f_meas_force) + i_force.dot(integral_force)).tolist()
-            it = integral.tolist()
-            f_bar = (*bar_f, p_torque[0] * fm[3] + i_torque[0] * it[3],
-                     p_torque[1] * fm[4] + i_torque[1] * it[4],
-                     p_torque[2] * fm[5] + i_torque[2] * it[5])
+            # (controller.reactive_term). Unfiltered, a zero measurement
+            # leaves the clamped integral as it is, so a force-free tick
+            # reuses the term of the last one under the same gains
+            free = alpha is None and not (fm0 or fm1 or fm2 or tm0 or tm1 or tm2)
+            if free and free_f_bar is not None:
+                f_bar = free_f_bar
+            else:
+                fm = (fm0, fm1, fm2, tm0, tm1, tm2)
+                if alpha is not None:
+                    filt = [y + alpha * (x - y) for x, y in zip(fm, filt)]
+                    fm = filt
+                if not math.isfinite(sum(fm)):
+                    if not all(map(math.isfinite, fm)):
+                        raise SensorFault("non-finite force measurement")
+                # the clamp of np.clip: the bound it crosses, else the value
+                integral = [lo if lo > x else hi if hi < x else x
+                            for x, lo, hi in zip([x + y * dt for x, y in zip(integral, fm)],
+                                                 cap_lo, cap_hi)]
+                f_meas_force[0], f_meas_force[1], f_meas_force[2] = fm[0], fm[1], fm[2]
+                integral_force[0], integral_force[1], integral_force[2] = integral[:3]
+                bar_f = (p_force.dot(f_meas_force) + i_force.dot(integral_force)).tolist()
+                f_bar = (*bar_f, p_torque[0] * fm[3] + i_torque[0] * integral[3],
+                         p_torque[1] * fm[4] + i_torque[1] * integral[4],
+                         p_torque[2] * fm[5] + i_torque[2] * integral[5])
+                free_f_bar = f_bar if free else None
 
             # semi-implicit Euler through the virtual mass
             on_fork = (f0, f1, f2, m0, m1, m2)
@@ -1077,11 +1097,13 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
                 if not all(map(math.isfinite, tw)):
                     raise ValueError("twist must be finite")
 
-        # food attachment, on-fork forces split by source
-        transport = (norm3(f0, f1, f2) if f0 != 0.0 or f1 != 0.0 or f2 != 0.0
-                     else 0.0) - bite_n
+        # food attachment, on-fork forces split by source; a zero force
+        # never exceeds a detachment threshold (presets keep them >= 0)
         if not detached:
-            detached = attachment.update(max(0.0, transport), t, bite_engaged=False)
+            transport = (norm3(f0, f1, f2) if f0 != 0.0 or f1 != 0.0 or f2 != 0.0
+                         else 0.0) - bite_n
+            if transport > 0.0:
+                detached = attachment.update(transport, t, bite_engaged=False)
             if bite_n > 0.0:
                 detached = attachment.update(bite_n, t, bite_engaged=True)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -116,11 +117,17 @@ def preset_from_dict(d: dict) -> FoodPreset:
     )
 
 
-def load_food_presets() -> dict[str, FoodPreset]:
-    """The bundled food presets."""
+@cache
+def _bundled_presets() -> dict[str, FoodPreset]:
     with resources.files("bitesim.data").joinpath("foods.json").open("r", encoding="utf-8") as f:
         raw = json.load(f)
     return {d["name"]: preset_from_dict(d) for d in raw["presets"]}
+
+
+def load_food_presets() -> dict[str, FoodPreset]:
+    """The bundled food presets, parsed once per process. Each call
+    returns a new dict of the same immutable presets."""
+    return dict(_bundled_presets())
 
 
 @dataclass(frozen=True)

@@ -299,6 +299,7 @@ def test_short_trial_digest(name):
     assert trial_digest(report) == SHORT_SHA256[name]
 
 
+@pytest.mark.slow
 def test_suite_report_digest(monkeypatch):
     # a suite reports outcomes only, so it solves no IK for a joint log
     monkeypatch.setattr(harness, "_log_joints", lambda *a: pytest.fail("joints logged"))

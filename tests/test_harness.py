@@ -564,6 +564,7 @@ class TestExport:
 
 
 class TestSuite:
+    @pytest.mark.slow
     def test_sixty_six_nominal_trials_all_succeed(self):
         report = run_suite({"name": "nominal66", "seed": 11, "repetitions": 66,
                             "trials": [{"method": "ours",

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bitesim.geometry import Pose
+from bitesim.geometry import Pose, quat_to_matrix
 from bitesim.harness import mouth_frame_from_position
-from bitesim.humansim import (BiteScript, FoodAttachmentState, MouthModel, bite_force,
-                              contact_force, load_food_presets, perturbation_trace)
+from bitesim.humansim import (CAVITY_DEPTH, LIP_MARGIN, BiteScript, FoodAttachmentState,
+                              MouthModel, bite_force, contact_force, load_food_presets,
+                              perturbation_trace)
 
-MOUTH_FRAME = mouth_frame_from_position([0.55, 0.0, 0.45])
+DEFAULT_CENTER = [0.55, 0.0, 0.45]
+MOUTH_FRAME = mouth_frame_from_position(DEFAULT_CENTER)
 
 
 def make_mouth(**kw):
@@ -70,6 +74,42 @@ class TestContactForce:
         mouth = make_mouth()
         w = contact_force(tip_at(y_m=-0.02, z_m=-0.2), np.zeros(6), mouth)
         assert np.all(w.force == 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+           lambda q: sum(x * x for x in q) > 0.01),
+       local=st.tuples(st.floats(-0.08, 0.08), st.floats(-0.08, 0.08), st.floats(-0.08, 0.03)),
+       velocity=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       aperture=st.floats(0.005, 0.08), lateral=st.floats(0.005, 0.06),
+       stiffness=st.floats(0.0, 5000.0), damping=st.floats(0.0, 100.0))
+def test_contact_force_gated_and_never_adhesive(q, local, velocity, aperture, lateral,
+                                                stiffness, damping):
+    # the kernel takes a tick without contact, bite or disturbance for a
+    # force-free one: outside the lip/cavity gate, and inside it between
+    # the planes, the force must be exactly +0.0 on every axis
+    center = Pose(np.array(DEFAULT_CENTER), np.array(q))
+    mouth = MouthModel(center=center, aperture=aperture, stiffness=stiffness,
+                       damping=damping, lateral_halfwidth=lateral)
+    rot = quat_to_matrix(center.orientation)
+    tip = center.position + rot @ np.array(local)
+    w = contact_force(Pose(tip, center.orientation), np.array(velocity), mouth)
+    assert w.torque.tobytes() == np.zeros(3).tobytes()
+    # the mouth-frame coordinates as contact_force computes them
+    r = tip - center.position
+    x_m, y_m, z_m = (float(r @ rot[:, k]) for k in range(3))
+    half = aperture / 2.0
+    if (z_m > LIP_MARGIN or z_m < -CAVITY_DEPTH
+            or (-half <= y_m <= half and -lateral <= x_m <= lateral)):
+        assert w.force.tobytes() == np.zeros(3).tobytes()
+        return
+    # never adhesive: along each penetrated plane's inward normal the
+    # force pushes the fork out or is zero, and it has no other part
+    f_x, f_y, f_z = (float(w.force @ rot[:, k]) for k in range(3))
+    tol = 1e-12 * (1.0 + float(np.linalg.norm(w.force)))
+    assert f_y >= -tol if y_m < -half else f_y <= tol if y_m > half else abs(f_y) <= tol
+    assert f_x <= tol if x_m > lateral else f_x >= -tol if x_m < -lateral else abs(f_x) <= tol
+    assert abs(f_z) <= tol
 
 
 class TestBiteForce:
@@ -145,6 +185,14 @@ class TestFoodPresets:
         foods = load_food_presets()
         assert set(foods) == {"carrot", "strawberry", "blueberry", "pineapple",
                               "cherry_tomato", "broccoli", "cheesecake", "tofu"}
+
+    def test_each_call_returns_a_new_dict(self):
+        first = load_food_presets()
+        first.pop("carrot")
+        first["tofu"] = first["cheesecake"]
+        again = load_food_presets()
+        assert again is not first
+        assert "carrot" in again and again["tofu"].name == "tofu"
 
     def test_taxonomy_classes(self):
         foods = load_food_presets()

@@ -158,6 +158,73 @@ def test_nominal_trial_equals_reference_loop():
     assert report.log.joints.shape == (101, 9)
 
 
+# The kernel reuses the reactive term on force-free ticks. These trials
+# make that reuse matter: the fork, aimed 12 mm low at a 40 mm mouth,
+# rests the carrot on the lower teeth on ticks 1592-1631, early in the
+# bite wait, and the integral that contact leaves holds through the
+# force-free ticks that follow. The bite is refused and the contact
+# stays under the detector's threshold, so the wait times out at 1.999 s;
+# in 'ours' the exit gains differ from the entry gains.
+TOUCH = {"segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 1.0},
+         "food": "carrot", "mouth": {"aperture_m": 0.04}, "mouth_error_mm": [0.0, -12.0, 0.0],
+         "bite": {"refuse": True}, "bite_timeout_s": 0.5, "joint_log_stride": 0}
+TOUCH_TICKS = list(range(1592, 1632))
+
+
+def run_against_reference(overrides):
+    scenario = Scenario.from_dict(overrides)
+    setup = _prepare_trial(scenario)
+    expected = _finish_trial(setup, reference_run(setup))
+    report = run_trial(scenario)
+    assert_same_trial(report, expected)
+    return report
+
+
+def wrench_ticks(log) -> list[int]:
+    return np.flatnonzero(np.any(np.hstack([log.force, log.torque]) != 0.0, axis=1)).tolist()
+
+
+def test_free_ticks_after_contact_equal_reference_loop():
+    # the trial ends inside the wait, so the gains never switch: only the
+    # contact may end the reuse, and the free ticks before it must not
+    # lend it their term
+    report = run_against_reference({**TOUCH, "horizon_s": 1.9})
+    assert wrench_ticks(report.log) == TOUCH_TICKS
+    assert report.final_phase == "BITE_WAIT"
+
+
+def test_timeout_exit_in_a_free_stretch_equals_reference_loop():
+    # the wait times out 368 ticks after the contact: the exit gains and
+    # the reset integral must end the reuse of the entry-side term
+    report = run_against_reference({**TOUCH, "horizon_s": 4.0})
+    assert wrench_ticks(report.log) == TOUCH_TICKS
+    assert [(ev["event"], ev["t"]) for ev in report.events if ev["phase_to"] == "EXIT"] == \
+        [("timeout", 1.999)]
+    assert report.final_phase == "DONE"
+
+
+def test_done_after_a_push_in_the_retract_equals_reference_loop():
+    # contact pushes across the exit axis only, where 'ours' keeps its
+    # entry gains; a push along it (world x) in the retract leaves an
+    # integral that the exit and entry gains weigh differently, so the
+    # entry gains again at DONE (3.499 s) must end the reuse of the
+    # exit-side term
+    push = np.zeros((3000, 6))
+    push[2600:2800, 0] = 0.5
+    report = run_against_reference({**TOUCH, "horizon_s": 4.0,
+                                    "disturbance": {"kind": "array", "trace": push.tolist()}})
+    assert wrench_ticks(report.log) == TOUCH_TICKS + list(range(2600, 2800))
+    assert report.final_phase == "DONE"
+
+
+def test_lowpass_trial_after_contact_equals_reference_loop():
+    # the filtered measurement decays after the contact although the force
+    # is zero, so the reuse must stay off
+    report = run_against_reference({**TOUCH, "horizon_s": 1.9, "lowpass_cutoff_hz": 4.0})
+    ticks = wrench_ticks(report.log)
+    assert ticks and ticks[-1] < 1800
+
+
 def test_turning_plan_equals_reference_loop():
     # run_trial's plans hold one fork orientation; this one follows the
     # nominal plan's path but turns the fork by 90 degrees about world z
