@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: trial, suite, wrist-study, offsets, export. Exit codes:
-0 success, 2 config error, 3 trial aborted by the safety stop,
-4 study invalid (convergence below the statistics gate), 5 sensor fault
-(a non-finite force measurement during a trial).
+0 success, 2 config error (a bad value, or an input or output file that
+cannot be read or written), 3 trial aborted by the safety stop, 4 study
+invalid (convergence below the statistics gate), 5 sensor fault (a
+non-finite force measurement during a trial). Every error a command
+raises is mapped to its code in one place, main.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .comfort import StudyInvalidError, run_wrist_study
 from .controller import SensorFault
 from .harness import (ConfigError, Scenario, build_study_inputs, export_trajectory,
                       run_suite, run_trial, save_log)
-from .perception import EmptyCloudError, compute_offsets, food_bounding_box, load_cloud
+from .perception import compute_offsets, food_bounding_box, load_cloud
 from .presets import scenario_preset_names
 
 EXIT_OK = 0
@@ -26,6 +28,16 @@ EXIT_CONFIG = 2
 EXIT_ABORTED = 3
 EXIT_STUDY_INVALID = 4
 EXIT_SENSOR_FAULT = 5
+
+# the exit code and message prefix of each error a command may raise, the
+# first match winning (SensorFault, ConfigError and EmptyCloudError are
+# ValueErrors)
+_ERROR_EXITS = {
+    SensorFault: (EXIT_SENSOR_FAULT, "sensor fault"),
+    StudyInvalidError: (EXIT_STUDY_INVALID, "study invalid"),
+    ValueError: (EXIT_CONFIG, "config error"),
+    OSError: (EXIT_CONFIG, "config error"),
+}
 
 
 def _out_dir(args) -> Path:
@@ -47,18 +59,11 @@ def _config(path, kind: str, **flags):
 
 
 def cmd_trial(args) -> int:
-    try:
-        scenario = Scenario.from_dict(_config(args.scenario, "scenario",
-                                              gain_preset=args.preset, seed=args.seed))
-        t0 = time.perf_counter()
-        report = run_trial(scenario)
-        wall = time.perf_counter() - t0
-    except SensorFault as e:
-        print(f"sensor fault: {e}", file=sys.stderr)
-        return EXIT_SENSOR_FAULT
-    except (ConfigError, EmptyCloudError, ValueError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    scenario = Scenario.from_dict(_config(args.scenario, "scenario",
+                                          gain_preset=args.preset, seed=args.seed))
+    t0 = time.perf_counter()
+    report = run_trial(scenario)
+    wall = time.perf_counter() - t0
 
     out = _out_dir(args)
     name = report.scenario_name
@@ -77,15 +82,7 @@ def cmd_trial(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    try:
-        report = run_suite(_config(args.suite, "suite", seed=args.seed))
-    except SensorFault as e:
-        print(f"sensor fault: {e}", file=sys.stderr)
-        return EXIT_SENSOR_FAULT
-    except (ConfigError, EmptyCloudError, ValueError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    report = run_suite(_config(args.suite, "suite", seed=args.seed))
     out = _out_dir(args)
     (out / f"{report.name}_suite.json").write_text(report.to_json(), encoding="utf-8")
     print(report.table())
@@ -94,20 +91,9 @@ def cmd_suite(args) -> int:
 
 
 def cmd_wrist_study(args) -> int:
-    try:
-        chain_with, chain_without, dist, ik_params, comfort, home = build_study_inputs(
-            _config(args.study, "study", seed=args.seed))
-    except (ConfigError, ValueError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    inputs = build_study_inputs(_config(args.study, "study", seed=args.seed))
     t0 = time.perf_counter()
-    try:
-        report = run_wrist_study(chain_with, chain_without, dist, ik_params,
-                                 comfort, home)
-    except StudyInvalidError as e:
-        print(f"study invalid: {e}", file=sys.stderr)
-        return EXIT_STUDY_INVALID
+    report = run_wrist_study(*inputs)
     wall = time.perf_counter() - t0
 
     out = _out_dir(args)
@@ -127,23 +113,14 @@ def cmd_wrist_study(args) -> int:
 
 
 def cmd_offsets(args) -> int:
-    try:
-        cloud = load_cloud(args.cloud)
-        offsets = compute_offsets(food_bounding_box(cloud))
-    except (EmptyCloudError, ValueError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    offsets = compute_offsets(food_bounding_box(load_cloud(args.cloud)))
     print(f"dx_mm: {offsets.dx}")
     print(f"dy_mm: {offsets.dy}")
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    try:
-        export_trajectory(args.log, args.out)
-    except (ValueError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    export_trajectory(args.log, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -187,7 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_ERROR_EXITS) as e:
+        code, prefix = next(v for kind, v in _ERROR_EXITS.items() if isinstance(e, kind))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ and a personal-space comfort cost.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +19,24 @@ ARM_JOINT_COUNT = 7
 
 class StudyInvalidError(RuntimeError):
     """Convergence too poor for the statistics to mean anything."""
+
+
+class JsonReport:
+    """to_dict and to_json of a report dataclass, read from its fields:
+    every field but those declared repr=False (the bulk per-tick or
+    per-sample records), with arrays and tuples as lists."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            if f.repr:
+                v = getattr(self, f.name)
+                out[f.name] = (v.tolist() if isinstance(v, np.ndarray)
+                               else list(v) if isinstance(v, tuple) else v)
+        return out
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -137,7 +155,7 @@ def comfort_cost(chain: ChainModel, q, params: ComfortParams):
 
 
 @dataclass(frozen=True)
-class StudyReport:
+class StudyReport(JsonReport):
     """Aggregate wrist-study results plus per-sample records."""
 
     sample_count: int
@@ -159,31 +177,6 @@ class StudyReport:
     # sorted tip position residuals (mm) of the poses each chain failed on
     failure_residuals_mm_with: np.ndarray = field(default_factory=lambda: np.zeros(0))
     failure_residuals_mm_without: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_count": self.sample_count,
-            "used_count": self.used_count,
-            "seed": self.seed,
-            "convergence_rate_with": self.convergence_rate_with,
-            "convergence_rate_without": self.convergence_rate_without,
-            "per_joint_mean_with": [float(x) for x in self.per_joint_mean_with],
-            "per_joint_mean_without": [float(x) for x in self.per_joint_mean_without],
-            "mean_displacement_with": self.mean_displacement_with,
-            "mean_displacement_without": self.mean_displacement_without,
-            "mean_comfort_with": self.mean_comfort_with,
-            "mean_comfort_without": self.mean_comfort_without,
-            "max_comfort_with": self.max_comfort_with,
-            "max_comfort_without": self.max_comfort_without,
-            "p_displacement": self.p_displacement,
-            "p_comfort": self.p_comfort,
-            "failure_residuals_mm_with": [float(x) for x in self.failure_residuals_mm_with],
-            "failure_residuals_mm_without": [float(x)
-                                             for x in self.failure_residuals_mm_without],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def write_samples_csv(self, path):
         """Per-sample records for external plotting."""

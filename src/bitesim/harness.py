@@ -5,14 +5,16 @@ and trajectory export.
 The robot is a task-space virtual-mass admittance plant: the commanded
 wrench minus the reactive correction, plus the physical contact forces,
 integrates through the virtual mass with semi-implicit Euler. Joint
-configurations are recovered by IK at a configurable stride for logging
-only: run_trial logs them, run_suite, which reports outcomes only, does
-not. Every run is seed-deterministic end to end.
+configurations are recovered by IK from the logged poses at a
+configurable stride, for logging only: run_trial logs them, run_suite,
+which reports outcomes only, does not. Every run is seed-deterministic
+end to end.
 
 run_trial prepares a trial, runs its ticks from t = 0 in _tick_kernel,
-a flat loop over floats that only records, and reads the report from
-the tick log and its events. The kernel updates nothing in place but
-the food attachment, whose detachment feeds back into the bite force.
+a flat loop over floats that only records and returns only its tick
+log, and reads the report from that log and its events. The kernel
+updates nothing in place but the food attachment, whose detachment
+feeds back into the bite force.
 simulate_tick is the same tick as a pipeline of Pose, Wrench and state
 objects, kept as the reference the kernel must match bit for bit.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,12 +33,13 @@ from .geometry import (Pose, mat_to_quat_rows, pose_error, quat_conj, quat_from_
                        quat_to_rotvec_rows)
 from .kinematics import (BUNDLED_CHAINS, ChainModel, IkParams, bundled_chain,
                          ik_damped_least_squares, load_chain)
+from .comfort import ComfortParams, JsonReport, PoseDistribution
 from .controller import (ControllerState, ImpedanceParams, ReactivityGains, SafetyLatch,
                          SensorFault, TICK_PERIOD, Wrench, desired_wrench, phase_gains,
                          reactive_term)
 from .transfer import (BiteDetector, FsmState, TransferPhase, EXIT_SIDE_PHASES,
                        build_fixed_pose_plan, build_transfer_plan, interpolate_rows,
-                       phase_segments, step)
+                       phase_segments, step, transfer_orientation)
 from .perception import (FoodOffsets, compute_offsets, food_bounding_box, synth_depth_scan,
                          target_pose)
 from .humansim import (CAVITY_DEPTH, HEAD_MOTION_PARAMS, LIP_MARGIN,
@@ -131,9 +134,18 @@ def _one_of(choices) -> _Rule:
 
 
 # the ranges of scenario values, by key path, checked once the preset and
-# the overrides are merged; NaN and infinities fail every numeric one
+# the overrides are merged, each where the scenario holds its key (a
+# kind's default parameters are in range); NaN and infinities fail every
+# numeric one
 _POSITIVE = _Rule("finite and > 0", lambda v: 0 < v < math.inf)
 _NON_NEGATIVE = _Rule("finite and >= 0", lambda v: 0 <= v < math.inf)
+_FINITE = _Rule("finite", math.isfinite)
+_FINITE_EACH = _Rule("a list of finite numbers", lambda v: all(map(math.isfinite, v)))
+_NON_NEGATIVE_EACH = _Rule("a list of numbers >= 0", lambda v: all(0 <= x < math.inf for x in v))
+# a direction is divided by its norm, whose square must not underflow to 0
+# or overflow (Python floats do both without a numpy warning)
+_DIRECTION = _Rule("a list of numbers whose norm is finite and > 0",
+                   lambda v: 0 < sum(x * x for x in map(float, v)) < math.inf)
 _SCENARIO_RANGES = {
     "food": _Rule("the name of a bundled food", lambda v: v in load_food_presets()),
     "transfer_mode": _one_of(("in_mouth", "fixed_pose")),
@@ -150,13 +162,41 @@ _SCENARIO_RANGES = {
     "bite_timeout_s": _POSITIVE,
     "safety_limit_n": _POSITIVE,
     "virtual_mass": _Rule("a list of numbers > 0", lambda v: all(0 < x < math.inf for x in v)),
+    "arc_start_deg": _FINITE,
+    "fork_pitch_deg": _FINITE,
+    "mouth_error_mm": _FINITE_EACH,
+    "mouth.center_position": _FINITE_EACH,
+    "mouth.facing": _Rule("null or a list of finite numbers",
+                          lambda v: v is None or _FINITE_EACH.ok(v)),
     "mouth.aperture_m": _POSITIVE,
+    "mouth.stiffness": _NON_NEGATIVE,
+    "mouth.damping": _NON_NEGATIVE,
+    "mouth.lateral_halfwidth_m": _POSITIVE,
     "segments.arc_s": _POSITIVE,
     "segments.entry_s": _POSITIVE,
     "segments.exit_s": _POSITIVE,
+    "segments.scan_s": _NON_NEGATIVE,
+    "bite.t_bite_s": _NON_NEGATIVE,
+    "bite.peak_force_n": _NON_NEGATIVE,
     "bite.ramp_s": _NON_NEGATIVE,
     "scan.resolution_mm": _POSITIVE,
     "scan.noise_mm": _NON_NEGATIVE,
+    "impedance.stiffness": _NON_NEGATIVE_EACH,
+    "impedance.damping": _Rule("null or a list of numbers >= 0",
+                               lambda v: v is None or _NON_NEGATIVE_EACH.ok(v)),
+    "entry_gains.k_p": _NON_NEGATIVE_EACH,
+    "entry_gains.k_i": _NON_NEGATIVE_EACH,
+    "exit_gains.k_p": _NON_NEGATIVE_EACH,
+    "exit_gains.k_i": _NON_NEGATIVE_EACH,
+    "disturbance.amplitude_n": _NON_NEGATIVE,
+    "disturbance.period_s": _POSITIVE,
+    "disturbance.direction": _DIRECTION,
+    "disturbance.sigma_n": _NON_NEGATIVE,
+    "head_perturbation.amplitude": _Rule(f"in [0, {MAX_PERTURBATION_AMPLITUDE}] m",
+                                         lambda v: 0.0 <= v <= MAX_PERTURBATION_AMPLITUDE),
+    "head_perturbation.period": _POSITIVE,
+    "head_perturbation.direction": _DIRECTION,
+    "head_perturbation.sigma": _NON_NEGATIVE,
 }
 
 
@@ -221,22 +261,19 @@ class Scenario:
         # the preset sets the baseline; explicit gains in the overrides win
         cfg = _merge(_merge(cfg, GAIN_PRESETS[preset]), overrides)
         for path, rule in _SCENARIO_RANGES.items():
-            value = cfg
-            for key in path.split("."):
-                value = value[key]
-            if not rule.ok(value):
-                raise ConfigError(f"scenario key {path!r} must be {rule.wanted}, got {value!r}")
+            *sections, key = path.split(".")
+            values = cfg
+            for section in sections:
+                values = values[section]
+            if key in values and not rule.ok(values[key]):
+                raise ConfigError(f"scenario key {path!r} must be {rule.wanted}, "
+                                  f"got {values[key]!r}")
         cap = cfg["integral_cap_n"]
         if not 0 < cap < math.inf:  # in the words of ControllerState's own check
             raise ConfigError(f"scenario key 'integral_cap_n': integral cap must be finite "
                               f"and > 0, got {cap!r}")
         if cfg["disturbance"]["kind"] == "array" and "trace" not in cfg["disturbance"]:
             raise ConfigError("scenario key 'disturbance.trace' must be set for kind 'array'")
-        head = cfg["head_perturbation"]
-        amplitude = {**HEAD_MOTION_PARAMS[head["kind"]], **head}.get("amplitude", 0.0)
-        if not 0.0 <= amplitude <= MAX_PERTURBATION_AMPLITUDE:
-            raise ConfigError(f"scenario key 'head_perturbation.amplitude' must be in "
-                              f"[0, {MAX_PERTURBATION_AMPLITUDE}] m, got {amplitude!r}")
         return cls(cfg)
 
     def __getitem__(self, key):
@@ -411,28 +448,21 @@ class TickLog:
 
 
 def save_log(log: TickLog, path):
-    arrays = {
-        "t": log.t, "position": log.position, "orientation": log.orientation,
-        "force": log.force, "torque": log.torque, "phase": log.phase,
-        "set_position": log.set_position, "set_orientation": log.set_orientation,
-        "events": np.array(json.dumps(log.events)),
-    }
-    if log.joints is not None:
-        arrays["joints"] = log.joints
-        arrays["joint_ticks"] = log.joint_ticks
+    """Write each of the log's fields that is set as one array of an .npz
+    file, the events as one JSON string."""
+    arrays = {f.name: getattr(log, f.name) for f in fields(log)
+              if getattr(log, f.name) is not None}
+    arrays["events"] = np.array(json.dumps(log.events))
     np.savez_compressed(path, **arrays)
 
 
 def load_log(path) -> TickLog:
+    """The log save_log wrote; a field with a default may be absent."""
     with np.load(path, allow_pickle=False) as z:
-        return TickLog(
-            t=z["t"], position=z["position"], orientation=z["orientation"],
-            force=z["force"], torque=z["torque"], phase=z["phase"],
-            set_position=z["set_position"], set_orientation=z["set_orientation"],
-            events=json.loads(str(z["events"])),
-            joints=z["joints"] if "joints" in z else None,
-            joint_ticks=z["joint_ticks"] if "joint_ticks" in z else None,
-        )
+        arrays = {f.name: z[f.name] for f in fields(TickLog)
+                  if f.name in z or f.default is MISSING}
+    arrays["events"] = json.loads(str(arrays["events"]))
+    return TickLog(**arrays)
 
 
 def export_trajectory(log: TickLog | str, path):
@@ -458,7 +488,7 @@ def export_trajectory(log: TickLog | str, path):
 
 
 @dataclass(frozen=True)
-class TrialReport:
+class TrialReport(JsonReport):
     """Outcome and timeline of one trial."""
 
     scenario_name: str
@@ -476,27 +506,6 @@ class TrialReport:
     final_phase: str  # phase of the last tick
     completed: bool  # the trial reached DONE within its horizon
     log: TickLog = field(repr=False, compare=False, default=None)
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario_name": self.scenario_name,
-            "seed": self.seed,
-            "outcome": self.outcome,
-            "events": self.events,
-            "bite_time": self.bite_time,
-            "timeout_time": self.timeout_time,
-            "peak_force_n": self.peak_force_n,
-            "peak_force_components": list(self.peak_force_components),
-            "mean_deviation_m": self.mean_deviation_m,
-            "n_ticks": self.n_ticks,
-            "food_detached": self.food_detached,
-            "food_taken_by_bite": self.food_taken_by_bite,
-            "final_phase": self.final_phase,
-            "completed": self.completed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _resolve_chain(name: str) -> ChainModel:
@@ -762,9 +771,9 @@ def _setpoint_table(fsm: FsmState, first: int, n_ticks: int, phase: int,
     return _SetpointTable(phases.tolist(), rows, velocities, transitions, wait_start)
 
 
-def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
+def _tick_kernel(setup: TrialSetup) -> TickLog:
     """The 1 kHz loop of run_trial as one flat kernel, run from t = 0;
-    returns the tick log and the robot pose at each joint-log tick.
+    returns only the tick log.
 
     Tick for tick it computes, to the bit, what a loop over simulate_tick
     computes from the setup's initial states, but it builds no Pose,
@@ -798,12 +807,10 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
     The kernel only records: the report is read from the log and its
     events, and the one state updated in place is the food attachment,
     whose detachment feeds back into the bite force. Joint logging is
-    left to the caller: every ``joint_log_stride`` ticks the run keeps
-    the robot pose, which simulate_tick builds as Pose(position,
-    unnormalised orientation).
+    left to the caller (_log_joints): each logged position and
+    orientation row has the bits of the robot Pose simulate_tick builds.
     """
     world, fsm, robot, n_ticks = setup.world, setup.fsm, setup.robot, setup.n_ticks
-    ik_stride = int(setup.cfg["joint_log_stride"])
     dt = TICK_PERIOD
     safety = world.safety
     tripped = False
@@ -906,12 +913,10 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
 
     px, py, pz = robot.pose.position.tolist()
     qw, qx, qy, qz = robot.pose.orientation.tolist()
-    raw_q = None  # orientation before its last normalisation, once integrated
     tw = [0.0] * 6
 
     rec = np.empty((n_ticks, _REC_WIDTH))
     events: list[dict] = []
-    ik_ticks = []
 
     for i in range(n_ticks):
         t = i * dt
@@ -1108,34 +1113,31 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, list[tuple[int, Pose]]]:
                 detached = attachment.update(bite_n, t, bite_engaged=True)
 
         rec[i] = (t, px, py, pz, qw, qx, qy, qz, fm0, fm1, fm2, tm0, tm1, tm2, phase, *sp)
-        if ik_stride and i % ik_stride == 0:
-            ik_ticks.append((i, (px, py, pz), raw_q))
-
 
     # the log's float arrays are column views of the record rows
-    log = TickLog(
+    return TickLog(
         t=rec[:, _REC_T], position=rec[:, _REC_POS:_REC_ORI],
         orientation=rec[:, _REC_ORI:_REC_FORCE], force=rec[:, _REC_FORCE:_REC_TORQUE],
         torque=rec[:, _REC_TORQUE:_REC_PHASE], phase=rec[:, _REC_PHASE].astype(np.int8),
         set_position=rec[:, _REC_SET_POS:_REC_SET_ORI],
         set_orientation=rec[:, _REC_SET_ORI:_REC_WIDTH], events=events,
     )
-    ik_targets = [(i, robot.pose if q is None else Pose(np.array(p), np.array(q)))
-                  for i, p, q in ik_ticks]
-    return log, ik_targets
 
 
-def _log_joints(log: TickLog, ik_targets: list[tuple[int, Pose]], chain: ChainModel) -> None:
-    """Joint configurations at the logged ticks, each IK solve warm-started
+def _log_joints(log: TickLog, chain: ChainModel, stride: int) -> None:
+    """Joint configurations solved from the logged position and orientation
+    rows as they are (Pose() would renormalise them, which can move a last
+    bit) at ticks 0, stride, 2 * stride, ..., each IK solve warm-started
     from the one before."""
+    log.joint_ticks = np.arange(0, len(log), stride, dtype=np.int64)
     q_guess = chain.home
     ik_params = IkParams(max_iter=60)
     rows = []
-    for _, pose in ik_targets:
+    for i in log.joint_ticks.tolist():
+        pose = Pose.unchecked(log.position[i], log.orientation[i])
         q_guess = ik_damped_least_squares(chain, pose, q_guess, ik_params).q
         rows.append(q_guess)
     log.joints = np.array(rows)
-    log.joint_ticks = np.array([i for i, _ in ik_targets], dtype=np.int64)
 
 
 def _finish_trial(setup: TrialSetup, log: TickLog) -> TrialReport:
@@ -1195,11 +1197,12 @@ def _finish_trial(setup: TrialSetup, log: TickLog) -> TrialReport:
 def run_trial(scenario: Scenario) -> TrialReport:
     """Execute scan, targeting, and the full transfer FSM for one trial."""
     # a chain file that cannot be read fails before the ticks run
-    chain = _resolve_chain(scenario["chain"]) if scenario["joint_log_stride"] else None
+    stride = int(scenario["joint_log_stride"])
+    chain = _resolve_chain(scenario["chain"]) if stride else None
     setup = _prepare_trial(scenario)
-    log, ik_targets = _tick_kernel(setup)
+    log = _tick_kernel(setup)
     if chain is not None:
-        _log_joints(log, ik_targets, chain)
+        _log_joints(log, chain, stride)
     return _finish_trial(setup, log)
 
 
@@ -1209,7 +1212,7 @@ def _trial_seed(suite_seed: int, index: int) -> int:
 
 
 @dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(JsonReport):
     """Aggregate per-method outcome table for a batch of trials."""
 
     name: str
@@ -1223,17 +1226,7 @@ class SuiteReport:
                 for m, c in self.per_method.items()}
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "total": self.total,
-            "per_method": self.per_method,
-            "success_rates": self.success_rates(),
-            "trial_outcomes": self.trial_outcomes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return {**super().to_dict(), "success_rates": self.success_rates()}
 
     def table(self) -> str:
         lines = [f"{'method':<16} {'success':>8} " + " ".join(
@@ -1285,7 +1278,7 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
     for idx, (method, scenario) in enumerate(trials):
         # run_trial less the joint log, which the suite's outcomes never read
         setup = _prepare_trial(scenario)
-        report = _finish_trial(setup, _tick_kernel(setup)[0])
+        report = _finish_trial(setup, _tick_kernel(setup))
         bucket = per_method.setdefault(method, {k: 0 for k in OUTCOMES})
         bucket[report.outcome] += 1
         outcomes.append({"index": idx, "method": method, "seed": report.seed,
@@ -1309,9 +1302,6 @@ def build_study_inputs(study_cfg: dict | None = None):
     # the study's statistics need scipy.stats: import it with the inputs,
     # not in the first timed run_wrist_study
     import scipy.stats  # noqa: F401
-
-    from .comfort import ComfortParams, PoseDistribution
-    from .transfer import transfer_orientation
 
     defaults = default_study_dict()
     study_cfg = {} if study_cfg is None else study_cfg

@@ -14,24 +14,20 @@ from .controller import (ENTRY_KP, ENTRY_KI, EXIT_KP, EXIT_KI)
 
 GAIN_PRESETS: dict[str, dict] = {
     "ours": {
-        "mode": "phased",
         "entry_gains": {"k_p": [ENTRY_KP] * 3 + [0.0] * 3,
                         "k_i": [ENTRY_KI] * 3 + [0.0] * 3},
         "exit_gains": {"k_p": [EXIT_KP] * 3 + [0.0] * 3,
                        "k_i": [EXIT_KI] * 3 + [0.0] * 3},
     },
     "less_reactive": {
-        "mode": "constant",
         "entry_gains": {"k_p": [2.0] * 3 + [0.0] * 3, "k_i": [2.0] * 3 + [0.0] * 3},
         "exit_gains": {"k_p": [2.0] * 3 + [0.0] * 3, "k_i": [2.0] * 3 + [0.0] * 3},
     },
     "more_reactive": {
-        "mode": "constant",
         "entry_gains": {"k_p": [10.0] * 3 + [0.0] * 3, "k_i": [30.0] * 3 + [0.0] * 3},
         "exit_gains": {"k_p": [10.0] * 3 + [0.0] * 3, "k_i": [30.0] * 3 + [0.0] * 3},
     },
     "non_reactive": {
-        "mode": "constant",
         "entry_gains": {"k_p": [0.0] * 6, "k_i": [0.0] * 6},
         "exit_gains": {"k_p": [0.0] * 6, "k_i": [0.0] * 6},
     },

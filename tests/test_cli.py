@@ -73,7 +73,21 @@ class TestTrialCommand:
         {"bite_timeout_s": -1}, {"mouth": {"aperture_m": -0.1}},
         {"scan": {"resolution_mm": 0}}, {"entry_depth_m": 0}, {"segments": {"entry_s": 0}},
         {"food": "pizza"}, {"transfer_mode": "teleport"}, {"safety_mode": "nrom"},
-        {"chain": "nochain"}])
+        {"chain": "nochain"},
+        {"disturbance": {"direction": [0, 0, 0], "kind": "sinusoid"}},
+        {"disturbance": {"period_s": 0, "kind": "sinusoid"}},
+        {"head_perturbation": {"period": 0, "kind": "sinusoid"}},
+        {"head_perturbation": {"direction": [0, 0, 0], "kind": "sinusoid"}},
+        {"disturbance": {"amplitude_n": -1, "kind": "random-walk"}},
+        {"segments": {"scan_s": -1}}, {"bite": {"t_bite_s": -1}},
+        {"disturbance": {"sigma_n": -1, "kind": "random-walk"}},
+        {"mouth": {"lateral_halfwidth_m": -0.01}}, {"mouth": {"stiffness": -1}},
+        {"bite": {"peak_force_n": -1}}, {"entry_gains": {"k_p": [-1, 7, 7, 0, 0, 0]}},
+        {"fork_pitch_deg": float("nan")}, {"mouth_error_mm": [float("nan"), 0, 0]},
+        {"mouth": {"center_position": [0.55, float("nan"), 0.45]}},
+        {"impedance": {"stiffness": [-1, 200, 200, 10, 10, 10]}},
+        {"impedance": {"damping": [-1, 40, 40, 1, 1, 1]}}, {"arc_start_deg": float("nan")},
+        {"mouth": {"facing": [float("nan"), 0, 0]}}])
     def test_bad_value_exit_code(self, tmp_path, capsys, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
@@ -86,6 +100,12 @@ class TestTrialCommand:
         scen = write_json(tmp_path / "s.json", {**SHORT_SCENARIO, "integral_cap_n": cap})
         assert main(["trial", scen, "--out-dir", str(tmp_path)]) == 2
         assert "scenario key 'integral_cap_n': integral cap must be finite" in capsys.readouterr().err
+
+    def test_out_dir_under_a_file_exit_code(self, tmp_path, capsys):
+        scen = write_json(tmp_path / "s.json", SHORT_SCENARIO)
+        (tmp_path / "file").write_text("")
+        assert main(["trial", scen, "--out-dir", str(tmp_path / "file" / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_preset_flag(self, tmp_path):
         scen = write_json(tmp_path / "s.json", SHORT_SCENARIO)
@@ -154,6 +174,12 @@ class TestWristStudyCommand:
             "ik": {"damping": 0.02, "pos_tol": 1e-3, "rot_tol": 1e-2, "max_iter": 30},
         })
         assert main(["wrist-study", study, "--out-dir", str(tmp_path)]) == 4
+
+    def test_home_of_another_length_exit_code(self, tmp_path, capsys):
+        study = write_json(tmp_path / "study.json", {"count": 10, "home": [0, 0]})
+        assert main(["wrist-study", study, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: home must match the without-wrist chain DOF")
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         study = write_json(tmp_path / "study.json", {"cout": 60, "seed": 3})

@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitesim.comfort import (ComfortParams, PoseDistribution, StudyInvalidError,
+from bitesim.comfort import (ComfortParams, PoseDistribution, StudyInvalidError, StudyReport,
                              comfort_cost, run_wrist_study, sample_fork_poses)
 from bitesim.geometry import Pose, quat_from_axis_angle, quat_mul
 from bitesim.harness import ConfigError, build_study_inputs
@@ -247,6 +249,16 @@ class TestRunWristStudy:
         assert rep.mean_comfort_with < rep.mean_comfort_without
         assert rep.p_displacement < 0.01
         assert rep.p_comfort < 0.01
+
+    def test_report_dict_holds_its_fields(self):
+        rep = run_wrist_study(*small_study_inputs(60))
+        d = rep.to_dict()
+        assert set(d) == {f.name for f in fields(StudyReport)} - {"samples"}
+        for f in fields(StudyReport):
+            value = getattr(rep, f.name)
+            if f.name != "samples" and isinstance(value, np.ndarray):
+                assert type(d[f.name]) is list and d[f.name] == value.tolist(), f.name
+        assert len(d["per_joint_mean_with"]) == 7
 
     def test_failure_residuals_reported(self):
         chain_with, chain_without, dist, ik_params, comfort, home = small_study_inputs(

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,10 @@ from bitesim import harness
 from bitesim.controller import (ControllerState, ImpedanceParams, ReactivityGains,
                                 SafetyLatch)
 from bitesim.geometry import Pose
-from bitesim.harness import (CSV_HEADER, ConfigError, Scenario, TickLog, VirtualRobotState,
-                             WorldState, build_study_inputs, export_trajectory, load_log,
-                             mouth_frame_from_position, run_suite, run_trial, save_log,
-                             simulate_tick)
+from bitesim.harness import (CSV_HEADER, ConfigError, Scenario, SuiteReport, TickLog,
+                             TrialReport, VirtualRobotState, WorldState, build_study_inputs,
+                             export_trajectory, load_log, mouth_frame_from_position, run_suite,
+                             run_trial, save_log, simulate_tick)
 from bitesim.humansim import BiteScript, FoodAttachmentState, MouthModel, load_food_presets
 from bitesim.perception import compute_offsets, food_bounding_box, synth_depth_scan
 from bitesim.transfer import BiteDetector, FsmState, Segment, TrajectoryPlan, TransferPhase
@@ -257,6 +260,22 @@ class TestFinalPhase:
         assert rep.completed is True
 
 
+class TestReportDicts:
+    def test_trial_dict_holds_its_fields(self, nominal_report):
+        d = nominal_report.to_dict()
+        assert set(d) == {f.name for f in fields(TrialReport)} - {"log"}
+        assert d["peak_force_components"] == list(nominal_report.peak_force_components)
+        assert type(d["peak_force_components"]) is list
+        assert json.loads(nominal_report.to_json()) == d
+
+    def test_suite_dict_holds_its_fields_and_success_rates(self):
+        report = run_suite({"seed": 1, "trials": [{"scenario": {"horizon_s": 0.0}}]})
+        d = report.to_dict()
+        assert set(d) == {f.name for f in fields(SuiteReport)} | {"success_rates"}
+        assert d["success_rates"] == report.success_rates() == {"ours": 1.0}
+        assert json.loads(report.to_json()) == d
+
+
 # one value out of the range of its key, which a scenario rejects at load
 RANGE_ERRORS = [
     {"lowpass_cutoff_hz": -5}, {"arc_radius_m": 0}, {"arc_radius_m": -0.1},
@@ -268,6 +287,28 @@ RANGE_ERRORS = [
 # one value that is none of its key's choices
 CHOICE_ERRORS = [{"food": "pizza"}, {"transfer_mode": "teleport"}, {"safety_mode": "nrom"},
                  {"chain": "nochain"}]
+# more values out of range, listed after the others so that their cases
+# keep their test ids: a trial would run with each, or stop with an
+# error naming no key (the offending key comes first in its object)
+MORE_RANGE_ERRORS = [
+    {"disturbance": {"direction": [0, 0, 0], "kind": "sinusoid"}},
+    {"disturbance": {"period_s": 0, "kind": "sinusoid"}},
+    {"head_perturbation": {"period": 0, "kind": "sinusoid"}},
+    {"head_perturbation": {"direction": [0, 0, 0], "kind": "sinusoid"}},
+    {"disturbance": {"amplitude_n": -1, "kind": "random-walk"}},
+    {"disturbance": {"sigma_n": -1, "kind": "random-walk"}},
+    {"head_perturbation": {"sigma": -0.001, "kind": "random-walk"}},
+    {"segments": {"scan_s": -1}}, {"bite": {"t_bite_s": -1}},
+    {"mouth": {"lateral_halfwidth_m": -0.01}}, {"mouth": {"stiffness": -1}},
+    {"mouth": {"damping": -1}}, {"bite": {"peak_force_n": -1}},
+    {"entry_gains": {"k_p": [-1, 7, 7, 0, 0, 0]}}, {"exit_gains": {"k_i": [1, 1, 1, 0, 0, -1]}},
+    {"fork_pitch_deg": float("nan")}, {"mouth_error_mm": [float("nan"), 0, 0]},
+    {"mouth": {"center_position": [0.55, float("nan"), 0.45]}},
+    {"impedance": {"stiffness": [-1, 200, 200, 10, 10, 10]}},
+    {"impedance": {"damping": [-1, 40, 40, 1, 1, 1]}}, {"arc_start_deg": float("nan")},
+    {"mouth": {"facing": [float("nan"), 0, 0]}},
+    {"head_perturbation": {"direction": [1e-320, 0, 0], "kind": "sinusoid"}},
+    {"disturbance": {"direction": [1e200, 0, 0], "kind": "sinusoid"}}]
 
 
 class TestConfigKeys:
@@ -291,7 +332,7 @@ class TestConfigKeys:
         {"head_perturbation": {"amplitude": 0.5, "kind": "sinusoid"}},
         {"head_perturbation": {"amplitude": -0.001, "kind": "random-walk"}},
         {"head_perturbation": {"amplitude": float("nan"), "kind": "sinusoid"}},
-        *RANGE_ERRORS, *CHOICE_ERRORS])
+        *RANGE_ERRORS, *CHOICE_ERRORS, *MORE_RANGE_ERRORS])
     def test_value_of_another_kind_or_out_of_range(self, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
@@ -367,7 +408,6 @@ class TestConfigKeys:
 
     def test_optional_keys_accepted(self):
         Scenario.from_dict({
-            "mode": "phased",
             "mouth": {"facing": [-1.0, 0.0, 0.0]},
             "disturbance": {"kind": "array", "trace": [[0.0] * 6]},
             "head_perturbation": {"kind": "sinusoid", "amplitude": 0.004,
@@ -395,7 +435,7 @@ class TestConfigKeys:
                 {"scenario": {"horizon_s": 1.0}},
                 {"scenario": {"head_perturbation": {"kind": "sinusoid", "amplitude": 0.5}}}]})
 
-    @pytest.mark.parametrize("overrides", RANGE_ERRORS[:6] + CHOICE_ERRORS)
+    @pytest.mark.parametrize("overrides", RANGE_ERRORS[:6] + CHOICE_ERRORS + MORE_RANGE_ERRORS)
     def test_suite_checks_ranges_before_running(self, monkeypatch, overrides):
         monkeypatch.setattr(harness, "_prepare_trial", lambda *a: pytest.fail("a trial ran"))
         (key, value), = overrides.items()
@@ -546,21 +586,37 @@ class TestExport:
         assert first[8:11] == ["0", "0", "0"]
         assert (first[14], second[14]) == ("SCAN", "ABORTED")
 
+    @staticmethod
+    def assert_same_log(got, want):
+        for f in fields(TickLog):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
+
     def test_save_load_roundtrip(self, nominal_report, tmp_path):
         path = tmp_path / "log.npz"
         save_log(nominal_report.log, path)
         loaded = load_log(path)
-        assert np.array_equal(loaded.position, nominal_report.log.position)
-        assert loaded.events == nominal_report.log.events
+        self.assert_same_log(loaded, nominal_report.log)
         out = tmp_path / "fromfile.csv"
         export_trajectory(str(path), out)
         assert out.read_text().splitlines()[0] == CSV_HEADER
+
+    def test_save_load_roundtrip_without_joints(self, tmp_path):
+        log = run_trial(Scenario.from_dict({**SHORT_SEGMENTS, "horizon_s": 0.5})).log
+        assert log.joints is None and log.joint_ticks is None
+        save_log(log, tmp_path / "log.npz")
+        self.assert_same_log(load_log(tmp_path / "log.npz"), log)
 
     def test_joint_log_stride(self, nominal_report):
         log = nominal_report.log
         assert log.joints is not None
         assert log.joints.shape == (101, 9)  # every 100th of 10001 ticks, 9-DOF chain
-        assert np.all(np.diff(log.joint_ticks) == 100)
+        assert log.joint_ticks.dtype == np.int64
+        assert np.array_equal(log.joint_ticks, np.arange(0, 10001, 100))
 
 
 class TestSuite:

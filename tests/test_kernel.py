@@ -18,8 +18,9 @@ from bitesim.geometry import (Pose, quat_conj, quat_from_axis_angle, quat_mul, q
                               quat_normalize_rows, quat_to_rotvec, quat_to_rotvec_rows,
                               row_dots, slerp, slerp_rows)
 from bitesim.controller import Wrench
+from bitesim.kinematics import IkParams, ik_damped_least_squares
 from bitesim.harness import (Scenario, TickLog, VirtualRobotState, _finish_trial,
-                             _log_joints, _prepare_trial, _resolve_chain, _setpoint_table,
+                             _prepare_trial, _resolve_chain, _setpoint_table,
                              _tick_kernel, run_trial, simulate_tick)
 from bitesim.presets import GAIN_PRESETS
 from bitesim.transfer import TrajectoryPlan, TransferPhase, interpolate, phase_segments, step
@@ -65,8 +66,15 @@ def reference_run(setup) -> TickLog:
 
         if stride and i % stride == 0:
             ik_targets.append((i, rec["pose"]))
-    if ik_targets:  # the kernel must keep these very poses
-        _log_joints(log, ik_targets, _resolve_chain(setup.cfg["chain"]))
+    if ik_targets:  # the logged rows must be these very poses
+        chain = _resolve_chain(setup.cfg["chain"])
+        q_guess = chain.home
+        rows = []
+        for _, pose in ik_targets:
+            q_guess = ik_damped_least_squares(chain, pose, q_guess, IkParams(max_iter=60)).q
+            rows.append(q_guess)
+        log.joints = np.array(rows)
+        log.joint_ticks = np.array([i for i, _ in ik_targets], dtype=np.int64)
     return log
 
 
@@ -253,7 +261,7 @@ def test_turning_plan_equals_reference_loop():
     ref = setups[0]
     expected = _finish_trial(ref, reference_run(ref))
     new = setups[1]
-    report = _finish_trial(new, _tick_kernel(new)[0])
+    report = _finish_trial(new, _tick_kernel(new))
     q = new.fsm.plan.orientations
     assert (np.abs(np.sum(q[1:] * q[:-1], axis=1)) <= 0.9995).any()  # slerp's far branch
     assert report.final_phase == "DONE"
