@@ -200,6 +200,23 @@ _SCENARIO_RANGES = {
 }
 
 
+def _check_pairs(cfg: dict) -> None:
+    """The scenario values judged by a second value, named as the range
+    rules name theirs: damping by stiffness (ImpedanceParams' rule), and
+    the mouth's facing, by default the direction from the mouth centre to
+    the base, whose norm mouth_frame_from_position takes."""
+    imp, mouth = cfg["impedance"], cfg["mouth"]
+    if imp["damping"] is not None and any(
+            k > 0 and not d > 0 for k, d in zip(imp["stiffness"], imp["damping"])):
+        raise ConfigError(f"scenario key 'impedance.damping' must be > 0 on every axis of "
+                          f"nonzero stiffness, got {imp['damping']!r}")
+    key = "facing" if mouth.get("facing") is not None else "center_position"
+    if np.linalg.norm([float(mouth[key][0]), float(mouth[key][1]), 0.0]) < 1e-9:
+        wanted = ("horizontal and nonzero" if key == "facing" else
+                  "off the vertical through the base while 'mouth.facing' is null")
+        raise ConfigError(f"scenario key 'mouth.{key}' must be {wanted}, got {mouth[key]!r}")
+
+
 def _rule(default) -> _Rule | None:
     """The rule of a value whose default, or stand-in rule, is default."""
     if isinstance(default, _Rule):
@@ -268,6 +285,7 @@ class Scenario:
             if key in values and not rule.ok(values[key]):
                 raise ConfigError(f"scenario key {path!r} must be {rule.wanted}, "
                                   f"got {values[key]!r}")
+        _check_pairs(cfg)
         cap = cfg["integral_cap_n"]
         if not 0 < cap < math.inf:  # in the words of ControllerState's own check
             raise ConfigError(f"scenario key 'integral_cap_n': integral cap must be finite "
@@ -771,6 +789,30 @@ def _setpoint_table(fsm: FsmState, first: int, n_ticks: int, phase: int,
     return _SetpointTable(phases.tolist(), rows, velocities, transitions, wait_start)
 
 
+# The kernel's float pre-tests: True only where a float sum, a few ulp from
+# the BLAS dot it stands in for, settles the comparison; on False (also for
+# NaN or inf) the kernel asks BLAS.
+def _below_1e_12(x: float, y: float, z: float) -> bool:
+    """True only when the BLAS norm sqrt(v.dot(v)) of (x, y, z) is < 1e-12."""
+    return x * x + y * y + z * z < 0.5e-24
+
+
+def _clear_of_mouth(dx, dy, dz, x_hat, y_hat, z_hat, lip, cavity, lateral,
+                    half_aperture) -> bool:
+    """True only when the BLAS dots of humansim.contact_force put the fork,
+    at (dx, dy, dz) from the mouth centre, against no wall: clearly outside
+    the slab [-cavity, lip] along z_hat, or clearly inside the walls along
+    x_hat and y_hat. The unit axes' components are at most 1, so a float sum
+    and its BLAS dot differ by a few ulp of the offset's 1-norm at most, far
+    below the margin of 1e-12 of that norm."""
+    tol = 1e-12 * (abs(dx) + abs(dy) + abs(dz))
+    z_m = dx * z_hat[0] + dy * z_hat[1] + dz * z_hat[2]
+    if z_m > lip + tol or z_m < -cavity - tol:
+        return True
+    return (abs(dx * x_hat[0] + dy * x_hat[1] + dz * x_hat[2]) < lateral - tol
+            and abs(dx * y_hat[0] + dy * y_hat[1] + dz * y_hat[2]) < half_aperture - tol)
+
+
 def _tick_kernel(setup: TrialSetup) -> TickLog:
     """The 1 kHz loop of run_trial as one flat kernel, run from t = 0;
     returns only the tick log.
@@ -783,9 +825,20 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
     carry only +, -, *, /, square roots, comparisons, abs, min and max,
     which round exactly as numpy does; the integral clamp compares floats
     and, like np.clip, keeps a value equal to a bound. Every dot product
-    and norm stays a BLAS call on a float64 array (BLAS fuses
-    multiply-adds, so a Python sum can differ in the last bit), and the
-    trigonometric functions stay numpy's.
+    and norm whose value is used stays a BLAS call on a float64 array
+    (BLAS fuses multiply-adds, so a Python sum can differ in the last
+    bit), and the trigonometric functions stay numpy's.
+
+    A dot product that only feeds a comparison is first estimated by a
+    plain float sum, and BLAS is asked only where the estimate is too
+    close to the threshold to decide (_below_1e_12, _clear_of_mouth). The
+    orientation error's rotation vector below 1e-12 is twice the vector
+    part and reads no norm; a rotation step below 1e-12 is (1, r / 2) as
+    it is, since 1 - angle**2 / 8 and the squared norm unit() divides by
+    both round to 1; a fork clearly outside the contact slab, or clearly
+    inside its walls, meets no contact, which skips the x, y and velocity
+    dots. A force-free tick outside the bite wait then makes one BLAS call,
+    the final unit() norm.
 
     Most ticks meet no force: no contact (contact_force is exactly zero
     outside the mouth's planes), no bite and no disturbance. Without the
@@ -820,11 +873,14 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
     b3 = np.empty(3)
     b4 = np.empty(4)
 
-    def norm3(x, y, z):
+    def dot3(x, y, z, v):
         b3[0] = x
         b3[1] = y
         b3[2] = z
-        return math.sqrt(b3.dot(b3))
+        return float(b3.dot(v))
+
+    def norm3(x, y, z):
+        return math.sqrt(dot3(x, y, z, b3))
 
     def unit(w, x, y, z):
         # quat_normalize
@@ -848,9 +904,8 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
         # quat_to_rotvec
         if w < 0.0:
             w, x, y, z = -w, -x, -y, -z
-        s = norm3(x, y, z)
-        if s < 1e-12:
-            return 2.0 * x, 2.0 * y, 2.0 * z
+        if _below_1e_12(x, y, z) or (s := norm3(x, y, z)) < 1e-12:
+            return 2.0 * x, 2.0 * y, 2.0 * z  # the small branch reads no norm
         c = float(2.0 * np.arctan2(s, w)) / s
         return c * x, c * y, c * z
 
@@ -867,7 +922,7 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
         rot = quat_to_matrix(q)
         z_axis = quat_rotate(q, np.array([0.0, 0.0, 1.0]))
         frames.append((rot[:, 0], rot[:, 1], rot[:, 2], z_axis, q,
-                       rot[:, 0].tolist(), rot[:, 1].tolist()))
+                       rot[:, 0].tolist(), rot[:, 1].tolist(), rot[:, 2].tolist()))
     head = world.perturb_trace
     if not np.all(np.isfinite(head[:n_ticks])):
         raise ValueError("pose position must be finite")
@@ -895,9 +950,9 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
     f_meas_force = np.empty(3)  # the BLAS operands of the force gains
     integral_force = np.empty(3)
     free_f_bar = None  # the reactive wrench of the last force-free tick
-    stiff = world.impedance.stiffness.tolist()
-    damp = world.impedance.damping.tolist()
-    mass = robot.mass.tolist()
+    k0, k1, k2, k3, k4, k5 = world.impedance.stiffness.tolist()
+    c0, c1, c2, c3, c4, c5 = world.impedance.damping.tolist()
+    ms0, ms1, ms2, ms3, ms4, ms5 = robot.mass.tolist()
 
     # FSM: integer phase, the detector's elapsed time; the phases that
     # time alone drives come from setpoint tables
@@ -913,7 +968,7 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
 
     px, py, pz = robot.pose.position.tolist()
     qw, qx, qy, qz = robot.pose.orientation.tolist()
-    tw = [0.0] * 6
+    w0 = w1 = w2 = w3 = w4 = w5 = 0.0  # the twist
 
     rec = np.empty((n_ticks, _REC_WIDTH))
     events: list[dict] = []
@@ -924,22 +979,20 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
         if head_moves[jh]:
             ox, oy, oz = head[jh].tolist()
             mx, my, mz = mx0 + ox, my0 + oy, mz0 + oz
-            x_hat, y_hat, z_hat, z_axis, mouth_q, xh, yh = frames[1]
+            x_hat, y_hat, z_hat, z_axis, mouth_q, xh, yh, zh = frames[1]
         else:
             mx, my, mz = mx0, my0, mz0
-            x_hat, y_hat, z_hat, z_axis, mouth_q, xh, yh = frames[0]
+            x_hat, y_hat, z_hat, z_axis, mouth_q, xh, yh, zh = frames[0]
 
         # forces on the fork: penalty contact, then the bite, then the
         # injected disturbance (humansim.contact_force and bite_force)
-        b3[0] = px - mx
-        b3[1] = py - my
-        b3[2] = pz - mz
-        z_m = float(b3.dot(z_hat))
+        dx, dy, dz = px - mx, py - my, pz - mz
         f0 = f1 = f2 = 0.0
-        if not (z_m > lip or z_m < -cavity):
-            x_m = float(b3.dot(x_hat))
-            y_m = float(b3.dot(y_hat))
-            v = np.array(tw[:3])
+        if (not _clear_of_mouth(dx, dy, dz, xh, yh, zh, lip, cavity, lateral, half_aperture)
+                and not ((z_m := dot3(dx, dy, dz, z_hat)) > lip or z_m < -cavity)):
+            x_m = dot3(dx, dy, dz, x_hat)
+            y_m = dot3(dx, dy, dz, y_hat)
+            v = np.array((w0, w1, w2))
             v_x = float(v.dot(x_hat))
             v_y = float(v.dot(y_hat))
             if y_m < -half_aperture:
@@ -956,7 +1009,7 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
                 f0, f1, f2 = f0 + mag * xh[0], f1 + mag * xh[1], f2 + mag * xh[2]
         bite_n = 0.0
         if not detached and not script.refuse and (
-                phase == WAIT or phase == EXIT and bitten and float(b3.dot(z_axis)) <= lip):
+                phase == WAIT or phase == EXIT and bitten and dot3(dx, dy, dz, z_axis) <= lip):
             t_in_bite = t - wait_started_at
             if t_in_bite >= script.t_bite:
                 frac = (min(1.0, (t_in_bite - script.t_bite) / script.ramp)
@@ -990,16 +1043,14 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
         if phase == ABORTED:
             pass
         elif tripped:
-            b3[0], b3[1], b3[2] = fm0, fm1, fm2
-            f_y = float(np.dot(b3, axis))
+            f_y = dot3(fm0, fm1, fm2, axis)
             tick_events = ((phase, ABORTED, "safety_abort"),)
             phase = ABORTED
         else:
             phase = phases[i]
             tick_events = transitions.get(i, ())
             if phase == WAIT:
-                b3[0], b3[1], b3[2] = fm0, fm1, fm2
-                f_y = float(np.dot(b3, axis))
+                f_y = dot3(fm0, fm1, fm2, axis)
                 bitten = abs(f_y) > detector.threshold
                 if not bitten:
                     elapsed = elapsed + dt
@@ -1012,8 +1063,7 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
                     transitions.update(table.transitions)
         for p_from, p_to, kind in tick_events:
             if f_y is None:
-                b3[0], b3[1], b3[2] = fm0, fm1, fm2
-                f_y = float(np.dot(b3, axis))
+                f_y = dot3(fm0, fm1, fm2, axis)
             events.append({"t": t, "phase_from": names[p_from], "phase_to": names[p_to],
                            "event": kind, "f_y": f_y})
 
@@ -1028,7 +1078,7 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
 
         if phase == ABORTED:
             # the plant freezes where it is
-            tw = [0.0] * 6
+            w0 = w1 = w2 = w3 = w4 = w5 = 0.0
             sp = (px, py, pz, qw, qx, qy, qz)
         else:
             # impedance wrench from the setpoint error (geometry.pose_error,
@@ -1037,12 +1087,13 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
             spx, spy, spz, sqw, sqx, sqy, sqz = sp
             e0, e1, e2 = spx - px, spy - py, spz - pz
             e3, e4, e5 = rotvec(*qmul(sqw, sqx, sqy, sqz, qw, -qx, -qy, -qz))
-            err = (e0, e1, e2, e3, e4, e5)
-            v_err = [v - w for v, w in zip(velocities[i].tolist(), tw)]
-            f_cmd = [k * e + c * v for k, e, c, v in zip(stiff, err, damp, v_err)]
+            v0, v1, v2, v3, v4, v5 = velocities[i].tolist()
+            v0, v1, v2, v3, v4, v5 = v0 - w0, v1 - w1, v2 - w2, v3 - w3, v4 - w4, v5 - w5
+            g0, g1, g2 = k0 * e0 + c0 * v0, k1 * e1 + c1 * v1, k2 * e2 + c2 * v2
+            g3, g4, g5 = k3 * e3 + c3 * v3, k4 * e4 + c4 * v4, k5 * e5 + c5 * v5
             # a non-finite error makes its wrench component non-finite too
-            if not math.isfinite(sum(f_cmd)):
-                if not all(map(math.isfinite, (*err, *v_err))):
+            if not math.isfinite(g0 + g1 + g2 + g3 + g4 + g5):
+                if not all(map(math.isfinite, (e0, e1, e2, e3, e4, e5, v0, v1, v2, v3, v4, v5))):
                     raise ValueError("pose/velocity errors must be finite")
 
             # reactive PI term on the (optionally low-passed) measurement
@@ -1072,16 +1123,22 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
                          p_torque[2] * fm[5] + i_torque[2] * integral[5])
                 free_f_bar = f_bar if free else None
 
-            # semi-implicit Euler through the virtual mass
-            on_fork = (f0, f1, f2, m0, m1, m2)
-            tw = [w + dt * ((c - b + f) / m)
-                  for w, c, b, f, m in zip(tw, f_cmd, f_bar, on_fork, mass)]
-            px, py, pz = px + dt * tw[0], py + dt * tw[1], pz + dt * tw[2]
-            r0, r1, r2 = dt * tw[3], dt * tw[4], dt * tw[5]
+            # semi-implicit Euler through the virtual mass: command less
+            # reactive term plus the forces on the fork
+            fb0, fb1, fb2, fb3, fb4, fb5 = f_bar
+            w0, w1, w2 = (w0 + dt * ((g0 - fb0 + f0) / ms0), w1 + dt * ((g1 - fb1 + f1) / ms1),
+                          w2 + dt * ((g2 - fb2 + f2) / ms2))
+            w3, w4, w5 = (w3 + dt * ((g3 - fb3 + m0) / ms3), w4 + dt * ((g4 - fb4 + m1) / ms4),
+                          w5 + dt * ((g5 - fb5 + m2) / ms5))
+            px, py, pz = px + dt * w0, py + dt * w1, pz + dt * w2
+            r0, r1, r2 = dt * w3, dt * w4, dt * w5
             if r0 != 0.0 or r1 != 0.0 or r2 != 0.0:
-                # geometry.quat_from_rotvec, then quat_mul onto the pose
-                angle = norm3(r0, r1, r2)
-                if angle < 1e-12:
+                # geometry.quat_from_rotvec, then quat_mul onto the pose;
+                # below 1e-12, 1 - angle**2 / 8 rounds to 1 and so does the
+                # squared norm of (1, r / 2), which unit() returns as it is
+                if _below_1e_12(r0, r1, r2):
+                    aw, ax, ay, az = 1.0, 0.5 * r0, 0.5 * r1, 0.5 * r2
+                elif (angle := norm3(r0, r1, r2)) < 1e-12:
                     aw, ax, ay, az = unit(1.0 - angle * angle / 8.0, 0.5 * r0, 0.5 * r1,
                                           0.5 * r2)
                 else:
@@ -1096,10 +1153,10 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
                 raw_q = (qw, qx, qy, qz)
             qw, qx, qy, qz = unit(*raw_q)
             # the checks of Pose and VirtualRobotState, in their order
-            if not math.isfinite(px + py + pz + sum(tw)):
+            if not math.isfinite(px + py + pz + w0 + w1 + w2 + w3 + w4 + w5):
                 if not all(map(math.isfinite, (px, py, pz))):
                     raise ValueError("pose position must be finite")
-                if not all(map(math.isfinite, tw)):
+                if not all(map(math.isfinite, (w0, w1, w2, w3, w4, w5))):
                     raise ValueError("twist must be finite")
 
         # food attachment, on-fork forces split by source; a zero force

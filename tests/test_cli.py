@@ -87,7 +87,9 @@ class TestTrialCommand:
         {"mouth": {"center_position": [0.55, float("nan"), 0.45]}},
         {"impedance": {"stiffness": [-1, 200, 200, 10, 10, 10]}},
         {"impedance": {"damping": [-1, 40, 40, 1, 1, 1]}}, {"arc_start_deg": float("nan")},
-        {"mouth": {"facing": [float("nan"), 0, 0]}}])
+        {"mouth": {"facing": [float("nan"), 0, 0]}},
+        {"impedance": {"damping": [0, 40, 40, 1, 1, 1]}}, {"mouth": {"facing": [0, 0, 1]}},
+        {"mouth": {"center_position": [0, 0, 0.4]}}])
     def test_bad_value_exit_code(self, tmp_path, capsys, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
 from bitesim.geometry import (Pose, interpolate_pose, mat_to_quat_rows, pose_error,
-                              quat_angle_between, quat_canonical, quat_distance,
+                              quat_angle_between, quat_canonical, quat_conj, quat_distance,
                               quat_from_axis_angle, quat_from_rotvec, quat_mul, quat_normalize,
                               quat_rotate, quat_to_matrix, quat_to_rotvec, quat_to_rotvec_rows,
                               slerp)
@@ -223,3 +223,61 @@ class TestStackedForms:
         q = mat_to_quat_rows(r)
         np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose([quat_to_matrix(x) for x in q], r, atol=1e-12)
+
+
+POINTS = arrays(np.float64, 3, elements=st.floats(-2.0, 2.0))
+TOL = dict(rtol=0.0, atol=1e-12)
+
+
+class TestAlgebra:
+    """The quaternion and Pose algebra, to a tolerance."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(quat_rows(3), POINTS)
+    def test_composition(self, q, v):
+        a, b, c = q
+        ab = quat_mul(a, b)
+        assert abs(np.linalg.norm(ab) - 1.0) < 1e-12
+        np.testing.assert_allclose(quat_mul(ab, c), quat_mul(a, quat_mul(b, c)), **TOL)
+        np.testing.assert_allclose(quat_rotate(ab, v), quat_rotate(a, quat_rotate(b, v)), **TOL)
+        np.testing.assert_allclose(quat_to_matrix(ab), quat_to_matrix(a) @ quat_to_matrix(b),
+                                   **TOL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(quat_rows(2), POINTS, POINTS, POINTS)
+    def test_pose_composition_and_inverse(self, q, p, r, x):
+        outer, inner = Pose(p, q[0]), Pose(r, q[1])
+        composed = Pose(outer.transform_point(inner.position),
+                        quat_mul(outer.orientation, inner.orientation))
+        np.testing.assert_allclose(composed.transform_point(x),
+                                   outer.transform_point(inner.transform_point(x)), **TOL)
+        inverse = Pose(-quat_rotate(quat_conj(outer.orientation), outer.position),
+                       quat_conj(outer.orientation))
+        np.testing.assert_allclose(inverse.transform_point(outer.transform_point(x)), x, **TOL)
+        np.testing.assert_allclose(quat_mul(outer.orientation, inverse.orientation),
+                                   [1.0, 0.0, 0.0, 0.0], **TOL)
+        # the error taking inner to outer undoes the one taking outer to inner
+        there, back = pose_error(inner, outer), pose_error(outer, inner)
+        np.testing.assert_allclose(there[:3], -back[:3], **TOL)
+        if np.linalg.norm(there[3:]) < np.pi - 1e-6:  # off the double cover's seam
+            np.testing.assert_allclose(there[3:], -back[3:], rtol=0.0, atol=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(quat_rows(1), arrays(np.float64, 3, elements=st.floats(-1.8, 1.8)))
+    def test_rotvec_round_trips(self, q, v):
+        a = q[0]
+        w = quat_to_rotvec(a)
+        assert np.linalg.norm(w) <= np.pi + 1e-12
+        assert quat_distance(quat_from_rotvec(w), a) < 1e-12
+        # a turn by less than pi comes back as it went, to a relative tolerance
+        np.testing.assert_allclose(quat_to_rotvec(quat_from_rotvec(v)), v, rtol=1e-12,
+                                   atol=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(quat_rows(1))
+    def test_matrix_round_trip(self, q):
+        a = q[0]
+        r = quat_to_matrix(a)
+        np.testing.assert_allclose(r @ r.T, np.eye(3), **TOL)
+        assert abs(np.linalg.det(r) - 1.0) < 1e-12
+        assert quat_distance(mat_to_quat_rows(r[None])[0], a) < 1e-12

@@ -308,7 +308,9 @@ MORE_RANGE_ERRORS = [
     {"impedance": {"damping": [-1, 40, 40, 1, 1, 1]}}, {"arc_start_deg": float("nan")},
     {"mouth": {"facing": [float("nan"), 0, 0]}},
     {"head_perturbation": {"direction": [1e-320, 0, 0], "kind": "sinusoid"}},
-    {"disturbance": {"direction": [1e200, 0, 0], "kind": "sinusoid"}}]
+    {"disturbance": {"direction": [1e200, 0, 0], "kind": "sinusoid"}},
+    {"impedance": {"damping": [0, 40, 40, 1, 1, 1]}}, {"mouth": {"facing": [0, 0, 1]}},
+    {"mouth": {"center_position": [0, 0, 0.4]}}]
 
 
 class TestConfigKeys:

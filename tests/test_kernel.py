@@ -6,22 +6,26 @@ controller.reactive_term). Started from the same setup objects and
 classified by the same _finish_trial, run_trial must give the same bits.
 """
 
+import cProfile
 import json
 import math
+import pstats
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bitesim.geometry import (Pose, quat_conj, quat_from_axis_angle, quat_mul, quat_normalize,
-                              quat_normalize_rows, quat_to_rotvec, quat_to_rotvec_rows,
-                              row_dots, slerp, slerp_rows)
+                              quat_normalize_rows, quat_to_matrix, quat_to_rotvec,
+                              quat_to_rotvec_rows, row_dots, slerp, slerp_rows)
 from bitesim.controller import Wrench
+from bitesim.humansim import CAVITY_DEPTH, LIP_MARGIN
 from bitesim.kinematics import IkParams, ik_damped_least_squares
-from bitesim.harness import (Scenario, TickLog, VirtualRobotState, _finish_trial,
-                             _prepare_trial, _resolve_chain, _setpoint_table,
-                             _tick_kernel, run_trial, simulate_tick)
+from bitesim.harness import (Scenario, TickLog, VirtualRobotState, _below_1e_12,
+                             _clear_of_mouth, _finish_trial, _prepare_trial, _resolve_chain,
+                             _setpoint_table, _tick_kernel, run_trial, simulate_tick)
 from bitesim.presets import GAIN_PRESETS
 from bitesim.transfer import TrajectoryPlan, TransferPhase, interpolate, phase_segments, step
 
@@ -233,40 +237,70 @@ def test_lowpass_trial_after_contact_equals_reference_loop():
     assert ticks and ticks[-1] < 1800
 
 
-def test_turning_plan_equals_reference_loop():
-    # run_trial's plans hold one fork orientation; this one follows the
-    # nominal plan's path but turns the fork by 90 degrees about world z
-    # over the arc, in waypoints about 0.2 s apart, which takes slerp's
-    # far branch and gives the plant orientation errors to correct
-    scenario = Scenario.from_dict({
+def turning_setup(overrides=None):
+    """A trial setup whose plan follows the nominal plan's path but turns
+    the fork by 90 degrees about world z over the arc, in waypoints about
+    0.2 s apart, which takes slerp's far branch and gives the plant
+    orientation errors to correct (run_trial's plans hold one fork
+    orientation)."""
+    setup = _prepare_trial(Scenario.from_dict({
         "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 0.5},
-        "horizon_s": 3.5, "joint_log_stride": 0})
+        "horizon_s": 3.5, "joint_log_stride": 0, **(overrides or {})}))
     times = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.25, 1.5, 1.75, 2.0])
-    setups = []
-    for _ in range(2):
-        setup = _prepare_trial(scenario)
-        nominal = setup.fsm.plan
-        arc_end = phase_segments(nominal)[0].t_end
-        pre = interpolate(nominal, arc_end).orientation
-        poses = [Pose(interpolate(nominal, t).position,
-                      quat_mul(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]),
-                                                    np.pi / 2 * max(0.0, 1.0 - t / arc_end)),
-                               pre))
-                 for t in times]
-        plan = TrajectoryPlan(times, [p.position for p in poses],
-                              [p.orientation for p in poses], nominal.segments)
-        setup.fsm = replace(setup.fsm, plan=plan)
-        setup.robot = VirtualRobotState(plan.start_pose, np.zeros(6), setup.robot.mass)
-        setups.append(setup)
-    ref = setups[0]
+    nominal = setup.fsm.plan
+    arc_end = phase_segments(nominal)[0].t_end
+    pre = interpolate(nominal, arc_end).orientation
+    poses = [Pose(interpolate(nominal, t).position,
+                  quat_mul(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]),
+                                                np.pi / 2 * max(0.0, 1.0 - t / arc_end)), pre))
+             for t in times]
+    plan = TrajectoryPlan(times, [p.position for p in poses],
+                          [p.orientation for p in poses], nominal.segments)
+    setup.fsm = replace(setup.fsm, plan=plan)
+    setup.robot = VirtualRobotState(plan.start_pose, np.zeros(6), setup.robot.mass)
+    return setup
+
+
+def test_turning_plan_equals_reference_loop():
+    ref = turning_setup()
     expected = _finish_trial(ref, reference_run(ref))
-    new = setups[1]
+    new = turning_setup()
     report = _finish_trial(new, _tick_kernel(new))
     q = new.fsm.plan.orientations
     assert (np.abs(np.sum(q[1:] * q[:-1], axis=1)) <= 0.9995).any()  # slerp's far branch
     assert report.final_phase == "DONE"
     assert np.abs(report.log.orientation - report.log.set_orientation).max() > 1e-3
     assert_same_trial(report, expected)
+
+
+def test_turning_plan_through_lip_and_teeth_equals_reference_loop():
+    # the turning plan aimed as TOUCH aims: the fork crosses the lip plane
+    # and rests on the lower teeth while the plant still corrects the
+    # turn, so the kernel's float pre-tests settle some ticks and leave
+    # the others to BLAS, for contact and for the orientation error
+    overrides = {key: TOUCH[key] for key in ("food", "mouth", "mouth_error_mm", "bite",
+                                             "bite_timeout_s")}
+    ref = turning_setup(overrides)
+    expected = _finish_trial(ref, reference_run(ref))
+    new = turning_setup(overrides)
+    report = _finish_trial(new, _tick_kernel(new))
+    assert_same_trial(report, expected)
+
+    log, mouth = report.log, new.world.mouth
+    rot = quat_to_matrix(mouth.center.orientation)
+    offsets = log.position - mouth.center.position
+    y_m, z_m = offsets @ rot[:, 1], offsets @ rot[:, 2]
+    in_slab = (z_m <= LIP_MARGIN) & (z_m >= -CAVITY_DEPTH)
+    assert (z_m > LIP_MARGIN).any() and in_slab.any()
+    touching = wrench_ticks(log)
+    assert (in_slab & (y_m < -mouth.aperture / 2)).any() and touching
+    clear = [_clear_of_mouth(*d, *rot.T.tolist(), LIP_MARGIN, CAVITY_DEPTH,
+                             mouth.lateral_halfwidth, mouth.aperture / 2)
+             for d in offsets.tolist()]
+    assert any(clear) and not all(clear)
+    turn = quat_to_rotvec_rows(quat_mul(log.set_orientation.T, quat_conj(log.orientation.T)).T)
+    turn = np.sqrt(row_dots(turn, turn))
+    assert (turn < 1e-12).any() and (turn[touching] > 1e-7).all()
 
 
 def test_setpoint_tables_equal_step_on_the_turning_plan():
@@ -360,6 +394,114 @@ def test_blas_forms_the_kernel_relies_on():
         f"of {n} draws each, these forms rounded differently: {mismatches}; "
         f"the flat kernel's bit identity with simulate_tick does not hold on "
         f"{_numpy_and_blas()}")
+
+
+def near_squared_norms(squares):
+    """Three floats in any direction whose squared norm is one of squares,
+    each float off by up to 8 ulp."""
+    return st.tuples(
+        arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+            lambda u: np.abs(u).max() > 1e-3),
+        st.sampled_from(squares), arrays(np.int64, 3, elements=st.integers(-8, 8)),
+    ).map(lambda c: (c[0] / np.linalg.norm(c[0]) * math.sqrt(c[1])
+                     * (1.0 + c[2] * 2.0**-52)).tolist())
+
+
+# near the pre-test's bound 0.5e-24 and near 1e-24 = (1e-12)**2, or any floats
+NEAR_1E_12 = st.one_of(near_squared_norms([0.5e-24, 1e-24]),
+                       st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(NEAR_1E_12)
+@example([math.nan, 0.0, 0.0])
+@example([0.0, math.inf, 0.0])
+def test_small_turn_pretest_agrees_with_blas(v):
+    # the kernel's rotvec and rotation step skip their BLAS norm where
+    # the pre-test holds: the norm must then take the small-angle branch
+    # (< 1e-12), where 1 - angle**2 / 8 rounds to 1; NaN and inf go to BLAS
+    if not all(map(math.isfinite, v)):
+        assert not _below_1e_12(*v)
+    elif _below_1e_12(*v):
+        b = np.array(v)
+        angle = math.sqrt(b.dot(b))
+        assert angle < 1e-12
+        assert 1.0 - angle * angle / 8.0 == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_squared_norms([0.5e-24, 0.125e-24, 1e-30, 1e-200]))
+def test_unit_returns_a_small_turn_as_it_is(h):
+    # the rotation step of a small turn sets (1, r / 2) for what unit()
+    # returns: the BLAS norm of (1, h) is 1 while |h|^2 < 0.5e-24
+    assume(_below_1e_12(*h))
+    q = np.array([1.0, *h])
+    assert math.sqrt(q.dot(q)) == 1.0
+    assert quat_normalize(q).tobytes() == q.tobytes()
+
+
+@st.composite
+def fork_offsets(draw):
+    """A mouth frame, its walls (lip, cavity, lateral, half_aperture) and a
+    fork offset from the mouth centre within 0.1 m. One of the offset's
+    mouth coordinates may lie on one of the planes lip, -cavity, +-lateral
+    and +-half_aperture, off it by a few 1e-12 of the offset's 1-norm (the
+    pre-test's margin), or exactly: then that wall is moved to within an
+    ulp of the coordinate's BLAS dot or of its float sum, which differ by
+    several ulp where the offset's components cancel. Now and then a
+    component is NaN or inf."""
+    q = draw(arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)).filter(
+        lambda q: np.abs(q).max() > 1e-3))
+    rot = quat_to_matrix(quat_normalize(q))
+    walls = [LIP_MARGIN, CAVITY_DEPTH, draw(st.floats(0.005, 0.05)), draw(st.floats(0.005, 0.05))]
+    local = np.array([draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1)),
+                      draw(st.floats(-0.06, 0.02))])
+    plane = draw(st.sampled_from([None, (2, 0, 1.0), (2, 1, -1.0), (0, 2, 1.0), (0, 2, -1.0),
+                                  (1, 3, 1.0), (1, 3, -1.0)]))
+    margins = draw(st.integers(-3, 3))
+    if plane is not None:
+        axis, wall, side = plane
+        local[axis] = side * walls[wall] + margins * 1e-12 * np.abs(local).sum()
+    offset = rot @ local
+    if plane is not None and draw(st.integers(0, 3)) > 0:
+        hat = rot[:, axis]
+        coordinate = side * draw(st.sampled_from([
+            float(offset @ hat), offset[0] * hat[0] + offset[1] * hat[1] + offset[2] * hat[2]]))
+        walls[wall] = coordinate + draw(st.integers(-1, 1)) * np.spacing(coordinate)
+    if draw(st.integers(0, 9)) == 0:
+        offset[draw(st.integers(0, 2))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return rot, walls, offset.tolist()
+
+
+@settings(max_examples=600, deadline=None)
+@given(fork_offsets())
+def test_contact_pretest_agrees_with_blas(case):
+    # where the kernel's pre-test finds the fork clear of the mouth, the
+    # BLAS dots of humansim.contact_force put it outside the contact slab
+    # or inside every wall, so no wall pushes; NaN and inf go to BLAS
+    rot, (lip, cavity, lateral, half), d = case
+    x_hat, y_hat, z_hat = rot[:, 0], rot[:, 1], rot[:, 2]
+    clear = _clear_of_mouth(*d, x_hat.tolist(), y_hat.tolist(), z_hat.tolist(),
+                            lip, cavity, lateral, half)
+    if not all(map(math.isfinite, d)):
+        assert not clear
+    elif clear:
+        r = np.array(d)
+        x_m, y_m, z_m = float(r @ x_hat), float(r @ y_hat), float(r @ z_hat)
+        assert z_m > lip or z_m < -cavity or (-half <= y_m <= half and -lateral <= x_m <= lateral)
+
+
+def test_kernel_dot_calls_per_tick():
+    """The float pre-tests keep BLAS off most ticks: the default nominal
+    trial makes at most 2.5 dot calls per tick (7.21 without them). A
+    count under cProfile, unlike a timing, is the same on every run."""
+    setup = _prepare_trial(Scenario.from_dict({}))
+    profile = cProfile.Profile()
+    profile.runcall(_tick_kernel, setup)
+    calls = sum(stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
+                if name == "<method 'dot' of 'numpy.ndarray' objects>"
+                or name == "dot" and "numpy" in path)
+    assert calls / setup.n_ticks <= 2.5
 
 
 def test_stacked_forms_the_plans_rely_on():
