@@ -7,9 +7,10 @@ recorded before the CSV writer formatted rows in chunks; the plan
 values were recorded while plans were still built one Pose per
 waypoint; the sample-row and mouth-frame values were recorded while
 the wrist study still built one Pose per sample and kinematics kept its
-own stacked rotation forms. A change that alters any of
-them changes the study or the trial log and has to be recorded, with
-its reason, in CHANGES.md.
+own stacked rotation forms; the resolved-config value was recorded
+while scenario defaults and ranges were still declared apart. A change
+that alters any of them changes the study, the trial log or the configs
+they run and has to be recorded, with its reason, in CHANGES.md.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ from bitesim.comfort import run_wrist_study, sample_fork_poses
 from bitesim.harness import (Scenario, _prepare_trial, build_study_inputs,
                              export_trajectory, mouth_frame_from_position, run_suite,
                              run_trial)
-from bitesim.presets import DEFAULT_MOUTH_POSITION
+from bitesim.presets import DEFAULT_MOUTH_POSITION, GAIN_PRESETS
 
 STUDY_SAMPLES_SHA256 = "455ed03ac9dec2551a947634b9e7433e1890d0f45a0ecb9641b06c34cf225d0d"
 STUDY_DICT_SHA256 = "d6773a5f2e9b88bd653f32fc3c9a84262df0ac1ecd44f1eb7a485f2c87bcb274"
@@ -37,6 +38,8 @@ MOUTH_FRAME_SHA256 = {
     "base": "d7a1b819232916e8fd31abf90ea3a5f6ca4f9175960ddaa1ef46d9067b3f4a69",
     "turned": "6c5cc7ba3989954374704e3601a692de765b8fd4a972ff7ff1e51018884dc2be",
 }
+# the resolved scenario configs of RESOLVED_SCENARIOS and the default study's inputs
+RESOLVED_CONFIG_SHA256 = "ae921198f8edd9d32fcf84fa15c74ae1d45e6e7e02ea6cbe9b62245fcdb56be6"
 
 # the report keys the digest covers; keys added later are left out
 STUDY_DICT_KEYS = (
@@ -325,3 +328,35 @@ def test_mouth_frame_digest(facing):
     frame = mouth_frame_from_position(DEFAULT_MOUTH_POSITION, MOUTH_FACINGS[facing])
     assert sha256(frame.position.tobytes() + frame.orientation.tobytes()) == \
         MOUTH_FRAME_SHA256[facing]
+
+
+# the scenarios whose resolved configs the digest covers: the defaults,
+# each gain preset, the fixed-pose mode, a sinusoid disturbance, a
+# random-walk head motion and a gain override that the preset completes
+RESOLVED_SCENARIOS = [
+    {}, *({"gain_preset": preset} for preset in sorted(GAIN_PRESETS)),
+    {"transfer_mode": "fixed_pose"},
+    {"disturbance": {"kind": "sinusoid", "amplitude_n": 0.8, "direction": [0.0, 1.0, 0.0]}},
+    {"head_perturbation": {"kind": "random-walk", "sigma": 0.001}},
+    {"gain_preset": "less_reactive", "entry_gains": {"k_p": [5.0, 5.0, 5.0, 0.0, 0.0, 0.0]}},
+]
+
+
+def resolved_study_json(study_cfg) -> str:
+    """The values build_study_inputs resolves study_cfg to, as JSON."""
+    chain_with, chain_without, dist, ik, comfort, home = build_study_inputs(study_cfg)
+    return json.dumps([
+        chain_with.name, chain_without.name, dist.center.position.tolist(),
+        dist.center.orientation.tolist(), dist.translation_bounds.tolist(),
+        dist.rotation_bounds.tolist(), dist.count, dist.seed,
+        [ik.damping, ik.pos_tol, ik.rot_tol, ik.max_iter, ik.stall_window],
+        comfort.head_position.tolist(), comfort.axis.tolist(),
+        [comfort.half_angle, comfort.length, comfort.weight], home.tolist()])
+
+
+def test_resolved_config_digest():
+    h = hashlib.sha256()
+    for overrides in RESOLVED_SCENARIOS:
+        h.update(json.dumps(Scenario.from_dict(overrides).raw, sort_keys=True).encode())
+    h.update(resolved_study_json({}).encode())
+    assert h.hexdigest() == RESOLVED_CONFIG_SHA256
