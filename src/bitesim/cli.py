@@ -21,7 +21,7 @@ from .controller import SensorFault
 from .harness import (ConfigError, Scenario, build_study_inputs, export_trajectory,
                       run_suite, run_trial, save_log)
 from .perception import compute_offsets, food_bounding_box, load_cloud
-from .presets import scenario_preset_names
+from .presets import GAIN_PRESETS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trial", help="run one transfer trial")
     p.add_argument("scenario", nargs="?", help="scenario JSON (defaults to nominal)")
-    p.add_argument("--preset", choices=scenario_preset_names(),
+    p.add_argument("--preset", choices=list(GAIN_PRESETS),
                    help="gain preset override")
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", default=".")

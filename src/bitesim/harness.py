@@ -24,14 +24,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (Pose, mat_to_quat_rows, pose_error, quat_conj, quat_from_rotvec,
                        quat_mul, quat_normalize, quat_rotate, quat_to_matrix, quat_to_rotvec,
                        quat_to_rotvec_rows)
-from .kinematics import (BUNDLED_CHAINS, ChainModel, IkParams, bundled_chain,
+from .kinematics import (ChainModel, IkParams, bundled_chain,
                          ik_damped_least_squares, load_chain)
 from .comfort import ComfortParams, JsonReport, PoseDistribution
 from .controller import (ControllerState, ImpedanceParams, ReactivityGains, SafetyLatch,
@@ -42,11 +42,11 @@ from .transfer import (BiteDetector, FsmState, TransferPhase, EXIT_SIDE_PHASES,
                        phase_segments, step, transfer_orientation)
 from .perception import (FoodOffsets, compute_offsets, food_bounding_box, synth_depth_scan,
                          target_pose)
-from .humansim import (CAVITY_DEPTH, HEAD_MOTION_PARAMS, LIP_MARGIN,
-                       MAX_PERTURBATION_AMPLITUDE, BiteScript,
+from .humansim import (CAVITY_DEPTH, LIP_MARGIN, BiteScript,
                        FoodAttachmentState, MouthModel, bite_force, contact_force,
                        load_food_presets, perturbation_trace, signal_trace)
-from .presets import GAIN_PRESETS, default_scenario_dict, default_study_dict
+from .presets import (DISTURBANCE_PARAMS, SCENARIO, STUDY, SUITE, SUITE_TRIAL, ConfigError,
+                      check_keys, resolve)
 
 CSV_HEADER = ("t_s,px,py,pz,qw,qx,qy,qz,fx,fy,fz,tau_x,tau_y,tau_z,phase,"
               "set_px,set_py,set_pz,set_qw,set_qx,set_qy,set_qz,deviation_m")
@@ -58,8 +58,11 @@ _CSV_CHUNK_ROWS = 1000
 OUTCOMES = ("success", "bite_failure", "drop", "imprecise", "aborted")
 
 
-class ConfigError(ValueError):
-    """Scenario/suite/study configuration cannot be resolved."""
+def _horizontal(v) -> bool:
+    """Whether v's horizontal part has a norm >= 1e-9, judged by its square
+    in floats, which must not overflow as np.linalg.norm's may."""
+    x, y = float(v[0]), float(v[1])
+    return 1e-18 <= x * x + y * y < math.inf
 
 
 def mouth_frame_from_position(position, facing=None) -> Pose:
@@ -73,191 +76,35 @@ def mouth_frame_from_position(position, facing=None) -> Pose:
         facing = np.array([-p[0], -p[1], 0.0])
     z = np.asarray(facing, dtype=float).copy()
     z[2] = 0.0
-    n = np.linalg.norm(z)
-    if n < 1e-9:
+    if not _horizontal(z):
         raise ConfigError("mouth facing direction must be horizontal and nonzero")
-    z /= n
+    z /= np.linalg.norm(z)
     y = np.array([0.0, 0.0, 1.0])
     x = np.cross(y, z)
     return Pose(p, mat_to_quat_rows(np.column_stack([x, y, z])[None])[0])
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
-    return out
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-
-
-def _numbers(v, n: int | None = None) -> bool:
-    return (isinstance(v, (list, tuple, np.ndarray)) and all(map(_is_number, v))
-            and (n is None or len(v) == n))
-
-
-class _Rule(NamedTuple):
-    """What a config value must be: ``wanted`` says it, ``ok`` tests it."""
-    wanted: str
-    ok: Callable[[object], bool]
-
-
-_OBJECT = _Rule("an object", lambda v: isinstance(v, dict))
-# the rule of a key by the type of its default (bool before int, which
-# it subclasses); a list of numbers must keep the default's length, and a
-# default of another type, None, takes anything
-_VALUE_KINDS = (
-    (bool, _Rule("a bool", lambda v: isinstance(v, (bool, np.bool_)))),
-    (str, _Rule("a string", lambda v: isinstance(v, str))),
-    (int, _Rule("a whole number", lambda v: _is_number(v) and (
-        isinstance(v, (int, np.integer)) or float(v).is_integer()))),
-    (float, _Rule("a number", _is_number)),
-    (dict, _OBJECT),
-)
-# rules that stand in for a null default, which gives no kind
-_FACING = _Rule("null or a list of 3 numbers", lambda v: v is None or _numbers(v, 3))
-_DAMPING = _Rule("null or a list of 6 numbers", lambda v: v is None or _numbers(v, 6))
-_TRACE = _Rule("a non-empty list of rows of 6 numbers", lambda v: isinstance(
-    v, (list, tuple, np.ndarray)) and len(v) > 0 and all(_numbers(r, 6) for r in v))
-# the study's home matches the without-wrist chain, which may be any chain
-_HOME = _Rule("a list of numbers", _numbers)
-
-
-def _one_of(choices) -> _Rule:
-    """The rule of a string that must be one of choices."""
-    return _Rule(f"one of {sorted(choices)}", lambda v: isinstance(v, str) and v in choices)
-
-
-# the ranges of scenario values, by key path, checked once the preset and
-# the overrides are merged, each where the scenario holds its key (a
-# kind's default parameters are in range); NaN and infinities fail every
-# numeric one
-_POSITIVE = _Rule("finite and > 0", lambda v: 0 < v < math.inf)
-_NON_NEGATIVE = _Rule("finite and >= 0", lambda v: 0 <= v < math.inf)
-_FINITE = _Rule("finite", math.isfinite)
-_FINITE_EACH = _Rule("a list of finite numbers", lambda v: all(map(math.isfinite, v)))
-_NON_NEGATIVE_EACH = _Rule("a list of numbers >= 0", lambda v: all(0 <= x < math.inf for x in v))
-# a direction is divided by its norm, whose square must not underflow to 0
-# or overflow (Python floats do both without a numpy warning)
-_DIRECTION = _Rule("a list of numbers whose norm is finite and > 0",
-                   lambda v: 0 < sum(x * x for x in map(float, v)) < math.inf)
-_SCENARIO_RANGES = {
-    "food": _Rule("the name of a bundled food", lambda v: v in load_food_presets()),
-    "transfer_mode": _one_of(("in_mouth", "fixed_pose")),
-    "safety_mode": _one_of(("component", "norm")),
-    "chain": _Rule(f"a .json path or one of {sorted(BUNDLED_CHAINS)}",
-                   lambda v: isinstance(v, str) and (v.endswith(".json") or v in BUNDLED_CHAINS)),
-    "horizon_s": _NON_NEGATIVE,
-    "joint_log_stride": _NON_NEGATIVE,
-    "lowpass_cutoff_hz": _NON_NEGATIVE,  # 0 turns the filter off
-    "arc_radius_m": _POSITIVE,
-    "entry_depth_m": _POSITIVE,
-    "lowering_m": _NON_NEGATIVE,
-    "bite_threshold_n": _POSITIVE,
-    "bite_timeout_s": _POSITIVE,
-    "safety_limit_n": _POSITIVE,
-    "virtual_mass": _Rule("a list of numbers > 0", lambda v: all(0 < x < math.inf for x in v)),
-    "arc_start_deg": _FINITE,
-    "fork_pitch_deg": _FINITE,
-    "mouth_error_mm": _FINITE_EACH,
-    "mouth.center_position": _FINITE_EACH,
-    "mouth.facing": _Rule("null or a list of finite numbers",
-                          lambda v: v is None or _FINITE_EACH.ok(v)),
-    "mouth.aperture_m": _POSITIVE,
-    "mouth.stiffness": _NON_NEGATIVE,
-    "mouth.damping": _NON_NEGATIVE,
-    "mouth.lateral_halfwidth_m": _POSITIVE,
-    "segments.arc_s": _POSITIVE,
-    "segments.entry_s": _POSITIVE,
-    "segments.exit_s": _POSITIVE,
-    "segments.scan_s": _NON_NEGATIVE,
-    "bite.t_bite_s": _NON_NEGATIVE,
-    "bite.peak_force_n": _NON_NEGATIVE,
-    "bite.ramp_s": _NON_NEGATIVE,
-    "scan.resolution_mm": _POSITIVE,
-    "scan.noise_mm": _NON_NEGATIVE,
-    "impedance.stiffness": _NON_NEGATIVE_EACH,
-    "impedance.damping": _Rule("null or a list of numbers >= 0",
-                               lambda v: v is None or _NON_NEGATIVE_EACH.ok(v)),
-    "entry_gains.k_p": _NON_NEGATIVE_EACH,
-    "entry_gains.k_i": _NON_NEGATIVE_EACH,
-    "exit_gains.k_p": _NON_NEGATIVE_EACH,
-    "exit_gains.k_i": _NON_NEGATIVE_EACH,
-    "disturbance.amplitude_n": _NON_NEGATIVE,
-    "disturbance.period_s": _POSITIVE,
-    "disturbance.direction": _DIRECTION,
-    "disturbance.sigma_n": _NON_NEGATIVE,
-    "head_perturbation.amplitude": _Rule(f"in [0, {MAX_PERTURBATION_AMPLITUDE}] m",
-                                         lambda v: 0.0 <= v <= MAX_PERTURBATION_AMPLITUDE),
-    "head_perturbation.period": _POSITIVE,
-    "head_perturbation.direction": _DIRECTION,
-    "head_perturbation.sigma": _NON_NEGATIVE,
-}
+def _check_facing(kind: str, position_key: str, position, facing_key: str, facing) -> None:
+    """A mouth faces along facing, or while that is null from position to
+    the base; either must be horizontal, named as the config walk names keys."""
+    key, value = (position_key, position) if facing is None else (facing_key, facing)
+    if not _horizontal(value):
+        wanted = ("horizontal and nonzero" if facing is not None else
+                  f"off the vertical through the base while {facing_key!r} is null")
+        raise ConfigError(f"{kind} key {key!r} must be {wanted}, got {value!r}")
 
 
 def _check_pairs(cfg: dict) -> None:
     """The scenario values judged by a second value, named as the range
     rules name theirs: damping by stiffness (ImpedanceParams' rule), and
-    the mouth's facing, by default the direction from the mouth centre to
-    the base, whose norm mouth_frame_from_position takes."""
+    the mouth's facing by its centre."""
     imp, mouth = cfg["impedance"], cfg["mouth"]
     if imp["damping"] is not None and any(
             k > 0 and not d > 0 for k, d in zip(imp["stiffness"], imp["damping"])):
         raise ConfigError(f"scenario key 'impedance.damping' must be > 0 on every axis of "
                           f"nonzero stiffness, got {imp['damping']!r}")
-    key = "facing" if mouth.get("facing") is not None else "center_position"
-    if np.linalg.norm([float(mouth[key][0]), float(mouth[key][1]), 0.0]) < 1e-9:
-        wanted = ("horizontal and nonzero" if key == "facing" else
-                  "off the vertical through the base while 'mouth.facing' is null")
-        raise ConfigError(f"scenario key 'mouth.{key}' must be {wanted}, got {mouth[key]!r}")
-
-
-def _rule(default) -> _Rule | None:
-    """The rule of a value whose default, or stand-in rule, is default."""
-    if isinstance(default, _Rule):
-        return default
-    if isinstance(default, list):
-        n = len(default)
-        return _Rule(f"a list of {n} numbers", lambda v: _numbers(v, n))
-    return next((r for default_type, r in _VALUE_KINDS if isinstance(default, default_type)),
-                None)
-
-
-def _check_keys(cfg: dict, known: dict, kind: str, path: str = "") -> None:
-    """Reject a cfg that is not an object, a key that known lacks, or a value
-    that breaks the rule of known's value at its path (a _Rule, or the kind
-    of a default), at any nesting level, naming the kind of config and the path."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"a {kind} must be an object, got {cfg!r}")
-    for key, value in cfg.items():
-        where = path + str(key)
-        if key not in known:
-            raise ConfigError(f"unknown {kind} key {where!r}")
-        default = known[key]
-        rule = _rule(default)
-        if rule is not None and not rule.ok(value):
-            raise ConfigError(f"{kind} key {where!r} must be {rule.wanted}, got {value!r}")
-        if isinstance(value, dict) and isinstance(default, dict):
-            _check_keys(value, default, kind, where + ".")
-
-
-def _scenario_keys(cfg: dict) -> dict:
-    """Keys a scenario may set, each with a value of its kind: the
-    defaults', a gain preset's, the optional mouth facing and damping (by
-    rule), a known disturbance and head-motion kind, and the parameters of the kind cfg selects."""
-    known = _merge(default_scenario_dict(), GAIN_PRESETS["ours"])
-    known["mouth"]["facing"] = _FACING
-    known["impedance"]["damping"] = _DAMPING
-    for key, kinds in (("disturbance", DISTURBANCE_PARAMS),
-                       ("head_perturbation", HEAD_MOTION_PARAMS)):
-        kind = cfg[key].get("kind") if isinstance(cfg[key], dict) else None
-        known[key] = {"kind": _one_of(kinds), **kinds.get(str(kind), {})}
-    return known
+    _check_facing("scenario", "mouth.center_position", mouth["center_position"],
+                  "mouth.facing", mouth.get("facing"))
 
 
 @dataclass(frozen=True)
@@ -268,23 +115,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, overrides: dict | None = None) -> "Scenario":
-        overrides = {} if overrides is None else overrides
-        cfg = default_scenario_dict()
-        merged = _merge(cfg, overrides) if isinstance(overrides, dict) else cfg  # else fails below
-        _check_keys(overrides, _scenario_keys(merged), "scenario")
-        preset = overrides.get("gain_preset", cfg["gain_preset"])
-        if preset not in GAIN_PRESETS:
-            raise ConfigError(f"unknown gain preset {preset!r}")
-        # the preset sets the baseline; explicit gains in the overrides win
-        cfg = _merge(_merge(cfg, GAIN_PRESETS[preset]), overrides)
-        for path, rule in _SCENARIO_RANGES.items():
-            *sections, key = path.split(".")
-            values = cfg
-            for section in sections:
-                values = values[section]
-            if key in values and not rule.ok(values[key]):
-                raise ConfigError(f"scenario key {path!r} must be {rule.wanted}, "
-                                  f"got {values[key]!r}")
+        cfg = resolve({} if overrides is None else overrides, SCENARIO, "scenario")
         _check_pairs(cfg)
         cap = cfg["integral_cap_n"]
         if not 0 < cap < math.inf:  # in the words of ControllerState's own check
@@ -533,15 +364,6 @@ def _resolve_chain(name: str) -> ChainModel:
         return bundled_chain(name)
     except (OSError, KeyError, ValueError) as e:
         raise ConfigError(f"cannot resolve chain {name!r}: {e}") from e
-
-
-# parameters and defaults of the injected-disturbance kinds (forces in N)
-DISTURBANCE_PARAMS = {
-    "none": {},
-    "sinusoid": {"amplitude_n": 0.5, "period_s": 1.0, "direction": [1.0, 0.0, 0.0]},
-    "random-walk": {"sigma_n": 1.0, "amplitude_n": 0.8},  # sigma in N / sqrt(s)
-    "array": {"trace": _TRACE},  # (n, 6) rows; the last row holds past its end
-}
 
 
 def _disturbance_trace(cfg: dict, n: int, dt: float, seed: int) -> np.ndarray:
@@ -1304,16 +1126,11 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
 
     Every key and every trial's scenario is checked before the first
     trial runs."""
-    # the seed's default only gives its kind: a suite must set it
-    cfg = {"name": "suite", "seed": 0, "repetitions": 1, "trials": None}
-    _check_keys(suite_cfg, cfg, "suite")
+    cfg = resolve(suite_cfg, SUITE, "suite")
     if "seed" not in suite_cfg:
         raise ConfigError("suite seed is mandatory")
-    cfg.update(suite_cfg)
     suite_seed = int(cfg["seed"])
     reps = int(cfg["repetitions"])
-    if reps < 1:
-        raise ConfigError(f"suite key 'repetitions' must be >= 1, got {reps}")
     entries = cfg["trials"]
     if not isinstance(entries, list) or not entries:
         raise ConfigError("suite needs a non-empty trials list")
@@ -1322,7 +1139,7 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
     for n, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"suite trials[{n}] must be an object")
-        _check_keys(entry, {"method": "ours", "scenario": _OBJECT}, "suite", f"trials[{n}].")
+        check_keys(entry, SUITE_TRIAL, "suite", f"trials[{n}].")
         overrides = dict(entry.get("scenario", {}))
         method = entry.get("method", overrides.get("gain_preset", "ours"))
         overrides.setdefault("gain_preset", method)
@@ -1353,17 +1170,16 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
 def build_study_inputs(study_cfg: dict | None = None):
     """Resolve a study config dict into run_wrist_study arguments.
 
-    Keys must be those of default_study_dict(), plus an optional
-    "mouth_facing"; an unknown key raises ConfigError with its path.
+    Keys are those of presets.STUDY; an unknown key or a value out of its
+    range raises ConfigError with its path.
     """
     # the study's statistics need scipy.stats: import it with the inputs,
     # not in the first timed run_wrist_study
     import scipy.stats  # noqa: F401
 
-    defaults = default_study_dict()
-    study_cfg = {} if study_cfg is None else study_cfg
-    _check_keys(study_cfg, {**defaults, "mouth_facing": _FACING, "home": _HOME}, "study")
-    cfg = _merge(defaults, study_cfg)
+    cfg = resolve({} if study_cfg is None else study_cfg, STUDY, "study")
+    _check_facing("study", "mouth_position", cfg["mouth_position"],
+                  "mouth_facing", cfg.get("mouth_facing"))
     chain_with = _resolve_chain(cfg["chain_with"])
     chain_without = _resolve_chain(cfg["chain_without"])
 

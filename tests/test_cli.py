@@ -89,7 +89,7 @@ class TestTrialCommand:
         {"impedance": {"damping": [-1, 40, 40, 1, 1, 1]}}, {"arc_start_deg": float("nan")},
         {"mouth": {"facing": [float("nan"), 0, 0]}},
         {"impedance": {"damping": [0, 40, 40, 1, 1, 1]}}, {"mouth": {"facing": [0, 0, 1]}},
-        {"mouth": {"center_position": [0, 0, 0.4]}}])
+        {"mouth": {"center_position": [0, 0, 0.4]}}, {"mouth": {"facing": [1e200, 1e200, 0]}}])
     def test_bad_value_exit_code(self, tmp_path, capsys, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
@@ -192,6 +192,21 @@ class TestWristStudyCommand:
         study = write_json(tmp_path / "study.json", {"count": "many"})
         assert main(["wrist-study", study, "--out-dir", str(tmp_path)]) == 2
         assert "config error: study key 'count' must be a whole number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"comfort": {"length_m": -1}}, {"comfort": {"weight": float("nan")}},
+        {"comfort": {"head_offset_back_m": float("nan")}}, {"ik": {"damping": float("nan")}},
+        {"count": 0}, {"translation_halfwidth_m": -0.1},
+        {"rotation_halfwidth_deg": float("nan")}, {"ik": {"max_iter": -1}},
+        {"comfort": {"half_angle_deg": 90}}, {"mouth_position": [float("nan"), 0, 0.4]},
+        {"mouth_facing": [0, 0, 1]}, {"mouth_position": [0, 0, 0.4]}])
+    def test_value_out_of_range_exit_code(self, tmp_path, capsys, overrides):
+        (key, value), = overrides.items()
+        path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
+        study = write_json(tmp_path / "study.json", {"count": 60, **overrides})
+        assert main(["wrist-study", study, "--out-dir", str(tmp_path)]) == 2
+        assert f"config error: study key '{path}' must be" in capsys.readouterr().err
+        assert not (tmp_path / "study_report.json").exists()
 
     def test_unknown_nested_key_exit_code(self, tmp_path, capsys):
         study = write_json(tmp_path / "study.json", {"count": 60, "ik": {"max_itr": 5}})

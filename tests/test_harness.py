@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from bitesim import harness
+from bitesim import harness, presets
 from bitesim.controller import (ControllerState, ImpedanceParams, ReactivityGains,
                                 SafetyLatch)
 from bitesim.geometry import Pose
@@ -12,7 +12,8 @@ from bitesim.harness import (CSV_HEADER, ConfigError, Scenario, SuiteReport, Tic
                              TrialReport, VirtualRobotState, WorldState, build_study_inputs,
                              export_trajectory, load_log, mouth_frame_from_position, run_suite,
                              run_trial, save_log, simulate_tick)
-from bitesim.humansim import BiteScript, FoodAttachmentState, MouthModel, load_food_presets
+from bitesim.humansim import (HEAD_MOTION_PARAMS, BiteScript, FoodAttachmentState, MouthModel,
+                              load_food_presets)
 from bitesim.perception import compute_offsets, food_bounding_box, synth_depth_scan
 from bitesim.transfer import BiteDetector, FsmState, Segment, TrajectoryPlan, TransferPhase
 
@@ -92,6 +93,8 @@ class TestMouthFrame:
     def test_rejects_vertical_facing(self):
         with pytest.raises(ConfigError):
             mouth_frame_from_position([0.5, 0, 0.4], facing=[0, 0, 1.0])
+        with pytest.raises(ConfigError):  # a norm whose square overflows
+            mouth_frame_from_position([0.5, 0, 0.4], facing=[1e200, 1e200, 0.0])
 
 
 class TestSimulateTick:
@@ -310,7 +313,20 @@ MORE_RANGE_ERRORS = [
     {"head_perturbation": {"direction": [1e-320, 0, 0], "kind": "sinusoid"}},
     {"disturbance": {"direction": [1e200, 0, 0], "kind": "sinusoid"}},
     {"impedance": {"damping": [0, 40, 40, 1, 1, 1]}}, {"mouth": {"facing": [0, 0, 1]}},
-    {"mouth": {"center_position": [0, 0, 0.4]}}]
+    {"mouth": {"center_position": [0, 0, 0.4]}}, {"mouth": {"facing": [1e200, 1e200, 0]}},
+    {"segments": {"retract_s": -1}}, {"segments": {"face_detect_s": -1}},
+    {"gain_preset": "fixed_pose"}]
+# one study value out of its key's range: each used to run a study that
+# means nothing, to end as an invalid study, or to stop with an error
+# naming no key
+STUDY_RANGE_ERRORS = [
+    {"comfort": {"length_m": -1}}, {"comfort": {"weight": float("nan")}},
+    {"comfort": {"head_offset_back_m": float("nan")}}, {"ik": {"damping": float("nan")}},
+    {"count": 0}, {"translation_halfwidth_m": -0.1}, {"rotation_halfwidth_deg": float("nan")},
+    {"ik": {"max_iter": -1}}, {"comfort": {"half_angle_deg": 90}},
+    {"mouth_position": [float("nan"), 0, 0.4]}, {"mouth_facing": [0, 0, 1]},
+    {"mouth_position": [0, 0, 0.4]}, {"mouth_facing": [1e200, 1e200, 0]},
+    {"seed": -1}, {"chain_with": "nochain"}]
 
 
 class TestConfigKeys:
@@ -377,7 +393,8 @@ class TestConfigKeys:
                             "disturbance": {"kind": "array", "trace": np.zeros((3, 6))}})
 
     @pytest.mark.parametrize("cfg", [{"repetitions": 0}, {"repetitions": -1},
-                                     {"repetitions": 1.5}, {"seed": "s"}, {"name": 3}])
+                                     {"repetitions": 1.5}, {"seed": "s"}, {"name": 3},
+                                     {"seed": -1}])
     def test_suite_value_of_another_kind_or_out_of_range(self, cfg):
         with pytest.raises(ConfigError, match=f"^suite key '{next(iter(cfg))}' must be"):
             run_suite({"seed": 1, **cfg, "trials": [{"method": "ours"}]})
@@ -390,6 +407,25 @@ class TestConfigKeys:
     def test_study_value_of_another_kind(self):
         with pytest.raises(ConfigError, match="^study key 'count' must be a whole number"):
             build_study_inputs({"count": "many"})
+
+    @pytest.mark.parametrize("study", STUDY_RANGE_ERRORS)
+    def test_study_value_out_of_range(self, study):
+        (key, value), = study.items()
+        path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
+        with pytest.raises(ConfigError, match=f"^study key '{path}' must be"):
+            build_study_inputs({"count": 60, **study})
+
+    @pytest.mark.parametrize("name", ["SCENARIO", "SUITE", "SUITE_TRIAL", "STUDY"])
+    def test_defaults_pass_their_own_walk(self, name):
+        schema = getattr(presets, name)
+        presets.check_keys(presets.defaults(schema), schema, name.lower())
+
+    @pytest.mark.parametrize("key, kinds", [("disturbance", presets.DISTURBANCE_PARAMS),
+                                            ("head_perturbation", HEAD_MOTION_PARAMS)])
+    def test_default_parameters_of_each_kind_pass(self, key, kinds):
+        for kind, params in kinds.items():
+            if kind != "array":  # whose trace has no default
+                Scenario.from_dict({key: {"kind": kind, **params}})
 
     def test_top_level_typo(self):
         with pytest.raises(ConfigError, match="unknown scenario key 'horizn_s'"):
