@@ -7,8 +7,9 @@ wrench minus the reactive correction, plus the physical contact forces,
 integrates through the virtual mass with semi-implicit Euler. Joint
 configurations are recovered by IK from the logged poses at a
 configurable stride, for logging only: run_trial logs them, run_suite,
-which reports outcomes only, does not. Every run is seed-deterministic
-end to end.
+which reports outcomes only, does not. run_suite runs its trials in
+forked worker processes, one per usable CPU, with the bytes of a run in
+one process. Every run is seed-deterministic end to end.
 
 run_trial prepares a trial, runs its ticks from t = 0 in _tick_kernel,
 a flat loop over floats that only records and returns only its tick
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
@@ -743,7 +745,7 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
     for q in (mouth.center.orientation, quat_normalize(mouth.center.orientation)):
         rot = quat_to_matrix(q)
         z_axis = quat_rotate(q, np.array([0.0, 0.0, 1.0]))
-        frames.append((rot[:, 0], rot[:, 1], rot[:, 2], z_axis, q,
+        frames.append((rot[:, 0], rot[:, 1], rot[:, 2], z_axis, q.tolist(),
                        rot[:, 0].tolist(), rot[:, 1].tolist(), rot[:, 2].tolist()))
     head = world.perturb_trace
     if not np.all(np.isfinite(head[:n_ticks])):
@@ -839,8 +841,13 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
                 bite_y = -frac * script.peak_force
                 if bite_y != 0.0:
                     bite_n = abs(bite_y)
-                    bf = quat_rotate(mouth_q, np.array([0.0, bite_y, 0.0])).tolist()
-                    f0, f1, f2 = f0 + bf[0], f1 + bf[1], f2 + bf[2]
+                    # quat_rotate(mouth_q, (0, bite_y, 0)) term for term,
+                    # the 0 * x terms kept for their signed zeros
+                    w, x, y, z = mouth_q
+                    uv0, uv1, uv2 = y * 0.0 - z * bite_y, z * 0.0 - x * 0.0, x * bite_y - y * 0.0
+                    f0 = f0 + (0.0 + 2.0 * (w * uv0 + (y * uv2 - z * uv1)))
+                    f1 = f1 + (bite_y + 2.0 * (w * uv1 + (z * uv0 - x * uv2)))
+                    f2 = f2 + (0.0 + 2.0 * (w * uv2 + (x * uv1 - y * uv0)))
         jd = i if i < last_dist else last_dist
         if dist_on[jd]:
             d = dist[jd].tolist()
@@ -1121,6 +1128,54 @@ class SuiteReport(JsonReport):
         return "\n".join(lines)
 
 
+def _suite_outcome(setup: TrialSetup) -> str:
+    """One suite trial's outcome: run_trial less the joint log, which the
+    suite's outcomes never read."""
+    return _finish_trial(setup, _tick_kernel(setup)).outcome
+
+
+def _suite_workers(n_trials: int) -> int:
+    """Worker processes for a suite: one per usable CPU, at most one per
+    trial, and one where the platform cannot tell which CPUs are usable."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_trials)
+
+
+# the setups of the suite a pool worker runs, inherited from the parent by fork
+_WORKER_SETUPS: list[TrialSetup] = []
+
+
+def _init_suite_worker(setups: list[TrialSetup]) -> None:
+    global _WORKER_SETUPS
+    _WORKER_SETUPS = setups
+
+
+def _pooled_outcome(index: int) -> str:
+    """The outcome of the suite's trial index, in a pool worker."""
+    return _suite_outcome(_WORKER_SETUPS[index])
+
+
+def _suite_outcomes(setups: list[TrialSetup]) -> list[str]:
+    """The outcome of each setup, in order: in forked workers, one per
+    usable CPU, or inline where only one worker results or fork is not a
+    start method. A worker receives the setups by fork, not by pickling,
+    and sends back one string per trial. Every trial runs to its end, or
+    to the death of a worker, before the earliest failing one raises, as
+    inline; no worker outlives the call."""
+    workers = _suite_workers(len(setups))
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     initializer=_init_suite_worker,
+                                     initargs=(setups,)) as pool:
+                futures = [pool.submit(_pooled_outcome, i) for i in range(len(setups))]
+            return [f.result() for f in futures]
+    return [_suite_outcome(setup) for setup in setups]
+
+
 def run_suite(suite_cfg: dict) -> SuiteReport:
     """Run every scenario x repetition with seeds derived from the suite seed.
 
@@ -1147,16 +1202,16 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
             seed = _trial_seed(suite_seed, len(trials))
             trials.append((method, Scenario.from_dict({**overrides, "seed": seed})))
 
+    # every setup is built here, before any ticks run: a bad scenario
+    # fails first, and the scan cache stays warm in this process
+    setups = [_prepare_trial(scenario) for _, scenario in trials]
     per_method: dict[str, dict[str, int]] = {}
     outcomes = []
-    for idx, (method, scenario) in enumerate(trials):
-        # run_trial less the joint log, which the suite's outcomes never read
-        setup = _prepare_trial(scenario)
-        report = _finish_trial(setup, _tick_kernel(setup))
+    for idx, ((method, scenario), outcome) in enumerate(zip(trials, _suite_outcomes(setups))):
         bucket = per_method.setdefault(method, {k: 0 for k in OUTCOMES})
-        bucket[report.outcome] += 1
-        outcomes.append({"index": idx, "method": method, "seed": report.seed,
-                         "outcome": report.outcome})
+        bucket[outcome] += 1
+        outcomes.append({"index": idx, "method": method, "seed": int(scenario["seed"]),
+                         "outcome": outcome})
 
     return SuiteReport(
         name=cfg["name"],

@@ -140,7 +140,7 @@ _GAINS = {"k_p": _Key([0.0] * 6, _NON_NEGATIVE_EACH), "k_i": _Key([0.0] * 6, _NO
 # aperture once the food offset lowers the fork, so the tip starts in
 # contact with the lower teeth; widen the aperture for those.
 SCENARIO = {
-    "name": _Key("nominal"), "seed": _Key(12345),
+    "name": _Key("nominal"), "seed": _Key(12345, _NON_NEGATIVE),
     "chain": _Key("panda_wrist_9dof", _CHAIN),
     "food": _Key("pineapple", _Rule("the name of a bundled food",
                                     lambda v: v in load_food_presets())),

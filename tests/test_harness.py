@@ -1,4 +1,8 @@
 import json
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 
 import numpy as np
@@ -6,7 +10,7 @@ import pytest
 
 from bitesim import harness, presets
 from bitesim.controller import (ControllerState, ImpedanceParams, ReactivityGains,
-                                SafetyLatch)
+                                SafetyLatch, SensorFault)
 from bitesim.geometry import Pose
 from bitesim.harness import (CSV_HEADER, ConfigError, Scenario, SuiteReport, TickLog,
                              TrialReport, VirtualRobotState, WorldState, build_study_inputs,
@@ -315,7 +319,7 @@ MORE_RANGE_ERRORS = [
     {"impedance": {"damping": [0, 40, 40, 1, 1, 1]}}, {"mouth": {"facing": [0, 0, 1]}},
     {"mouth": {"center_position": [0, 0, 0.4]}}, {"mouth": {"facing": [1e200, 1e200, 0]}},
     {"segments": {"retract_s": -1}}, {"segments": {"face_detect_s": -1}},
-    {"gain_preset": "fixed_pose"}]
+    {"gain_preset": "fixed_pose"}, {"seed": -1}]
 # one study value out of its key's range: each used to run a study that
 # means nothing, to end as an invalid study, or to stop with an error
 # naming no key
@@ -473,7 +477,9 @@ class TestConfigKeys:
                 {"scenario": {"horizon_s": 1.0}},
                 {"scenario": {"head_perturbation": {"kind": "sinusoid", "amplitude": 0.5}}}]})
 
-    @pytest.mark.parametrize("overrides", RANGE_ERRORS[:6] + CHOICE_ERRORS + MORE_RANGE_ERRORS)
+    # less a scenario's seed, which a suite replaces with each trial's own
+    @pytest.mark.parametrize("overrides", RANGE_ERRORS[:6] + CHOICE_ERRORS + [
+        o for o in MORE_RANGE_ERRORS if "seed" not in o])
     def test_suite_checks_ranges_before_running(self, monkeypatch, overrides):
         monkeypatch.setattr(harness, "_prepare_trial", lambda *a: pytest.fail("a trial ran"))
         (key, value), = overrides.items()
@@ -700,6 +706,92 @@ class TestSuite:
             run_suite({"seed": 1, "trials": []})
         with pytest.raises(ConfigError, match="non-empty trials list"):
             run_suite({"seed": 1, "trials": {"method": "ours"}})
+
+
+# two presets, a refusal, a push that drops the food and seeded head
+# motion, two repetitions of each
+MIXED_SUITE = {"name": "mixed", "seed": 31, "repetitions": 2, "trials": [
+    {"method": "ours", "scenario": SHORT_SEGMENTS},
+    {"method": "more_reactive", "scenario": {**SHORT_SEGMENTS, "food": "carrot"}},
+    {"method": "ours", "scenario": {**SHORT_SEGMENTS, "name": "refuse",
+                                    "bite": {"refuse": True}}},
+    {"method": "ours", "scenario": {**SHORT_SEGMENTS, "name": "push", "disturbance": {
+        "kind": "sinusoid", "amplitude_n": 5.0, "period_s": 1.0}}},
+    {"method": "ours", "scenario": {**SHORT_SEGMENTS, "name": "head",
+                                    "head_perturbation": {"kind": "random-walk"}}}]}
+
+
+def short_suite(*names):
+    return {"seed": 1, "trials": [{"scenario": {**SHORT_SEGMENTS, "name": name}}
+                                  for name in names]}
+
+
+class TestPooledSuite:
+    """Suites run in forked workers as they run inline. Each test sets the
+    worker count, so both paths run whatever the machine's CPUs."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        def use(n):
+            monkeypatch.setattr(harness, "_suite_workers", lambda n_trials: min(n, n_trials))
+        return use
+
+    def test_same_bytes_pooled_as_inline(self, workers):
+        workers(1)
+        inline = run_suite(MIXED_SUITE)
+        assert {t["outcome"] for t in inline.trial_outcomes} == {
+            "success", "bite_failure", "drop"}
+        workers(3)
+        assert run_suite(MIXED_SUITE).to_json() == inline.to_json()
+
+    @pytest.mark.parametrize("n", [1, 4])  # four: every trial starts at once
+    def test_earliest_failing_trial_raises(self, workers, monkeypatch, n):
+        workers(n)
+        kernel = harness._tick_kernel
+
+        def faulty(setup):
+            name = setup.cfg["name"]
+            if name == "late fault":  # fails after the next trial does
+                kernel(setup)
+                raise SensorFault("force measurement contains non-finite values")
+            if name == "early error":
+                raise ValueError("a later trial")
+            return kernel(setup)
+        monkeypatch.setattr(harness, "_tick_kernel", faulty)
+        with pytest.raises(SensorFault, match="^force measurement contains non-finite"):
+            run_suite(short_suite("a", "b", "late fault", "early error"))
+
+    def test_no_worker_outlives_the_call(self, workers, monkeypatch):
+        workers(2)
+        run_suite(short_suite("a", "b", "c"))
+        assert not multiprocessing.active_children()
+
+        def exits(setup):
+            raise SystemExit(3)
+        monkeypatch.setattr(harness, "_tick_kernel", exits)
+        with pytest.raises(SystemExit):
+            run_suite(short_suite("a", "b", "c"))
+        assert not multiprocessing.active_children()
+
+    def test_a_killed_worker_fails_the_suite(self, workers, monkeypatch):
+        workers(2)
+        kernel, caller = harness._tick_kernel, os.getpid()
+
+        def killed(setup):
+            if setup.cfg["name"] == "killed" and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return kernel(setup)
+        monkeypatch.setattr(harness, "_tick_kernel", killed)
+        with pytest.raises(BrokenProcessPool):
+            run_suite(short_suite("a", "killed", "b"))
+        assert not multiprocessing.active_children()
+
+    def test_one_trial_or_one_cpu_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda *a: pytest.fail("a worker was forked"))
+        assert run_suite(short_suite("alone")).total == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run_suite(short_suite("a", "b")).total == 2
 
 
 class TestRefuseAcrossPresets:
