@@ -8,7 +8,9 @@ values were recorded while plans were still built one Pose per
 waypoint; the sample-row and mouth-frame values were recorded while
 the wrist study still built one Pose per sample and kinematics kept its
 own stacked rotation forms; the resolved-config value was recorded
-while scenario defaults and ranges were still declared apart. A change
+while scenario defaults and ranges were still declared apart; the scan
+values were recorded while the samplers still took sin and cos over the
+whole 2-D angle grid. A change
 that alters any of them changes the study, the trial log or the configs
 they run and has to be recorded, with its reason, in CHANGES.md.
 """
@@ -21,9 +23,12 @@ import pytest
 
 from bitesim import harness
 from bitesim.comfort import run_wrist_study, sample_fork_poses
+from bitesim.geometry import Pose
 from bitesim.harness import (Scenario, _prepare_trial, build_study_inputs,
                              export_trajectory, mouth_frame_from_position, run_suite,
                              run_trial)
+from bitesim.humansim import load_food_presets
+from bitesim.perception import compute_offsets, food_bounding_box, synth_depth_scan
 from bitesim.presets import DEFAULT_MOUTH_POSITION, GAIN_PRESETS
 
 STUDY_SAMPLES_SHA256 = "455ed03ac9dec2551a947634b9e7433e1890d0f45a0ecb9641b06c34cf225d0d"
@@ -40,6 +45,27 @@ MOUTH_FRAME_SHA256 = {
 }
 # the resolved scenario configs of RESOLVED_SCENARIOS and the default study's inputs
 RESOLVED_CONFIG_SHA256 = "ae921198f8edd9d32fcf84fa15c74ae1d45e6e7e02ea6cbe9b62245fcdb56be6"
+
+# the noiseless scan of each bundled food at two resolutions (mm): its
+# points, then its bounding box and offsets
+SCAN_SHA256 = {
+    ("blueberry", 0.1): "6d66d27eaddfa44fd72f8d56d3ab11a9d028f77768fdf2bc618f619021497dfe",
+    ("blueberry", 0.5): "1eb50995aecd4a0774b74c2dae3f0ba943ea961b3718b464b0dfdef1581f8b2e",
+    ("broccoli", 0.1): "f19e7692683de9dc5e6b3ddd647683ea2cd495a270a5bdb1e11d5a279d9e6f1f",
+    ("broccoli", 0.5): "e2063e130487807b26a85424d5739201c930921c64d1e9e4c81093e1dcb68f78",
+    ("carrot", 0.1): "03c44ca61a053fbd567b8e3b20a5b30eedede050bc76e41707a1ae11b68c2eaa",
+    ("carrot", 0.5): "a9a3f8d1b5dcf549be53ccacd8635f16b3afdbfc53cd46dac5af12c095f3ed58",
+    ("cheesecake", 0.1): "d45c38f27ede46d7bbb46079609b75918d4c7a79b429ed73c7f4c1a6294ee3c7",
+    ("cheesecake", 0.5): "f126fa8d97708238bf63c2fe3dff8416c410e7b2a2737cca144f605a39f57aa3",
+    ("cherry_tomato", 0.1): "425c069a335e8648f0288256e48ab4ebe83100845be00772249b062b0cbc1b2d",
+    ("cherry_tomato", 0.5): "32076f5909aee3fbbf64ef5f9ba298c81b3888f6e34fda1452aca297133d9002",
+    ("pineapple", 0.1): "d45c38f27ede46d7bbb46079609b75918d4c7a79b429ed73c7f4c1a6294ee3c7",
+    ("pineapple", 0.5): "f126fa8d97708238bf63c2fe3dff8416c410e7b2a2737cca144f605a39f57aa3",
+    ("strawberry", 0.1): "af9e19ef43b94ea03903874ed0d08b7c6761ec6b9d3dfe4d09c49bdbd2d34b38",
+    ("strawberry", 0.5): "7c97815021b3bee4ab8af073f9b392733817667d856fd748483d8f8526aaaf3e",
+    ("tofu", 0.1): "d45c38f27ede46d7bbb46079609b75918d4c7a79b429ed73c7f4c1a6294ee3c7",
+    ("tofu", 0.5): "f126fa8d97708238bf63c2fe3dff8416c410e7b2a2737cca144f605a39f57aa3",
+}
 
 # the report keys the digest covers; keys added later are left out
 STUDY_DICT_KEYS = (
@@ -321,6 +347,23 @@ def test_study_sample_rows_digest():
     rows = np.array([np.concatenate([p.position, p.orientation]) for p in poses])
     assert rows.shape == (10000, 7)
     assert sha256(rows.tobytes()) == SAMPLE_ROWS_SHA256
+
+
+def test_bundled_foods_are_the_scanned_foods():
+    assert {food for food, _ in SCAN_SHA256} == set(load_food_presets())
+
+
+@pytest.mark.parametrize("food, resolution", sorted(SCAN_SHA256))
+def test_scan_digest(food, resolution):
+    # a noiseless scan reads neither the pose nor the seed
+    pose = Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
+    cloud = synth_depth_scan(load_food_presets()[food], pose, resolution=resolution)
+    bbox = food_bounding_box(cloud)
+    offsets = compute_offsets(bbox)
+    h = hashlib.sha256(cloud.points.tobytes())
+    h.update(bbox.min.tobytes() + bbox.max.tobytes())
+    h.update(json.dumps([offsets.dx, offsets.dy]).encode())
+    assert h.hexdigest() == SCAN_SHA256[food, resolution]
 
 
 @pytest.mark.parametrize("facing", sorted(MOUTH_FACINGS))
