@@ -112,13 +112,13 @@ def _sample_sphere(g: FoodGeometry, res: float) -> np.ndarray:
     n_lon = max(3, int(round(2.0 * np.pi * r / res)))
     phi = np.linspace(0.0, np.pi, n_lat + 1)
     theta = np.linspace(0.0, 2.0 * np.pi, n_lon, endpoint=False)
-    pp, tt = np.meshgrid(phi, theta, indexing="ij")
-    pts = np.column_stack([
-        r * np.sin(pp.ravel()) * np.cos(tt.ravel()),
-        r * np.sin(pp.ravel()) * np.sin(tt.ravel()),
-        r * np.cos(pp.ravel()),
-    ])
-    return pts + g.center
+    # latitude rows of longitude points; trig on each 1-D axis once
+    ring = r * np.sin(phi)[:, None]
+    pts = np.empty((len(phi), len(theta), 3))
+    np.multiply(ring, np.cos(theta), out=pts[:, :, 0])
+    np.multiply(ring, np.sin(theta), out=pts[:, :, 1])
+    pts[:, :, 2] = (r * np.cos(phi))[:, None]
+    return pts.reshape(-1, 3) + g.center
 
 
 def _sample_cylinder(g: FoodGeometry, res: float) -> np.ndarray:
@@ -126,20 +126,24 @@ def _sample_cylinder(g: FoodGeometry, res: float) -> np.ndarray:
     half = float(g.length) / 2.0
     n_ang = max(3, int(round(2.0 * np.pi * r / res)))
     theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     axial = _grid(-half, half, res)
-    tt, aa = np.meshgrid(theta, axial, indexing="ij")
-    side = np.column_stack([aa.ravel(), r * np.cos(tt.ravel()), r * np.sin(tt.ravel())])
-    # end caps as radial rings
-    caps = []
     radii = _grid(0.0, r, res)
-    for a in (-half, half):
-        for rr in radii:
-            ring = np.column_stack([
-                np.full_like(theta, a), rr * np.cos(theta), rr * np.sin(theta)])
-            caps.append(ring)
-    pts = np.vstack([side] + caps)
-    order = {"x": (0, 1, 2), "y": (1, 0, 2), "z": (2, 1, 0)}[g.axis]
-    return pts[:, order] + g.center
+    # the columns of the axial coordinate and of the cos and sin terms
+    c_ax, c_cos, c_sin = {"x": (0, 1, 2), "y": (1, 0, 2), "z": (2, 1, 0)}[g.axis]
+    pts = np.empty((len(theta) * len(axial) + 2 * len(radii) * len(theta), 3))
+    # the side: one ring of axial points per angle
+    side = pts[:len(theta) * len(axial)].reshape(len(theta), len(axial), 3)
+    side[:, :, c_ax] = axial
+    side[:, :, c_cos] = (r * cos_t)[:, None]
+    side[:, :, c_sin] = (r * sin_t)[:, None]
+    # the end caps as radial rings
+    caps = pts[len(side) * len(axial):].reshape(2, len(radii), len(theta), 3)
+    caps[0, :, :, c_ax] = -half
+    caps[1, :, :, c_ax] = half
+    caps[:, :, :, c_cos] = radii[:, None] * cos_t
+    caps[:, :, :, c_sin] = radii[:, None] * sin_t
+    return pts + g.center
 
 
 def synth_depth_scan(food: FoodPreset, fork_pose_on_scan: Pose,
@@ -178,7 +182,10 @@ def food_bounding_box(cloud: PointCloud) -> Aabb:
     """Componentwise min/max over the cloud; empty clouds are an error."""
     if len(cloud) == 0:
         raise EmptyCloudError("cannot bound an empty cloud")
-    return Aabb(cloud.points.min(axis=0), cloud.points.max(axis=0))
+    # one column at a time: a reduction along a strided column is faster
+    # than one across the rows
+    cols = cloud.points.T
+    return Aabb([col.min() for col in cols], [col.max() for col in cols])
 
 
 def compute_offsets(bbox: Aabb) -> FoodOffsets:
