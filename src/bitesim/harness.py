@@ -53,8 +53,6 @@ from .presets import (DISTURBANCE_PARAMS, SCENARIO, STUDY, SUITE, SUITE_TRIAL, C
 CSV_HEADER = ("t_s,px,py,pz,qw,qx,qy,qz,fx,fy,fz,tau_x,tau_y,tau_z,phase,"
               "set_px,set_py,set_pz,set_qw,set_qx,set_qy,set_qz,deviation_m")
 
-# one trajectory CSV row: 14 floats, the phase name, 8 floats
-_CSV_ROW = "%.17g," * 14 + "%s" + ",%.17g" * 8 + "\n"
 _CSV_CHUNK_ROWS = 1000
 
 OUTCOMES = ("success", "bite_failure", "drop", "imprecise", "aborted")
@@ -308,12 +306,45 @@ def save_log(log: TickLog, path):
 
 
 def load_log(path) -> TickLog:
-    """The log save_log wrote; a field with a default may be absent."""
+    """The log save_log wrote; a field with a default may be absent, any
+    other missing array is a ConfigError naming it."""
     with np.load(path, allow_pickle=False) as z:
-        arrays = {f.name: z[f.name] for f in fields(TickLog)
-                  if f.name in z or f.default is MISSING}
+        missing = [f.name for f in fields(TickLog) if f.default is MISSING and f.name not in z]
+        if missing:
+            raise ConfigError(f"log {str(path)!r} lacks the array(s) {', '.join(missing)}")
+        arrays = {f.name: z[f.name] for f in fields(TickLog) if f.name in z}
     arrays["events"] = json.loads(str(arrays["events"]))
     return TickLog(**arrays)
+
+
+# the shape of each per-tick array of a TickLog after its row count
+_TICK_COLUMNS = {"t": (), "position": (3,), "orientation": (4,), "force": (3,),
+                 "torque": (3,), "phase": (), "set_position": (3,), "set_orientation": (4,)}
+
+
+def _check_log(log: TickLog) -> None:
+    """A ValueError for a per-tick array that is not one row per tick of
+    its width, or for a phase code that names no TransferPhase."""
+    if np.ndim(log.t) != 1:
+        raise ValueError(f"log array 't' has shape {np.shape(log.t)}, want one value per tick")
+    n = len(log.t)
+    for name, width in _TICK_COLUMNS.items():
+        if (shape := np.shape(getattr(log, name))) != (n, *width):
+            raise ValueError(f"log array {name!r} has shape {shape}, want {(n, *width)}")
+    valid = np.isin(log.phase, np.arange(len(TransferPhase)))
+    if not valid.all():
+        TransferPhase(log.phase[np.argmin(valid)].item())  # raises its ValueError
+
+
+def _format_column(col: np.ndarray) -> list[str]:
+    """The %.17g text of each value of col, each distinct value formatted
+    once: the text depends only on the value, and NaNs of either sign all
+    read nan."""
+    if col.min() == col.max():  # never for NaN
+        return ["%.17g" % col[0]] * len(col)
+    values, codes = np.unique(col, return_inverse=True)
+    texts = ["%.17g" % v for v in values.tolist()]
+    return [texts[k] for k in codes.tolist()]
 
 
 def export_trajectory(log: TickLog | str, path):
@@ -321,21 +352,25 @@ def export_trajectory(log: TickLog | str, path):
 
     Values are written with %.17g, so every float reads back exactly;
     -0.0 is written as 0. Rows are formatted and written in chunks, so
-    the file's text is never held whole in memory."""
+    the file's text is never held whole in memory; within a chunk each
+    column formats each of its distinct values once. A log whose arrays
+    disagree in length or that holds a phase code no TransferPhase has
+    raises ValueError before the file is opened."""
     if not isinstance(log, TickLog):
         log = load_log(log)
+    _check_log(log)
     dev = log.deviation()
+    names = {int(p): p.name for p in TransferPhase}
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(CSV_HEADER + "\n")
         for lo in range(0, len(log), _CSV_CHUNK_ROWS):
             part = slice(lo, lo + _CSV_CHUNK_ROWS)
-            rows = (np.column_stack([
+            columns = [_format_column(col) for col in (np.column_stack([
                 log.t[part], log.position[part], log.orientation[part], log.force[part],
                 log.torque[part], log.set_position[part], log.set_orientation[part],
-                dev[part]]) + 0.0).tolist()
-            for row, phase in zip(rows, log.phase[part].tolist()):
-                row.insert(14, TransferPhase(phase).name)
-            f.write("".join([_CSV_ROW % tuple(row) for row in rows]))
+                dev[part]]) + 0.0).T]
+            columns.insert(14, [names[code] for code in log.phase[part].tolist()])
+            f.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
 
 
 @dataclass(frozen=True)
@@ -661,8 +696,18 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
     it is, since 1 - angle**2 / 8 and the squared norm unit() divides by
     both round to 1; a fork clearly outside the contact slab, or clearly
     inside its walls, meets no contact, which skips the x, y and velocity
-    dots. A force-free tick outside the bite wait then makes one BLAS call,
-    the final unit() norm.
+    dots. A force-free tick outside the bite wait then makes at most one
+    BLAS call, the final unit() norm.
+
+    The orientation error's rotation vector and unit()'s result are kept
+    from the tick that computed them, keyed by their inputs (the setpoint
+    and robot quaternions; the raw quaternion). A tick reuses one when its
+    key equals the kept key and holds no zero: floats other than zero that
+    compare equal have the same bits, a zero of either sign is always
+    recomputed, and a NaN input raises before another tick could compare
+    it. Where the plan holds one orientation and no torque turns the fork,
+    the orientation stays one row, and a force-free tick outside the bite
+    wait reuses both and makes no BLAS call.
 
     Most ticks meet no force: no contact (contact_force is exactly zero
     outside the mouth's planes), no bite and no disturbance. Without the
@@ -793,6 +838,10 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
     px, py, pz = robot.pose.position.tolist()
     qw, qx, qy, qz = robot.pose.orientation.tolist()
     w0 = w1 = w2 = w3 = w4 = w5 = 0.0  # the twist
+    # the last inputs and results of the orientation error and of unit():
+    # no key equals None, and a key holding a zero is always recomputed
+    last_turn_key = last_raw_q = None
+    turn = q_unit = None
 
     rec = np.empty((n_ticks, _REC_WIDTH))
     events: list[dict] = []
@@ -915,7 +964,11 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
             sp = setpoints[i].tolist()
             spx, spy, spz, sqw, sqx, sqy, sqz = sp
             e0, e1, e2 = spx - px, spy - py, spz - pz
-            e3, e4, e5 = rotvec(*qmul(sqw, sqx, sqy, sqz, qw, -qx, -qy, -qz))
+            turn_key = (sqw, sqx, sqy, sqz, qw, qx, qy, qz)
+            if turn_key != last_turn_key or 0.0 in turn_key:
+                last_turn_key = turn_key
+                turn = rotvec(*qmul(sqw, sqx, sqy, sqz, qw, -qx, -qy, -qz))
+            e3, e4, e5 = turn
             v0, v1, v2, v3, v4, v5 = velocities[i].tolist()
             v0, v1, v2, v3, v4, v5 = v0 - w0, v1 - w1, v2 - w2, v3 - w3, v4 - w4, v5 - w5
             g0, g1, g2 = k0 * e0 + c0 * v0, k1 * e1 + c1 * v1, k2 * e2 + c2 * v2
@@ -980,7 +1033,10 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
                 raw_q = qmul(aw, ax, ay, az, qw, qx, qy, qz)
             else:
                 raw_q = (qw, qx, qy, qz)
-            qw, qx, qy, qz = unit(*raw_q)
+            if raw_q != last_raw_q or 0.0 in raw_q:
+                last_raw_q = raw_q
+                q_unit = unit(*raw_q)
+            qw, qx, qy, qz = q_unit
             # the checks of Pose and VirtualRobotState, in their order
             if not math.isfinite(px + py + pz + w0 + w1 + w2 + w3 + w4 + w5):
                 if not all(map(math.isfinite, (px, py, pz))):

@@ -250,6 +250,38 @@ class TestExportCommand:
         assert main(["export", str(tmp_path / "nope.npz"),
                      str(tmp_path / "x.csv")]) == 2
 
+    @staticmethod
+    def saved_log(tmp_path) -> dict:
+        """The arrays of a short trial's saved log."""
+        main(["trial", write_json(tmp_path / "s.json", {**SHORT_SCENARIO, "horizon_s": 1.2}),
+              "--out-dir", str(tmp_path)])
+        with np.load(tmp_path / "nominal_log.npz") as z:
+            return dict(z)
+
+    @pytest.mark.parametrize("name", ["position", "phase", "events"])
+    def test_log_without_an_array_config_error(self, tmp_path, capsys, name):
+        arrays = self.saved_log(tmp_path)
+        del arrays[name]
+        np.savez(tmp_path / "bad.npz", **arrays)
+        out = tmp_path / "x.csv"
+        assert main(["export", str(tmp_path / "bad.npz"), str(out)]) == 2
+        assert f"lacks the array(s) {name}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("force", lambda a: a[:-1], "log array 'force' has shape (1200, 3), want (1201, 3)"),
+        ("t", lambda a: a[:, None], "log array 't' has shape (1201, 1), want one value per tick"),
+        ("phase", lambda a: np.where(np.arange(len(a)) == 1100, 9, a),
+         "9 is not a valid TransferPhase")])
+    def test_inconsistent_log_writes_no_file(self, tmp_path, capsys, name, value, message):
+        arrays = self.saved_log(tmp_path)
+        arrays[name] = value(arrays[name])
+        np.savez(tmp_path / "bad.npz", **arrays)
+        out = tmp_path / "x.csv"
+        assert main(["export", str(tmp_path / "bad.npz"), str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, config, message", [
     ("trial", [1, 2], "a scenario must be an object, got [1, 2]"),

@@ -2,11 +2,14 @@ import json
 import multiprocessing
 import os
 import signal
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bitesim import harness, presets
 from bitesim.controller import (ControllerState, ImpedanceParams, ReactivityGains,
@@ -583,6 +586,61 @@ class TestGainPhaseCoupling:
         assert log.t[idx[0]] == pytest.approx(bite_t, abs=1e-9)
 
 
+# one trajectory CSV row: 14 floats, the phase name, 8 floats
+_CSV_ROW = "%.17g," * 14 + "%s" + ",%.17g" * 8 + "\n"
+
+
+def oracle_csv(log: TickLog) -> str:
+    """The trajectory CSV formatted one row at a time, as the schema reads."""
+    rows = (np.column_stack([log.t, log.position, log.orientation, log.force, log.torque,
+                             log.set_position, log.set_orientation, log.deviation()])
+            + 0.0).tolist()
+    return CSV_HEADER + "\n" + "".join(
+        _CSV_ROW % (*row[:14], TransferPhase(code).name, *row[14:])
+        for row, code in zip(rows, log.phase.tolist()))
+
+
+# values a column may repeat: signed zeros, NaNs of either sign, infinities
+# and the extremes of the float range
+SPECIAL_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+                  1.7976931348623157e308, 0.1, 1.0 / 3.0, -1e-17]
+
+
+def draw_tick_log(draw, n: int) -> TickLog:
+    """A log of n ticks whose float columns are each constant, repeat a
+    few values or hold distinct values, with special values mixed in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = st.sampled_from(SPECIAL_VALUES) | st.floats()
+
+    def column():
+        pool = np.array(draw(st.lists(values, min_size=1, max_size=5)))
+        kind = draw(st.sampled_from(["constant", "repeated", "distinct"]))
+        if kind == "constant":
+            return np.full(n, pool[0])
+        if kind == "repeated":
+            return rng.choice(pool, n)
+        col = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        special = rng.random(n) < 0.1
+        col[special] = rng.choice(pool, int(special.sum()))
+        return col
+
+    def array(width):
+        return np.column_stack([column() for _ in range(width)]).reshape(n, width)
+
+    phase = (np.full(n, draw(st.integers(0, 8))) if draw(st.booleans())
+             else rng.integers(0, 9, n))
+    return TickLog(t=column(), position=array(3), orientation=array(4), force=array(3),
+                   torque=array(3), phase=phase.astype(np.int8), set_position=array(3),
+                   set_orientation=array(4), events=[])
+
+
+def zero_log(n: int) -> TickLog:
+    return TickLog(t=np.zeros(n), position=np.zeros((n, 3)), orientation=np.zeros((n, 4)),
+                   force=np.zeros((n, 3)), torque=np.zeros((n, 3)),
+                   phase=np.zeros(n, dtype=np.int8), set_position=np.zeros((n, 3)),
+                   set_orientation=np.zeros((n, 4)), events=[])
+
+
 class TestExport:
     def test_row_count_and_header(self, nominal_report, tmp_path):
         path = tmp_path / "traj.csv"
@@ -629,6 +687,50 @@ class TestExport:
         assert first[:4] == ["0", "nan", "inf", "-inf"]
         assert first[8:11] == ["0", "0", "0"]
         assert (first[14], second[14]) == ("SCAN", "ABORTED")
+
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    @pytest.mark.parametrize("n", [0, 1, 999, 1000, 1001, 2345])
+    def test_bytes_equal_the_row_by_row_oracle(self, tmp_path, n, data):
+        log = draw_tick_log(data.draw, n)
+        path = tmp_path / "traj.csv"
+        # the deviation of rows this large overflows, and that of infinite
+        # ones may be inf - inf: numpy warns, and both writers print inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            export_trajectory(log, path)
+            assert path.read_bytes() == oracle_csv(log).encode()
+
+    @pytest.mark.parametrize("code", [-1, 9, 42])
+    def test_unknown_phase_code_raises_before_writing(self, tmp_path, code):
+        # in the second chunk, after a first chunk that would be valid
+        log = zero_log(1500)
+        log.phase[1234] = code
+        path = tmp_path / "traj.csv"
+        with pytest.raises(ValueError, match=f"^{code} is not a valid TransferPhase$"):
+            export_trajectory(log, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["position", "orientation", "phase", "set_orientation"])
+    def test_ragged_log_raises_before_writing(self, tmp_path, name):
+        log = zero_log(1500)
+        setattr(log, name, getattr(log, name)[:1499])
+        path = tmp_path / "traj.csv"
+        with pytest.raises(ValueError, match=f"^log array '{name}' has shape"):
+            export_trajectory(log, path)
+        assert not path.exists()
+
+    def test_export_peak_memory_below_the_file_size(self, nominal_report, tmp_path):
+        # the rows are formatted and written in chunks: a writer that held
+        # the file's text whole would peak at several times its size
+        path = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            export_trajectory(nominal_report.log, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     @staticmethod
     def assert_same_log(got, want):

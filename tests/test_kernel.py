@@ -237,6 +237,24 @@ def test_lowpass_trial_after_contact_equals_reference_loop():
     assert ticks and ticks[-1] < 1800
 
 
+def test_turn_then_hold_equals_reference_loop():
+    # a torque turns the fork over ticks 200-499 of the arc, then the
+    # trace's last row, zero, holds to the end: the orientation moves and
+    # settles into one row about 1.3 s later, so the kernel recomputes its
+    # orientation error and unit() on the moving ticks and reuses them on
+    # the held ones
+    trace = np.zeros((501, 6))
+    trace[200:500, 3:] = [0.002, 0.0, -0.004]
+    report = run_against_reference({
+        "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 1.0},
+        "horizon_s": 3.5, "joint_log_stride": 0,
+        "disturbance": {"kind": "array", "trace": trace.tolist()}})
+    q = report.log.orientation
+    moves = np.flatnonzero(np.any(q[1:] != q[:-1], axis=1))
+    assert moves[0] == 199 and len(moves) > 1000
+    assert moves[-1] < len(q) - 1000
+
+
 def turning_setup(overrides=None):
     """A trial setup whose plan follows the nominal plan's path but turns
     the fork by 90 degrees about world z over the arc, in waypoints about
