@@ -131,14 +131,15 @@ def _sample_cylinder(g: FoodGeometry, res: float) -> np.ndarray:
     radii = _grid(0.0, r, res)
     # the columns of the axial coordinate and of the cos and sin terms
     c_ax, c_cos, c_sin = {"x": (0, 1, 2), "y": (1, 0, 2), "z": (2, 1, 0)}[g.axis]
-    pts = np.empty((len(theta) * len(axial) + 2 * len(radii) * len(theta), 3))
-    # the side: one ring of axial points per angle
-    side = pts[:len(theta) * len(axial)].reshape(len(theta), len(axial), 3)
+    n_side = len(theta) * len(axial)
+    pts = np.empty((n_side + 2 * len(radii) * len(theta), 3))
+    # the side: a line of axial points per angle
+    side = pts[:n_side].reshape(len(theta), len(axial), 3)
     side[:, :, c_ax] = axial
     side[:, :, c_cos] = (r * cos_t)[:, None]
     side[:, :, c_sin] = (r * sin_t)[:, None]
     # the end caps as radial rings
-    caps = pts[len(side) * len(axial):].reshape(2, len(radii), len(theta), 3)
+    caps = pts[n_side:].reshape(2, len(radii), len(theta), 3)
     caps[0, :, :, c_ax] = -half
     caps[1, :, :, c_ax] = half
     caps[:, :, :, c_cos] = radii[:, None] * cos_t
