@@ -42,8 +42,7 @@ from .controller import (ControllerState, ImpedanceParams, ReactivityGains, Safe
 from .transfer import (BiteDetector, FsmState, TransferPhase, EXIT_SIDE_PHASES,
                        build_fixed_pose_plan, build_transfer_plan, interpolate_rows,
                        phase_segments, step, transfer_orientation)
-from .perception import (FoodOffsets, compute_offsets, food_bounding_box, synth_depth_scan,
-                         target_pose)
+from .perception import FoodOffsets, compute_offsets, scan_bounding_box, target_pose
 from .humansim import (CAVITY_DEPTH, LIP_MARGIN, BiteScript,
                        FoodAttachmentState, MouthModel, bite_force, contact_force,
                        load_food_presets, perturbation_trace, signal_trace)
@@ -459,15 +458,15 @@ def _prepare_trial(scenario: Scenario) -> TrialSetup:
         lateral_halfwidth=float(mcfg["lateral_halfwidth_m"]),
     )
 
-    # perception: scan the food, then target the (possibly mislocated) mouth
+    # perception: scan the food, then target the (possibly mislocated) mouth;
+    # the offsets need only the scan's bounding box, never the whole cloud
     scan_cfg = cfg["scan"]
     resolution, noise = float(scan_cfg["resolution_mm"]), float(scan_cfg["noise_mm"])
     offsets = _SCAN_OFFSETS.get((food_name, resolution)) if noise == 0.0 else None
     if offsets is None:
         scan_pose = Pose(true_mouth_frame.position, true_mouth_frame.orientation)
-        cloud = synth_depth_scan(food, scan_pose, resolution=resolution, seed=seed,
-                                 noise_mm=noise)
-        offsets = compute_offsets(food_bounding_box(cloud))
+        offsets = compute_offsets(scan_bounding_box(food, scan_pose, resolution=resolution,
+                                                    seed=seed, noise_mm=noise))
         if noise == 0.0:
             _SCAN_OFFSETS[food_name, resolution] = offsets
 

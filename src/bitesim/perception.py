@@ -87,26 +87,39 @@ def _grid(lo: float, hi: float, res: float) -> np.ndarray:
     return np.linspace(lo, hi, n + 1)
 
 
-def _sample_box(g: FoodGeometry, res: float) -> np.ndarray:
+# the samplers emit a surface in blocks of whole grid rows of about this
+# many points, so that a scan's bounding box never holds the whole cloud
+_BLOCK_POINTS = 1 << 16
+
+
+def _row_blocks(n_rows: int, row_len: int):
+    """Slices of the rows of an n_rows x row_len grid, in order, each of at
+    most _BLOCK_POINTS points, or of one row where a row is longer."""
+    step = max(1, _BLOCK_POINTS // row_len)
+    return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
+
+
+def _sample_box(g: FoodGeometry, res: float):
     cx, cy, cz = g.center
     sx, sy, sz = g.size / 2.0
     xs = _grid(cx - sx, cx + sx, res)
     ys = _grid(cy - sy, cy + sy, res)
     zs = _grid(cz - sz, cz + sz, res)
-    faces = []
-    for x in (cx - sx, cx + sx):
-        yy, zz = np.meshgrid(ys, zs, indexing="ij")
-        faces.append(np.column_stack([np.full(yy.size, x), yy.ravel(), zz.ravel()]))
-    for y in (cy - sy, cy + sy):
-        xx, zz = np.meshgrid(xs, zs, indexing="ij")
-        faces.append(np.column_stack([xx.ravel(), np.full(xx.size, y), zz.ravel()]))
-    for z in (cz - sz, cz + sz):
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
-        faces.append(np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, z)]))
-    return np.vstack(faces)
+    # per face: the fixed column and its value, the column and values of
+    # the grid rows, and the column and values along a row
+    faces = ([(0, x, 1, ys, 2, zs) for x in (cx - sx, cx + sx)]
+             + [(1, y, 0, xs, 2, zs) for y in (cy - sy, cy + sy)]
+             + [(2, z, 0, xs, 1, ys) for z in (cz - sz, cz + sz)])
+    for c_fix, value, c_row, rows, c_col, cols in faces:
+        for s in _row_blocks(len(rows), len(cols)):
+            pts = np.empty((len(rows[s]), len(cols), 3))
+            pts[:, :, c_fix] = value
+            pts[:, :, c_row] = rows[s, None]
+            pts[:, :, c_col] = cols
+            yield pts.reshape(-1, 3)
 
 
-def _sample_sphere(g: FoodGeometry, res: float) -> np.ndarray:
+def _sample_sphere(g: FoodGeometry, res: float):
     r = float(g.radius)
     n_lat = max(2, int(round(np.pi * r / res)))
     n_lon = max(3, int(round(2.0 * np.pi * r / res)))
@@ -114,14 +127,19 @@ def _sample_sphere(g: FoodGeometry, res: float) -> np.ndarray:
     theta = np.linspace(0.0, 2.0 * np.pi, n_lon, endpoint=False)
     # latitude rows of longitude points; trig on each 1-D axis once
     ring = r * np.sin(phi)[:, None]
-    pts = np.empty((len(phi), len(theta), 3))
-    np.multiply(ring, np.cos(theta), out=pts[:, :, 0])
-    np.multiply(ring, np.sin(theta), out=pts[:, :, 1])
-    pts[:, :, 2] = (r * np.cos(phi))[:, None]
-    return pts.reshape(-1, 3) + g.center
+    height = (r * np.cos(phi))[:, None]
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    for s in _row_blocks(len(phi), len(theta)):
+        pts = np.empty((len(phi[s]), len(theta), 3))
+        np.multiply(ring[s], cos_t, out=pts[:, :, 0])
+        np.multiply(ring[s], sin_t, out=pts[:, :, 1])
+        pts[:, :, 2] = height[s]
+        pts = pts.reshape(-1, 3)
+        pts += g.center
+        yield pts
 
 
-def _sample_cylinder(g: FoodGeometry, res: float) -> np.ndarray:
+def _sample_cylinder(g: FoodGeometry, res: float):
     r = float(g.radius)
     half = float(g.length) / 2.0
     n_ang = max(3, int(round(2.0 * np.pi * r / res)))
@@ -131,20 +149,46 @@ def _sample_cylinder(g: FoodGeometry, res: float) -> np.ndarray:
     radii = _grid(0.0, r, res)
     # the columns of the axial coordinate and of the cos and sin terms
     c_ax, c_cos, c_sin = {"x": (0, 1, 2), "y": (1, 0, 2), "z": (2, 1, 0)}[g.axis]
-    n_side = len(theta) * len(axial)
-    pts = np.empty((n_side + 2 * len(radii) * len(theta), 3))
+    side_cos, side_sin = (r * cos_t)[:, None], (r * sin_t)[:, None]
     # the side: a line of axial points per angle
-    side = pts[:n_side].reshape(len(theta), len(axial), 3)
-    side[:, :, c_ax] = axial
-    side[:, :, c_cos] = (r * cos_t)[:, None]
-    side[:, :, c_sin] = (r * sin_t)[:, None]
+    for s in _row_blocks(len(theta), len(axial)):
+        pts = np.empty((len(theta[s]), len(axial), 3))
+        pts[:, :, c_ax] = axial
+        pts[:, :, c_cos] = side_cos[s]
+        pts[:, :, c_sin] = side_sin[s]
+        pts = pts.reshape(-1, 3)
+        pts += g.center
+        yield pts
     # the end caps as radial rings
-    caps = pts[n_side:].reshape(2, len(radii), len(theta), 3)
-    caps[0, :, :, c_ax] = -half
-    caps[1, :, :, c_ax] = half
-    caps[:, :, :, c_cos] = radii[:, None] * cos_t
-    caps[:, :, :, c_sin] = radii[:, None] * sin_t
-    return pts + g.center
+    for a in (-half, half):
+        for s in _row_blocks(len(radii), len(theta)):
+            pts = np.empty((len(radii[s]), len(theta), 3))
+            pts[:, :, c_ax] = a
+            np.multiply(radii[s, None], cos_t, out=pts[:, :, c_cos])
+            np.multiply(radii[s, None], sin_t, out=pts[:, :, c_sin])
+            pts = pts.reshape(-1, 3)
+            pts += g.center
+            yield pts
+
+
+_SAMPLERS = {"box": _sample_box, "sphere": _sample_sphere, "cylinder": _sample_cylinder}
+
+
+def _scan_blocks(food: FoodPreset, resolution: float, seed: int, noise_mm: float):
+    """The points of the scan cloud as an iterator of (k, 3) blocks, in
+    cloud order. The noise of each block is drawn from the one seeded
+    stream as the block is made, which gives the draws of one call over
+    the whole cloud."""
+    if resolution <= 0:
+        raise ValueError("resolution must be > 0")
+    geometry = [g for g in food.geometry if g.kind in _SAMPLERS]
+    if not geometry:
+        raise EmptyCloudError(f"food {food.name!r} has no geometry to scan")
+    blocks = (pts for g in geometry for pts in _SAMPLERS[g.kind](g, resolution))
+    if noise_mm > 0.0:
+        rng = np.random.default_rng(seed)
+        blocks = (pts + rng.normal(scale=noise_mm, size=pts.shape) for pts in blocks)
+    return blocks
 
 
 def synth_depth_scan(food: FoodPreset, fork_pose_on_scan: Pose,
@@ -158,25 +202,28 @@ def synth_depth_scan(food: FoodPreset, fork_pose_on_scan: Pose,
     seeded Gaussian jitter models sensor noise (off by default, so the
     scan is deterministic either way).
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
-    parts = []
-    for g in food.geometry:
-        if g.kind == "box":
-            parts.append(_sample_box(g, resolution))
-        elif g.kind == "sphere":
-            parts.append(_sample_sphere(g, resolution))
-        elif g.kind == "cylinder":
-            parts.append(_sample_cylinder(g, resolution))
-    if not parts:
-        raise EmptyCloudError(f"food {food.name!r} has no geometry to scan")
-    pts = np.vstack(parts)
-    if pts.shape[0] == 0:
-        raise EmptyCloudError(f"scan of {food.name!r} produced no points")
-    if noise_mm > 0.0:
-        rng = np.random.default_rng(seed)
-        pts = pts + rng.normal(scale=noise_mm, size=pts.shape)
+    pts = np.concatenate(list(_scan_blocks(food, resolution, seed, noise_mm)))
     return PointCloud(pts, resolution)
+
+
+def scan_bounding_box(food: FoodPreset, fork_pose_on_scan: Pose,
+                      resolution: float = DEFAULT_RESOLUTION_MM,
+                      seed: int = 0, noise_mm: float = 0.0) -> Aabb:
+    """food_bounding_box(synth_depth_scan(...)) for the same arguments,
+    reduced over the scan's blocks as they are made, so that the whole
+    cloud is never held. Minima and maxima are exact: the box is the same
+    but for the sign of a bound that is zero. A point that is not finite
+    raises ValueError, as it does in the cloud."""
+    lo, hi = [], []
+    for pts in _scan_blocks(food, resolution, seed, noise_mm):
+        cols = pts.T
+        lo.append([col.min() for col in cols])
+        hi.append([col.max() for col in cols])
+    lo, hi = np.min(lo, axis=0), np.max(hi, axis=0)
+    # a NaN carries through min and max, an infinity reaches a bound
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("cloud points must be finite")
+    return Aabb(lo, hi)
 
 
 def food_bounding_box(cloud: PointCloud) -> Aabb:

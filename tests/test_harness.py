@@ -510,12 +510,12 @@ class TestScanOffsets:
         """An empty offsets cache, and the list of foods scanned since."""
         monkeypatch.setattr(harness, "_SCAN_OFFSETS", {})
         scanned = []
-        scan = harness.synth_depth_scan
+        scan = harness.scan_bounding_box
 
         def counted(food, *args, **kwargs):
             scanned.append(food.name)
             return scan(food, *args, **kwargs)
-        monkeypatch.setattr(harness, "synth_depth_scan", counted)
+        monkeypatch.setattr(harness, "scan_bounding_box", counted)
         return scanned
 
     def test_each_food_and_resolution_scanned_once(self, scans):

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bitesim.geometry import Pose
 from bitesim.harness import mouth_frame_from_position
-from bitesim.humansim import FoodGeometry, FoodPreset
+from bitesim.humansim import FoodGeometry, FoodPreset, load_food_presets
 from bitesim.perception import (Aabb, EmptyCloudError, FoodOffsets, PointCloud,
                                 compute_offsets, food_bounding_box, load_cloud, save_cloud,
-                                synth_depth_scan, target_pose)
+                                scan_bounding_box, synth_depth_scan, target_pose)
 from bitesim.transfer import entry_segment
 
 
@@ -36,6 +38,14 @@ class TestSynthScan:
                              noise_mm=0.05)
         assert np.array_equal(a.points, b.points)
 
+    def test_noise_is_one_seeded_draw_over_the_cloud(self):
+        # broccoli at 0.2 mm spans several blocks
+        food = load_food_presets()["broccoli"]
+        clean = synth_depth_scan(food, SCAN_POSE, resolution=0.2).points
+        noisy = synth_depth_scan(food, SCAN_POSE, resolution=0.2, seed=7, noise_mm=0.3)
+        ref = clean + np.random.default_rng(7).normal(scale=0.3, size=clean.shape)
+        assert noisy.points.tobytes() == ref.tobytes()
+
     def test_zero_size_geometry_rejected(self):
         with pytest.raises(ValueError):
             FoodGeometry(kind="box", center=np.zeros(3), size=np.zeros(3))
@@ -64,6 +74,64 @@ class TestSynthScan:
             detachment_force=3.5, bite_release_force=2.5)
         bbox = food_bounding_box(synth_depth_scan(food, SCAN_POSE, resolution=0.2))
         np.testing.assert_allclose(bbox.max - bbox.min, [40.0, 10.0, 10.0], atol=0.4)
+
+
+def _one_part(**geometry):
+    return FoodPreset(
+        name="part", geometry=(FoodGeometry(center=np.array([1.5, -2.0, 0.25]), **geometry),),
+        shape_class="cube", size_class="small", deformability_class="robust",
+        detachment_force=1.0, bite_release_force=0.5)
+
+
+class TestScanBoundingBox:
+    """scan_bounding_box is the box of the whole scan cloud, bit for bit."""
+
+    @staticmethod
+    def assert_box_of_cloud(food, **kwargs):
+        box = scan_bounding_box(food, SCAN_POSE, **kwargs)
+        ref = food_bounding_box(synth_depth_scan(food, SCAN_POSE, **kwargs))
+        assert box.min.tobytes() == ref.min.tobytes()
+        assert box.max.tobytes() == ref.max.tobytes()
+
+    @pytest.mark.parametrize("food", sorted(load_food_presets()))
+    @pytest.mark.parametrize("resolution", [0.1, 0.5])
+    def test_bundled_foods(self, food, resolution):
+        self.assert_box_of_cloud(load_food_presets()[food], resolution=resolution)
+
+    @pytest.mark.parametrize("food", ["broccoli", "carrot", "tofu"])
+    def test_noisy_scan_draws_the_same_noise(self, food):
+        self.assert_box_of_cloud(load_food_presets()[food], resolution=0.2, seed=7,
+                                 noise_mm=0.3)
+
+    # parts whose faces, sides, caps or latitude rows span several blocks
+    @pytest.mark.parametrize("geometry", [
+        {"kind": "box", "size": np.array([40.0, 30.0, 50.0])},
+        {"kind": "sphere", "radius": 30.0},
+        {"kind": "cylinder", "radius": 25.0, "length": 60.0, "axis": "x"},
+        {"kind": "cylinder", "radius": 25.0, "length": 60.0, "axis": "y"},
+        {"kind": "cylinder", "radius": 25.0, "length": 60.0, "axis": "z"},
+    ])
+    def test_parts_of_many_blocks(self, geometry):
+        self.assert_box_of_cloud(_one_part(**geometry), resolution=0.1)
+
+    def test_bad_resolution_rejected(self):
+        with pytest.raises(ValueError, match="resolution"):
+            scan_bounding_box(cube_preset(), SCAN_POSE, resolution=0.0)
+
+    def test_non_finite_noise_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            scan_bounding_box(cube_preset(), SCAN_POSE, resolution=0.5, noise_mm=np.inf)
+
+    def test_never_holds_the_cloud(self):
+        food = load_food_presets()["broccoli"]
+        cloud_bytes = synth_depth_scan(food, SCAN_POSE).points.nbytes
+        tracemalloc.start()
+        try:
+            scan_bounding_box(food, SCAN_POSE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cloud_bytes / 2
 
 
 class TestBoundingBox:
