@@ -25,6 +25,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
+import zlib
 from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
@@ -306,12 +308,20 @@ def save_log(log: TickLog, path):
 
 def load_log(path) -> TickLog:
     """The log save_log wrote; a field with a default may be absent, any
-    other missing array is a ConfigError naming it."""
-    with np.load(path, allow_pickle=False) as z:
-        missing = [f.name for f in fields(TickLog) if f.default is MISSING and f.name not in z]
-        if missing:
-            raise ConfigError(f"log {str(path)!r} lacks the array(s) {', '.join(missing)}")
-        arrays = {f.name: z[f.name] for f in fields(TickLog) if f.name in z}
+    other missing array is a ConfigError naming it, as is a file that is
+    not a whole npz archive (a lone .npy, a corrupt or truncated zip)."""
+    try:
+        z = np.load(path, allow_pickle=False)
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise ConfigError(f"log {str(path)!r} is not an npz archive")
+        with z:
+            missing = [f.name for f in fields(TickLog)
+                       if f.default is MISSING and f.name not in z]
+            if missing:
+                raise ConfigError(f"log {str(path)!r} lacks the array(s) {', '.join(missing)}")
+            arrays = {f.name: z[f.name] for f in fields(TickLog) if f.name in z}
+    except (zipfile.BadZipFile, zlib.error, EOFError) as e:
+        raise ConfigError(f"log {str(path)!r} is not a readable npz archive: {e}") from e
     arrays["events"] = json.loads(str(arrays["events"]))
     return TickLog(**arrays)
 
@@ -1283,9 +1293,9 @@ def build_study_inputs(study_cfg: dict | None = None):
     Keys are those of presets.STUDY; an unknown key or a value out of its
     range raises ConfigError with its path.
     """
-    # the study's statistics need scipy.stats: import it with the inputs,
-    # not in the first timed run_wrist_study
-    import scipy.stats  # noqa: F401
+    # the study's normal tail needs scipy.special (about 0.25 s to import):
+    # import it with the inputs, not in the first timed run_wrist_study
+    import scipy.special  # noqa: F401
 
     cfg = resolve({} if study_cfg is None else study_cfg, STUDY, "study")
     _check_facing("study", "mouth_position", cfg["mouth_position"],

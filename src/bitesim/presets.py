@@ -38,6 +38,12 @@ GAIN_PRESETS: dict[str, dict] = {
 
 DEFAULT_MOUTH_POSITION = [0.55, 0.0, 0.45]
 
+# upper bounds of the keys that size a run's work, far above any preset,
+# test or bundled config: a larger value is a ConfigError naming its key,
+# raised before anything is allocated
+MAX_HORIZON_S = 600.0  # 600,001 ticks
+MAX_STUDY_COUNT = 1_000_000  # poses, each solved on both chains
+
 # parameters and defaults of the injected-disturbance kinds (forces in N)
 DISTURBANCE_PARAMS = {
     "none": {},
@@ -103,6 +109,9 @@ _NULL_OR_3_FINITE = _Rule("null or a list of 3 finite numbers",
                           lambda v: v is None or _numbers(v, 3) and _FINITE_EACH.ok(v))
 _CHAIN = _Rule(f"a .json path or one of {sorted(BUNDLED_CHAINS)}",
                lambda v: v.endswith(".json") or v in BUNDLED_CHAINS)
+
+_HORIZON = _Rule(f"in [0, {MAX_HORIZON_S:g}] s", lambda v: 0 <= v <= MAX_HORIZON_S)
+_STUDY_COUNT = _Rule(f"in [1, {MAX_STUDY_COUNT}]", lambda v: 1 <= v <= MAX_STUDY_COUNT)
 
 
 def _one_of(choices) -> _Rule:
@@ -175,7 +184,7 @@ SCENARIO = {
     "entry_depth_m": _Key(0.018, _POSITIVE), "lowering_m": _Key(0.003, _NON_NEGATIVE),
     "fork_pitch_deg": _Key(25.0, _FINITE),
     "bite_threshold_n": _Key(0.3, _POSITIVE), "bite_timeout_s": _Key(1.5, _POSITIVE),
-    "horizon_s": _Key(10.0, _NON_NEGATIVE), "joint_log_stride": _Key(100, _NON_NEGATIVE),
+    "horizon_s": _Key(10.0, _HORIZON), "joint_log_stride": _Key(100, _NON_NEGATIVE),
     "scan": {"resolution_mm": _Key(0.1, _POSITIVE), "noise_mm": _Key(0.0, _NON_NEGATIVE)},
     "entry_gains": _GAINS, "exit_gains": _GAINS,
 }
@@ -189,7 +198,7 @@ SUITE_TRIAL = {"method": _Key("ours"), "scenario": _Key({})}
 # the default 10,000-pose wrist study around the pre-mouth pose
 STUDY = {
     "chain_with": _Key("panda_wrist_9dof", _CHAIN), "chain_without": _Key("panda_7dof", _CHAIN),
-    "count": _Key(10000, _AT_LEAST_ONE), "seed": _Key(2024, _NON_NEGATIVE),
+    "count": _Key(10000, _STUDY_COUNT), "seed": _Key(2024, _NON_NEGATIVE),
     "mouth_position": _Key(DEFAULT_MOUTH_POSITION, _FINITE_EACH),
     "mouth_facing": _Key(_UNSET, _NULL_OR_3_FINITE),  # null: toward the base
     "translation_halfwidth_m": _Key(0.10, _NON_NEGATIVE),

@@ -90,7 +90,7 @@ class TestTrialCommand:
         {"mouth": {"facing": [float("nan"), 0, 0]}},
         {"impedance": {"damping": [0, 40, 40, 1, 1, 1]}}, {"mouth": {"facing": [0, 0, 1]}},
         {"mouth": {"center_position": [0, 0, 0.4]}}, {"mouth": {"facing": [1e200, 1e200, 0]}},
-        {"seed": -1}])
+        {"seed": -1}, {"horizon_s": 1e12}])
     def test_bad_value_exit_code(self, tmp_path, capsys, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
@@ -200,7 +200,7 @@ class TestWristStudyCommand:
         {"count": 0}, {"translation_halfwidth_m": -0.1},
         {"rotation_halfwidth_deg": float("nan")}, {"ik": {"max_iter": -1}},
         {"comfort": {"half_angle_deg": 90}}, {"mouth_position": [float("nan"), 0, 0.4]},
-        {"mouth_facing": [0, 0, 1]}, {"mouth_position": [0, 0, 0.4]}])
+        {"mouth_facing": [0, 0, 1]}, {"mouth_position": [0, 0, 0.4]}, {"count": 10**12}])
     def test_value_out_of_range_exit_code(self, tmp_path, capsys, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
@@ -266,6 +266,27 @@ class TestExportCommand:
         out = tmp_path / "x.csv"
         assert main(["export", str(tmp_path / "bad.npz"), str(out)]) == 2
         assert f"lacks the array(s) {name}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda b: b"PK\x03\x04garbage", "is not a readable npz archive: File is not a zip file"),
+        (lambda b: b[:len(b) // 2], "is not a readable npz archive: File is not a zip file"),
+        (lambda b: b[:len(b) // 2] + bytes(64) + b[len(b) // 2 + 64:],
+         "is not a readable npz archive"),
+        (lambda b: None, "is not an npz archive")])
+    def test_corrupt_or_truncated_log_writes_no_file(self, tmp_path, capsys, damage, message):
+        main(["trial", write_json(tmp_path / "s.json", {**SHORT_SCENARIO, "horizon_s": 1.2}),
+              "--out-dir", str(tmp_path)])
+        bad = tmp_path / "bad.npz"
+        data = damage((tmp_path / "nominal_log.npz").read_bytes())
+        if data is None:  # a lone array, as np.save writes it
+            with open(bad, "wb") as f:
+                np.save(f, np.zeros(3))
+        else:
+            bad.write_bytes(data)
+        out = tmp_path / "x.csv"
+        assert main(["export", str(bad), str(out)]) == 2
+        assert f"config error: log {str(bad)!r} {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name, value, message", [

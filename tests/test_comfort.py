@@ -2,11 +2,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from bitesim.comfort import (ComfortParams, PoseDistribution, StudyInvalidError, StudyReport,
-                             comfort_cost, run_wrist_study, sample_fork_poses)
+                             _one_sided_less, comfort_cost, run_wrist_study, sample_fork_poses)
 from bitesim.geometry import Pose, quat_from_axis_angle, quat_mul
 from bitesim.harness import ConfigError, build_study_inputs
 from bitesim.kinematics import (ChainModel, IkParams, JointSpec,
@@ -282,3 +283,29 @@ class TestRunWristStudy:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("idx,px,py,pz,qw")
         assert len(lines) == 21
+
+
+class TestOneSidedLess:
+    """The signed-rank p-value against scipy.stats.wilcoxon as the oracle:
+    the same bits on each of its branches (exact null, all sign patterns,
+    normal approximation)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 120), seed=st.integers(0, 2**32 - 1),
+           shift=st.floats(-1.0, 1.0), decimals=st.sampled_from([None, 0, 1]))
+    @example(n=20, seed=1, shift=-0.3, decimals=None)  # no ties, n <= 50: exact null
+    @example(n=10, seed=2, shift=-0.3, decimals=0)  # ties, n <= 13: every sign pattern
+    @example(n=40, seed=3, shift=0.2, decimals=1)  # ties, n > 13: normal approximation
+    @example(n=90, seed=4, shift=-0.1, decimals=None)  # n > 50: normal approximation
+    def test_bits_of_scipy(self, n, seed, shift, decimals):
+        # rounded draws tie, and rounding to 0 drops values before ranking
+        x = np.random.default_rng(seed).normal(shift, 1.0, n)
+        if decimals is not None:
+            x = np.round(x, decimals)
+        d = x[x != 0.0]
+        want = 1.0 if d.size == 0 else stats.wilcoxon(d, alternative="less").pvalue
+        assert np.float64(_one_sided_less(x)).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("diff", [np.zeros(0), np.zeros(7)])
+    def test_no_nonzero_difference_gives_one(self, diff):
+        assert _one_sided_less(diff) == 1.0

@@ -322,7 +322,7 @@ MORE_RANGE_ERRORS = [
     {"impedance": {"damping": [0, 40, 40, 1, 1, 1]}}, {"mouth": {"facing": [0, 0, 1]}},
     {"mouth": {"center_position": [0, 0, 0.4]}}, {"mouth": {"facing": [1e200, 1e200, 0]}},
     {"segments": {"retract_s": -1}}, {"segments": {"face_detect_s": -1}},
-    {"gain_preset": "fixed_pose"}, {"seed": -1}]
+    {"gain_preset": "fixed_pose"}, {"seed": -1}, {"horizon_s": 1e12}, {"horizon_s": 600.001}]
 # one study value out of its key's range: each used to run a study that
 # means nothing, to end as an invalid study, or to stop with an error
 # naming no key
@@ -333,7 +333,7 @@ STUDY_RANGE_ERRORS = [
     {"ik": {"max_iter": -1}}, {"comfort": {"half_angle_deg": 90}},
     {"mouth_position": [float("nan"), 0, 0.4]}, {"mouth_facing": [0, 0, 1]},
     {"mouth_position": [0, 0, 0.4]}, {"mouth_facing": [1e200, 1e200, 0]},
-    {"seed": -1}, {"chain_with": "nochain"}]
+    {"seed": -1}, {"chain_with": "nochain"}, {"count": 1_000_001}, {"count": 1e12}]
 
 
 class TestConfigKeys:

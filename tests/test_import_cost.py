@@ -1,9 +1,10 @@
-"""What a process loads: a trial runs without scipy.stats, which only the
-wrist study's Wilcoxon test needs and which takes about a second to
-import, and without multiprocessing, which only a suite's workers need.
-Each check runs in a fresh interpreter, since this one has long loaded
-everything."""
+"""What a process loads: no run loads scipy.stats, which takes most of a
+second to import; a wrist study's signed-rank test needs only
+scipy.special, and a trial no scipy at all. A trial also runs without
+multiprocessing, which only a suite's workers need. Each check runs in a
+fresh interpreter, since this one has long loaded everything."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,7 +29,7 @@ A_TRIAL = ("import sys, bitesim, bitesim.cli\n"
 
 
 def test_a_trial_leaves_scipy_stats_unloaded():
-    assert not loads("scipy.stats", A_TRIAL)
+    assert not loads("scipy", A_TRIAL)  # nor any other part of scipy
 
 
 def test_a_trial_leaves_multiprocessing_unloaded():
@@ -36,6 +37,20 @@ def test_a_trial_leaves_multiprocessing_unloaded():
     assert not loads("multiprocessing", A_TRIAL)
 
 
-def test_study_inputs_load_scipy_stats():
-    assert loads("scipy.stats",
-                 "import sys\nfrom bitesim.harness import build_study_inputs\nbuild_study_inputs()")
+STUDY_INPUTS = "import sys\nfrom bitesim.harness import build_study_inputs\nbuild_study_inputs()"
+
+
+def test_study_inputs_load_scipy_special_not_stats():
+    # the study's setup pays for the import, not its first timed run
+    assert loads("scipy.special", STUDY_INPUTS)
+    assert not loads("scipy.stats", STUDY_INPUTS)
+
+
+def test_a_study_run_leaves_scipy_stats_unloaded(tmp_path):
+    # 60 poses: enough used pairs for the normal approximation's branch
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({"count": 60, "seed": 3}))
+    run = ("import sys\nfrom bitesim.cli import main\n"
+           f"assert main(['wrist-study', {str(study)!r}, '--out-dir', {str(tmp_path)!r}]) == 0")
+    assert not loads("scipy.stats", run)
+    assert (tmp_path / "study_report.json").exists()

@@ -170,6 +170,37 @@ def test_nominal_trial_equals_reference_loop():
     assert report.log.joints.shape == (101, 9)
 
 
+# foods whose plan lies on the mouth's plane y = 0; the scanned cherry
+# tomato's box sits 0.1 um to one side of it, so its plan has no mirror
+CENTRED_FOODS = tuple(f for f in FOODS if f != "cherry_tomato")
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(food=st.sampled_from(CENTRED_FOODS), gain_preset=st.sampled_from(sorted(GAIN_PRESETS)),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda d: math.hypot(*d) > 0.1),
+       amplitude=st.floats(0.0, 6.0), period=st.floats(0.2, 2.0),
+       horizon=st.sampled_from([2.0, 3.5, 4.0]))
+def test_lateral_mirror_of_a_push(food, gain_preset, direction, amplitude, period, horizon):
+    # the default mouth sits on the plane y = 0, and negation is exact in
+    # floats: a push mirrored in y mirrors the trial, bit for bit
+    def trial(dy):
+        return run_trial(Scenario.from_dict({
+            "food": food, "gain_preset": gain_preset, "horizon_s": horizon,
+            "joint_log_stride": 0,
+            "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 1.0},
+            "disturbance": {"kind": "sinusoid", "amplitude_n": amplitude, "period_s": period,
+                            "direction": [direction[0], dy, direction[2]]}}))
+
+    a, b = trial(direction[1]), trial(-direction[1])
+    for name in ("position", "force"):  # y negated, signs of zero aside
+        assert np.array_equal(-getattr(a.log, name)[:, 1], getattr(b.log, name)[:, 1]), name
+    assert a.log.position[:, [0, 2]].tobytes() == b.log.position[:, [0, 2]].tobytes()
+    assert a.log.orientation.tobytes() == b.log.orientation.tobytes()
+    assert json.dumps(a.events) == json.dumps(b.events)
+    assert a.outcome == b.outcome
+
+
 # The kernel reuses the reactive term on force-free ticks. These trials
 # make that reuse matter: the fork, aimed 12 mm low at a 40 mm mouth,
 # rests the carrot on the lower teeth on ticks 1592-1631, early in the
