@@ -111,10 +111,6 @@ class ReactivityGains:
             raise ValueError("gains must be >= 0")
         return cls(np.diag(k_p[:3]), np.diag(k_i[:3]), k_p[3:], k_i[3:])
 
-    @classmethod
-    def zero(cls) -> "ReactivityGains":
-        return cls.from_vectors(np.zeros(6), np.zeros(6))
-
     @property
     def k_p(self) -> np.ndarray:
         return np.concatenate([np.diag(self.p_force), self.p_torque])

@@ -173,23 +173,6 @@ def mat_to_quat_rows(r: np.ndarray) -> np.ndarray:
     return terms.take(_SHEPPERD_SLOTS[i] + 7 * np.arange(b)[:, None])
 
 
-def quat_canonical(q: np.ndarray) -> np.ndarray:
-    """Flip sign so the scalar part is non-negative (double-cover pick)."""
-    return -q if q[0] < 0.0 else np.asarray(q, dtype=float)
-
-
-def quat_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Chordal distance after canonical sign alignment."""
-    a = quat_canonical(a)
-    b = quat_canonical(b)
-    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
-
-
-def quat_angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    """Rotation angle taking orientation a to b (radians, >= 0)."""
-    return float(np.linalg.norm(quat_to_rotvec(quat_mul(b, quat_conj(a)))))
-
-
 def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     """Spherical interpolation along the shorter great-circle arc."""
     a = np.asarray(a, dtype=float)
@@ -253,14 +236,8 @@ class Pose:
         object.__setattr__(pose, "orientation", orientation)
         return pose
 
-    def transform_point(self, p: np.ndarray) -> np.ndarray:
-        return self.position + quat_rotate(self.orientation, np.asarray(p, dtype=float))
-
     def rotate(self, v: np.ndarray) -> np.ndarray:
         return quat_rotate(self.orientation, v)
-
-    def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.orientation)
 
     @property
     def x_axis(self) -> np.ndarray:

@@ -12,10 +12,9 @@ forked worker processes, one per usable CPU, with the bytes of a run in
 one process. Every run is seed-deterministic end to end.
 
 run_trial prepares a trial, runs its ticks from t = 0 in _tick_kernel,
-a flat loop over floats that only records and returns only its tick
-log, and reads the report from that log and its events. The kernel
-updates nothing in place but the food attachment, whose detachment
-feeds back into the bite force.
+a flat loop over floats that only records and returns its tick log and
+food attachment, and reads the report from those. The kernel writes
+nothing into its setup, so a setup runs to the same bytes every time.
 simulate_tick is the same tick as a pipeline of Pose, Wrench and state
 objects, kept as the reference the kernel must match bit for bit.
 """
@@ -154,28 +153,24 @@ class VirtualRobotState:
 class WorldState:
     """Per-trial environment: mouth, food attachment, safety, traces."""
 
-    def __init__(self, mouth: MouthModel, perceived_mouth: Pose, bite: BiteScript,
+    def __init__(self, mouth: MouthModel, bite: BiteScript,
                  attachment: FoodAttachmentState, safety: SafetyLatch,
                  impedance: ImpedanceParams, entry_gains: ReactivityGains,
                  exit_gains: ReactivityGains, exit_axis: np.ndarray,
                  perturb_trace: np.ndarray, disturbance_trace: np.ndarray,
                  lowpass_alpha: float | None = None):
         self.mouth = mouth
-        self.perceived_mouth = perceived_mouth
         self.bite = bite
         self.attachment = attachment
         self.safety = safety
         self.impedance = impedance
-        self.exit_axis = np.asarray(exit_axis, dtype=float)
         self.perturb_trace = perturb_trace
         self.disturbance_trace = disturbance_trace
         self.lowpass_alpha = lowpass_alpha
         self.filtered = np.zeros(6)
         # both phase gain sets are fixed per trial; build them once
-        self.gains_entry = phase_gains(TransferPhase.ENTRY, self.exit_axis,
-                                       entry_gains, exit_gains)
-        self.gains_exit = phase_gains(TransferPhase.EXIT, self.exit_axis,
-                                      entry_gains, exit_gains)
+        self.gains_entry = phase_gains(TransferPhase.ENTRY, exit_axis, entry_gains, exit_gains)
+        self.gains_exit = phase_gains(TransferPhase.EXIT, exit_axis, entry_gains, exit_gains)
 
 
 def simulate_tick(robot: VirtualRobotState, ctrl: ControllerState, fsm: FsmState,
@@ -441,8 +436,8 @@ class TrialSetup:
 
 
 # the offsets of every noiseless scan so far, by (food, resolution): such
-# a scan reads neither the seed nor the pose, so its offsets are a
-# function of the bundled food and the resolution alone
+# a scan reads no seed, so its offsets are a function of the bundled food
+# and the resolution alone
 _SCAN_OFFSETS: dict[tuple[str, float], FoodOffsets] = {}
 
 
@@ -474,9 +469,8 @@ def _prepare_trial(scenario: Scenario) -> TrialSetup:
     resolution, noise = float(scan_cfg["resolution_mm"]), float(scan_cfg["noise_mm"])
     offsets = _SCAN_OFFSETS.get((food_name, resolution)) if noise == 0.0 else None
     if offsets is None:
-        scan_pose = Pose(true_mouth_frame.position, true_mouth_frame.orientation)
-        offsets = compute_offsets(scan_bounding_box(food, scan_pose, resolution=resolution,
-                                                    seed=seed, noise_mm=noise))
+        offsets = compute_offsets(scan_bounding_box(food, resolution=resolution, seed=seed,
+                                                    noise_mm=noise))
         if noise == 0.0:
             _SCAN_OFFSETS[food_name, resolution] = offsets
 
@@ -488,9 +482,7 @@ def _prepare_trial(scenario: Scenario) -> TrialSetup:
     perceived_mouth = Pose(perceived_center, true_mouth_frame.orientation)
 
     pitch = np.deg2rad(float(cfg["fork_pitch_deg"]))
-    entry_depth = float(cfg["entry_depth_m"])
-    pre_mouth = target_pose(perceived_mouth, offsets, entry_depth=entry_depth,
-                            fork_pitch=pitch)
+    pre_mouth = target_pose(perceived_mouth, offsets, fork_pitch=pitch)
 
     seg = cfg["segments"]
     mode = cfg["transfer_mode"]
@@ -501,7 +493,7 @@ def _prepare_trial(scenario: Scenario) -> TrialSetup:
         plan = build_transfer_plan(
             perceived_mouth, pre_mouth, arc_duration=arc_s, entry_duration=entry_s,
             exit_duration=exit_s, radius=radius, start_angle=start_angle,
-            entry_depth=entry_depth, lowering=float(cfg["lowering_m"]),
+            entry_depth=float(cfg["entry_depth_m"]), lowering=float(cfg["lowering_m"]),
         )
         retract_s = float(seg["retract_s"])
     else:  # fixed_pose
@@ -555,7 +547,7 @@ def _prepare_trial(scenario: Scenario) -> TrialSetup:
         alpha = dt / (dt + 1.0 / (2.0 * np.pi * cutoff))
 
     world = WorldState(
-        mouth=mouth, perceived_mouth=perceived_mouth, bite=bite,
+        mouth=mouth, bite=bite,
         attachment=FoodAttachmentState(food),
         safety=SafetyLatch(float(cfg["safety_limit_n"]), cfg["safety_mode"]),
         impedance=impedance, entry_gains=entry_gains, exit_gains=exit_gains,
@@ -681,9 +673,10 @@ def _clear_of_mouth(dx, dy, dz, x_hat, y_hat, z_hat, lip, cavity, lateral,
             and abs(dx * y_hat[0] + dy * y_hat[1] + dz * y_hat[2]) < half_aperture - tol)
 
 
-def _tick_kernel(setup: TrialSetup) -> TickLog:
+def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     """The 1 kHz loop of run_trial as one flat kernel, run from t = 0;
-    returns only the tick log.
+    returns only the tick log and the food attachment, which it makes
+    afresh: it writes nothing into the setup.
 
     Tick for tick it computes, to the bit, what a loop over simulate_tick
     computes from the setup's initial states, but it builds no Pose,
@@ -735,11 +728,10 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
     detection, the safety trip, contact, the reactive PI term and the
     integration.
 
-    The kernel only records: the report is read from the log and its
-    events, and the one state updated in place is the food attachment,
-    whose detachment feeds back into the bite force. Joint logging is
-    left to the caller (_log_joints): each logged position and
-    orientation row has the bits of the robot Pose simulate_tick builds.
+    The kernel only records: the report is read from the log, its events
+    and the attachment. Joint logging is left to the caller
+    (_log_joints): each logged position and orientation row has the bits
+    of the robot Pose simulate_tick builds.
     """
     world, fsm, robot, n_ticks = setup.world, setup.fsm, setup.robot, setup.n_ticks
     dt = TICK_PERIOD
@@ -811,8 +803,8 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
     last_dist = len(dist) - 1
 
     script = world.bite
-    attachment = world.attachment
-    detached = attachment.detached
+    attachment = FoodAttachmentState(world.attachment.food)
+    detached = False
     alpha = world.lowpass_alpha
     filt = [0.0] * 6
 
@@ -1072,7 +1064,7 @@ def _tick_kernel(setup: TrialSetup) -> TickLog:
         torque=rec[:, _REC_TORQUE:_REC_PHASE], phase=rec[:, _REC_PHASE].astype(np.int8),
         set_position=rec[:, _REC_SET_POS:_REC_SET_ORI],
         set_orientation=rec[:, _REC_SET_ORI:_REC_WIDTH], events=events,
-    )
+    ), attachment
 
 
 def _log_joints(log: TickLog, chain: ChainModel, stride: int) -> None:
@@ -1091,7 +1083,8 @@ def _log_joints(log: TickLog, chain: ChainModel, stride: int) -> None:
     log.joints = np.array(rows)
 
 
-def _finish_trial(setup: TrialSetup, log: TickLog) -> TrialReport:
+def _finish_trial(setup: TrialSetup, log: TickLog,
+                  attachment: FoodAttachmentState) -> TrialReport:
     """Classify the outcome and build the report from the log's events and
     the food attachment."""
     # phases only move forward, so each of these transitions occurs at most once
@@ -1101,13 +1094,13 @@ def _finish_trial(setup: TrialSetup, log: TickLog) -> TrialReport:
     trip_phase = next((p_from for p_from, _, kind in at if kind == "safety_abort"), None)
 
     err_mm, world = setup.mouth_error_mm, setup.world
-    att = world.attachment
     lateral_mm = world.mouth.lateral_halfwidth * 1000.0
     aperture_mm = world.mouth.aperture * 1000.0
     imprecise = (abs(err_mm[0]) > lateral_mm) or (abs(err_mm[1]) > aperture_mm / 2.0)
     exit_deadline = at.get(("EXIT", "RETRACT_ARC", None), np.inf)
-    dropped = (att.detached and not att.taken_by_bite
-               and att.detach_time is not None and att.detach_time <= exit_deadline)
+    dropped = (attachment.detached and not attachment.taken_by_bite
+               and attachment.detach_time is not None
+               and attachment.detach_time <= exit_deadline)
 
     # most specific root cause first: a lost food item explains a missing
     # bite, a mislocated mouth explains a crash, the bare abort comes last
@@ -1137,8 +1130,8 @@ def _finish_trial(setup: TrialSetup, log: TickLog) -> TrialReport:
         peak_force_components=tuple(float(x) for x in abs_f.max(axis=0)),
         mean_deviation_m=float(log.deviation().mean()),
         n_ticks=setup.n_ticks,
-        food_detached=att.detached,
-        food_taken_by_bite=att.taken_by_bite,
+        food_detached=attachment.detached,
+        food_taken_by_bite=attachment.taken_by_bite,
         final_phase=final_phase,
         completed=final_phase == "DONE",
         log=log,
@@ -1151,10 +1144,10 @@ def run_trial(scenario: Scenario) -> TrialReport:
     stride = int(scenario["joint_log_stride"])
     chain = _resolve_chain(scenario["chain"]) if stride else None
     setup = _prepare_trial(scenario)
-    log = _tick_kernel(setup)
+    log, attachment = _tick_kernel(setup)
     if chain is not None:
         _log_joints(log, chain, stride)
-    return _finish_trial(setup, log)
+    return _finish_trial(setup, log, attachment)
 
 
 def _trial_seed(suite_seed: int, index: int) -> int:
@@ -1196,7 +1189,7 @@ class SuiteReport(JsonReport):
 def _suite_outcome(setup: TrialSetup) -> str:
     """One suite trial's outcome: run_trial less the joint log, which the
     suite's outcomes never read."""
-    return _finish_trial(setup, _tick_kernel(setup)).outcome
+    return _finish_trial(setup, *_tick_kernel(setup)).outcome
 
 
 def _suite_workers(n_trials: int) -> int:

@@ -100,13 +100,6 @@ class ChainModel:
             raise ValueError(f"config length {q.shape[0]} != chain DOF {self.dof}")
         return q
 
-    def clamp(self, q) -> np.ndarray:
-        return np.clip(self.check_config(q), self.lower, self.upper)
-
-    def within_limits(self, q, tol: float = 1e-12) -> bool:
-        q = self.check_config(q)
-        return bool(np.all(q >= self.lower - tol) and np.all(q <= self.upper + tol))
-
     def __repr__(self):
         return f"ChainModel({self.name!r}, dof={self.dof}, has_wrist={self.has_wrist})"
 

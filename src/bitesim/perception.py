@@ -29,18 +29,14 @@ class EmptyCloudError(ValueError):
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Points (N, 3) in mm, mouth frame, with the scan grid resolution."""
+    """Points (N, 3) in mm, mouth frame."""
 
     points: np.ndarray
-    resolution: float = DEFAULT_RESOLUTION_MM
-    frame: str = "mouth"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 3).copy()
         if pts.size and not np.all(np.isfinite(pts)):
             raise ValueError("cloud points must be finite")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be > 0")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -198,16 +194,14 @@ def synth_depth_scan(food: FoodPreset, fork_pose_on_scan: Pose,
 
     The sampler walks each primitive's surface on a grid at the scan
     resolution, standing in for the physical camera sweep; points are
-    reported in the mouth frame anchored at the fork tip. Optional
-    seeded Gaussian jitter models sensor noise (off by default, so the
-    scan is deterministic either way).
+    reported in the mouth frame anchored at the fork tip, so the fork's
+    pose is not read. Optional seeded Gaussian jitter models sensor noise
+    (off by default, so the scan is deterministic either way).
     """
-    pts = np.concatenate(list(_scan_blocks(food, resolution, seed, noise_mm)))
-    return PointCloud(pts, resolution)
+    return PointCloud(np.concatenate(list(_scan_blocks(food, resolution, seed, noise_mm))))
 
 
-def scan_bounding_box(food: FoodPreset, fork_pose_on_scan: Pose,
-                      resolution: float = DEFAULT_RESOLUTION_MM,
+def scan_bounding_box(food: FoodPreset, resolution: float = DEFAULT_RESOLUTION_MM,
                       seed: int = 0, noise_mm: float = 0.0) -> Aabb:
     """food_bounding_box(synth_depth_scan(...)) for the same arguments,
     reduced over the scan's blocks as they are made, so that the whole
@@ -249,46 +243,34 @@ def compute_offsets(bbox: Aabb) -> FoodOffsets:
 
 
 def target_pose(mouth_center: Pose, offsets: FoodOffsets,
-                entry_depth: float = 0.018,
                 fork_pitch: float = DEFAULT_FORK_PITCH) -> Pose:
-    """Pre-mouth target: mouth center shifted by the food offsets.
-
-    The entry depth is validated here but carried by the entry segment,
-    which later takes the fork that far along -z of the mouth frame.
-    """
-    if entry_depth <= 0:
-        raise ValueError("entry depth must be > 0")
+    """Pre-mouth target: mouth center shifted by the food offsets. The
+    entry segment later takes the fork from here along -z of the mouth
+    frame."""
     p = (mouth_center.position
          + (offsets.dx / 1000.0) * mouth_center.x_axis
          + (offsets.dy / 1000.0) * mouth_center.y_axis)
     return Pose(p, transfer_orientation(mouth_center, fork_pitch))
 
 
-def save_cloud(cloud: PointCloud, path):
-    """CSV of x,y,z in mm with a one-line frame/resolution header."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# frame={cloud.frame} resolution_mm={cloud.resolution}\n")
-        f.write("x_mm,y_mm,z_mm\n")
-        for p in cloud.points:
-            f.write(f"{p[0]:.6f},{p[1]:.6f},{p[2]:.6f}\n")
-
-
 def load_cloud(path) -> PointCloud:
+    """The points of a cloud CSV: a '#' header line, an optional
+    x_mm,y_mm,z_mm line, then one x,y,z row per point. A row that does
+    not hold three numbers is a ValueError naming its line."""
+    rows = []
     with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("cloud file missing the frame/resolution header")
-        fields = dict(item.split("=", 1) for item in header.lstrip("# ").split())
-        frame = fields.get("frame", "mouth")
-        resolution = float(fields.get("resolution_mm", DEFAULT_RESOLUTION_MM))
-        second = f.readline().strip()
-        rows = []
-        if second and not second.startswith("x_mm"):
-            rows.append([float(x) for x in second.split(",")])
-        for line in f:
+        if not f.readline().strip().startswith("#"):
+            raise ValueError(f"cloud {str(path)!r} lacks its '#' header line")
+        for n, line in enumerate(f, start=2):
             line = line.strip()
-            if line:
-                rows.append([float(x) for x in line.split(",")])
-    pts = np.array(rows, dtype=float).reshape(-1, 3)
-    return PointCloud(pts, resolution, frame)
-
+            if not line or n == 2 and line.startswith("x_mm"):
+                continue
+            try:
+                row = [float(x) for x in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != 3:
+                raise ValueError(f"cloud {str(path)!r} line {n} must hold three numbers "
+                                 f"x,y,z, got {line!r}")
+            rows.append(row)
+    return PointCloud(np.array(rows, dtype=float).reshape(-1, 3))

@@ -38,11 +38,12 @@ GAIN_PRESETS: dict[str, dict] = {
 
 DEFAULT_MOUTH_POSITION = [0.55, 0.0, 0.45]
 
-# upper bounds of the keys that size a run's work, far above any preset,
-# test or bundled config: a larger value is a ConfigError naming its key,
+# bounds of the keys that size a run's work, far beyond any preset, test
+# or bundled config: a value past one is a ConfigError naming its key,
 # raised before anything is allocated
 MAX_HORIZON_S = 600.0  # 600,001 ticks
 MAX_STUDY_COUNT = 1_000_000  # poses, each solved on both chains
+MIN_SCAN_RESOLUTION_MM = 0.01  # 10^6 points on a face of a 10 mm box
 
 # parameters and defaults of the injected-disturbance kinds (forces in N)
 DISTURBANCE_PARAMS = {
@@ -112,6 +113,8 @@ _CHAIN = _Rule(f"a .json path or one of {sorted(BUNDLED_CHAINS)}",
 
 _HORIZON = _Rule(f"in [0, {MAX_HORIZON_S:g}] s", lambda v: 0 <= v <= MAX_HORIZON_S)
 _STUDY_COUNT = _Rule(f"in [1, {MAX_STUDY_COUNT}]", lambda v: 1 <= v <= MAX_STUDY_COUNT)
+_SCAN_RESOLUTION = _Rule(f"finite and >= {MIN_SCAN_RESOLUTION_MM:g} mm",
+                         lambda v: MIN_SCAN_RESOLUTION_MM <= v < math.inf)
 
 
 def _one_of(choices) -> _Rule:
@@ -185,7 +188,7 @@ SCENARIO = {
     "fork_pitch_deg": _Key(25.0, _FINITE),
     "bite_threshold_n": _Key(0.3, _POSITIVE), "bite_timeout_s": _Key(1.5, _POSITIVE),
     "horizon_s": _Key(10.0, _HORIZON), "joint_log_stride": _Key(100, _NON_NEGATIVE),
-    "scan": {"resolution_mm": _Key(0.1, _POSITIVE), "noise_mm": _Key(0.0, _NON_NEGATIVE)},
+    "scan": {"resolution_mm": _Key(0.1, _SCAN_RESOLUTION), "noise_mm": _Key(0.0, _NON_NEGATIVE)},
     "entry_gains": _GAINS, "exit_gains": _GAINS,
 }
 

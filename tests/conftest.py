@@ -31,6 +31,12 @@ def planar_chain():
     return make_planar_chain()
 
 
+def quat_chord(a, b) -> float:
+    """Chordal distance between the rotations of unit quaternions a and b,
+    whichever sign each carries."""
+    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
+
+
 def random_pose(rng, scale=1.0):
     q = rng.standard_normal(4)
     return Pose(rng.uniform(-scale, scale, 3), q / np.linalg.norm(q))

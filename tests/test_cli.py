@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bitesim.cli import main
-from bitesim.perception import PointCloud, save_cloud
 
 SHORT_SCENARIO = {
     "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 1.0},
@@ -90,7 +89,7 @@ class TestTrialCommand:
         {"mouth": {"facing": [float("nan"), 0, 0]}},
         {"impedance": {"damping": [0, 40, 40, 1, 1, 1]}}, {"mouth": {"facing": [0, 0, 1]}},
         {"mouth": {"center_position": [0, 0, 0.4]}}, {"mouth": {"facing": [1e200, 1e200, 0]}},
-        {"seed": -1}, {"horizon_s": 1e12}])
+        {"seed": -1}, {"horizon_s": 1e12}, {"scan": {"resolution_mm": 1e-6}}])
     def test_bad_value_exit_code(self, tmp_path, capsys, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
@@ -224,7 +223,8 @@ class TestOffsetsCommand:
         pts[1] = [8.0, 10.0, 1.0]
         pts[2] = [2.0, 10.0, 0.0]
         path = tmp_path / "cloud.csv"
-        save_cloud(PointCloud(np.vstack([pts, [[8.0, 0.0, 0.0]]])), path)
+        path.write_text("# frame=mouth resolution_mm=0.1\nx_mm,y_mm,z_mm\n" + "".join(
+            f"{x:.6f},{y:.6f},{z:.6f}\n" for x, y, z in np.vstack([pts, [[8.0, 0.0, 0.0]]])))
         assert main(["offsets", str(path)]) == 0
         out = capsys.readouterr().out
         assert "dx_mm: -5.0" in out
@@ -234,6 +234,18 @@ class TestOffsetsCommand:
         path = tmp_path / "empty.csv"
         path.write_text("# frame=mouth resolution_mm=0.1\nx_mm,y_mm,z_mm\n")
         assert main(["offsets", str(path)]) == 2
+
+    # rows of four numbers were read as triples of the numbers in order
+    @pytest.mark.parametrize("rows, line", [
+        ("2,0,0,1\n8,10,1,2\n2,10,0,3\n", 3), ("1,2,3\n4,5\n", 4),
+        ("1,2,3\n4,5,6,\n", 4), ("1,2,x\n", 3)])
+    def test_row_without_three_numbers_is_config_error(self, tmp_path, capsys, rows, line):
+        path = tmp_path / "cloud.csv"
+        path.write_text("# frame=mouth resolution_mm=0.1\nx_mm,y_mm,z_mm\n" + rows)
+        assert main(["offsets", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"line {line} must hold three numbers" in captured.err
+        assert "dx_mm" not in captured.out
 
 
 class TestExportCommand:

@@ -93,7 +93,7 @@ def per_pose_samples(dist):
         q = dist.center.orientation
         for axis, a in zip(axes, ang):
             q = quat_mul(q, quat_from_axis_angle(axis, a))
-        poses.append(Pose(dist.center.transform_point(off), q))
+        poses.append(Pose(dist.center.position + dist.center.rotate(off), q))
     return poses
 
 

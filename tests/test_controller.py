@@ -128,7 +128,7 @@ class TestReactiveTerm:
     def test_zero_reactivity_reduces_to_impedance(self):
         # zero gains give a zero correction, leaving the impedance wrench alone
         rng = np.random.default_rng(3)
-        state = ControllerState(gains=ReactivityGains.zero())
+        state = ControllerState(gains=ReactivityGains.from_vectors(np.zeros(6), np.zeros(6)))
         for _ in range(50):
             f = Wrench(rng.standard_normal(3), rng.standard_normal(3))
             fb, state = reactive_term(state, f, 0.001)

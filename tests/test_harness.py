@@ -54,7 +54,6 @@ def make_static_world(gains_vec=(0.0, 0.0), mouth_pos=(5.0, 0.0, 0.45),
     gains = ReactivityGains.from_vectors(k_p, k_i)
     return WorldState(
         mouth=MouthModel(center=mouth_frame),
-        perceived_mouth=mouth_frame,
         bite=BiteScript(refuse=True),
         attachment=FoodAttachmentState(foods["pineapple"]),
         safety=SafetyLatch(3.0),
@@ -322,7 +321,8 @@ MORE_RANGE_ERRORS = [
     {"impedance": {"damping": [0, 40, 40, 1, 1, 1]}}, {"mouth": {"facing": [0, 0, 1]}},
     {"mouth": {"center_position": [0, 0, 0.4]}}, {"mouth": {"facing": [1e200, 1e200, 0]}},
     {"segments": {"retract_s": -1}}, {"segments": {"face_detect_s": -1}},
-    {"gain_preset": "fixed_pose"}, {"seed": -1}, {"horizon_s": 1e12}, {"horizon_s": 600.001}]
+    {"gain_preset": "fixed_pose"}, {"seed": -1}, {"horizon_s": 1e12}, {"horizon_s": 600.001},
+    {"scan": {"resolution_mm": 1e-6}}, {"scan": {"resolution_mm": 0.0099}}]
 # one study value out of its key's range: each used to run a study that
 # means nothing, to end as an invalid study, or to stop with an error
 # naming no key

@@ -13,15 +13,17 @@ import pstats
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bitesim import harness
 from bitesim.geometry import (Pose, quat_conj, quat_from_axis_angle, quat_mul, quat_normalize,
                               quat_normalize_rows, quat_to_matrix, quat_to_rotvec,
                               quat_to_rotvec_rows, row_dots, slerp, slerp_rows)
 from bitesim.controller import Wrench
-from bitesim.humansim import CAVITY_DEPTH, LIP_MARGIN
+from bitesim.humansim import CAVITY_DEPTH, LIP_MARGIN, FoodAttachmentState, load_food_presets
 from bitesim.kinematics import IkParams, ik_damped_least_squares
 from bitesim.harness import (Scenario, TickLog, VirtualRobotState, _below_1e_12,
                              _clear_of_mouth, _finish_trial, _prepare_trial, _resolve_chain,
@@ -35,8 +37,9 @@ TICK_FIELDS = ("t", "position", "orientation", "force", "torque", "phase",
                "set_position", "set_orientation")
 
 
-def reference_run(setup) -> TickLog:
-    """run_trial's tick loop as it was: simulate_tick objects per tick."""
+def reference_run(setup) -> tuple[TickLog, FoodAttachmentState]:
+    """run_trial's tick loop as it was: simulate_tick objects per tick.
+    Returns the log and the world's food attachment, which it updates."""
     world, fsm, ctrl, robot = setup.world, setup.fsm, setup.ctrl, setup.robot
     n_ticks = setup.n_ticks
     log = TickLog(t=np.empty(n_ticks), position=np.empty((n_ticks, 3)),
@@ -79,7 +82,7 @@ def reference_run(setup) -> TickLog:
             rows.append(q_guess)
         log.joints = np.array(rows)
         log.joint_ticks = np.array([i for i, _ in ik_targets], dtype=np.int64)
-    return log
+    return log, world.attachment
 
 
 def assert_same_trial(report, expected):
@@ -151,7 +154,7 @@ def scenarios(draw):
 def test_kernel_equals_reference_loop(sc):
     scenario = Scenario.from_dict(sc)
     setup = _prepare_trial(scenario)
-    expected = _finish_trial(setup, reference_run(setup))
+    expected = _finish_trial(setup, *reference_run(setup))
     report = run_trial(scenario)
     assert_same_trial(report, expected)
     # the FSM invariants _finish_trial relies on: each transition occurs at most once
@@ -164,7 +167,7 @@ def test_kernel_equals_reference_loop(sc):
 def test_nominal_trial_equals_reference_loop():
     scenario = Scenario.from_dict({})
     setup = _prepare_trial(scenario)
-    expected = _finish_trial(setup, reference_run(setup))
+    expected = _finish_trial(setup, *reference_run(setup))
     report = run_trial(scenario)
     assert_same_trial(report, expected)
     assert report.log.joints.shape == (101, 9)
@@ -201,6 +204,86 @@ def test_lateral_mirror_of_a_push(food, gain_preset, direction, amplitude, perio
     assert a.outcome == b.outcome
 
 
+# the same setup run twice: the kernel writes nothing into it. The
+# pineapple is taken by a 3.5 N bite; the blueberry drops under a push
+@pytest.mark.parametrize("overrides, outcome", [
+    ({"food": "pineapple", "bite": {"peak_force_n": 3.5}}, "success"),
+    ({"food": "blueberry", "disturbance": {"kind": "sinusoid", "amplitude_n": 2.5}}, "drop")])
+def test_a_setup_runs_twice_to_the_same_bytes(overrides, outcome):
+    setup = _prepare_trial(Scenario.from_dict({"joint_log_stride": 0, **overrides}))
+    first = _finish_trial(setup, *_tick_kernel(setup))
+    second = _finish_trial(setup, *_tick_kernel(setup))
+    assert first.outcome == outcome
+    assert_same_trial(second, first)
+
+
+SHORT = {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 1.0}
+
+
+def doubled_forces(sc: dict) -> dict:
+    """The overrides sc with every value in newtons, or in newtons per
+    metre, per metre per second or per kilogram, doubled: sc gives its
+    disturbance's amplitude and sigma, and no impedance damping, whose
+    default 2 sqrt(k m) doubles with the stiffness and the mass."""
+    cfg = Scenario.from_dict(sc).raw
+    dist = sc["disturbance"]
+    return {**sc,
+            "mouth": {"stiffness": 2.0 * cfg["mouth"]["stiffness"],
+                      "damping": 2.0 * cfg["mouth"]["damping"]},
+            "bite": {"peak_force_n": 2.0 * cfg["bite"]["peak_force_n"]},
+            "disturbance": {**dist, **{k: 2.0 * v for k, v in dist.items()
+                                       if k in ("amplitude_n", "sigma_n")}},
+            "impedance": {"stiffness": [2.0 * k for k in cfg["impedance"]["stiffness"]]},
+            "virtual_mass": [2.0 * m for m in cfg["virtual_mass"]],
+            "safety_limit_n": 2.0 * cfg["safety_limit_n"],
+            "integral_cap_n": 2.0 * cfg["integral_cap_n"],
+            "bite_threshold_n": 2.0 * cfg["bite_threshold_n"]}
+
+
+def doubled_food_forces():
+    return {name: replace(food, detachment_force=2.0 * food.detachment_force,
+                          bite_release_force=2.0 * food.bite_release_force)
+            for name, food in load_food_presets().items()}
+
+
+@settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(food=st.sampled_from(FOODS), gain_preset=st.sampled_from(sorted(GAIN_PRESETS)),
+       disturbance=st.sampled_from([
+           {"kind": "none"},
+           {"kind": "sinusoid", "amplitude_n": 1.5, "period_s": 0.7},
+           {"kind": "random-walk", "sigma_n": 2.0, "amplitude_n": 0.8}]),
+       mouth_error=st.sampled_from([0.0, 6.0]), cutoff=st.sampled_from([0.0, 4.0]))
+@example(food="carrot", gain_preset="ours", disturbance={"kind": "none"}, mouth_error=0.0,
+         cutoff=0.0)
+@example(food="tofu", gain_preset="ours", mouth_error=0.0, cutoff=0.0,
+         disturbance={"kind": "sinusoid", "amplitude_n": 1.5, "period_s": 0.7})
+@example(food="blueberry", gain_preset="ours", disturbance={"kind": "none"}, mouth_error=6.0,
+         cutoff=0.0)
+@example(food="strawberry", gain_preset="ours", mouth_error=0.0, cutoff=0.0,
+         disturbance={"kind": "random-walk", "sigma_n": 2.0, "amplitude_n": 0.8})
+@example(food="pineapple", gain_preset="more_reactive", disturbance={"kind": "none"},
+         mouth_error=0.0, cutoff=4.0)
+def test_doubled_force_units(food, gain_preset, disturbance, mouth_error, cutoff):
+    # every force, stiffness, damping, mass and force threshold times two:
+    # each product and quotient the tick takes scales by two exactly, and
+    # each acceleration is the same quotient, so the motion keeps its bits
+    # and each measured force doubles exactly
+    sc = {"food": food, "gain_preset": gain_preset, "disturbance": disturbance,
+          "mouth_error_mm": [0.0, -mouth_error, 0.0], "lowpass_cutoff_hz": cutoff,
+          "segments": SHORT, "horizon_s": 3.5, "joint_log_stride": 0}
+    a = run_trial(Scenario.from_dict(sc))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "load_food_presets", doubled_food_forces)
+        b = run_trial(Scenario.from_dict(doubled_forces(sc)))
+    for name in ("t", "position", "orientation", "phase", "set_position", "set_orientation"):
+        assert getattr(a.log, name).tobytes() == getattr(b.log, name).tobytes(), name
+    for name in ("force", "torque"):
+        assert (2.0 * getattr(a.log, name)).tobytes() == getattr(b.log, name).tobytes(), name
+    assert [{**ev, "f_y": 2.0 * ev["f_y"]} for ev in a.events] == b.events
+    assert (a.outcome, a.food_detached, a.food_taken_by_bite) == (
+        b.outcome, b.food_detached, b.food_taken_by_bite)
+
+
 # The kernel reuses the reactive term on force-free ticks. These trials
 # make that reuse matter: the fork, aimed 12 mm low at a 40 mm mouth,
 # rests the carrot on the lower teeth on ticks 1592-1631, early in the
@@ -217,7 +300,7 @@ TOUCH_TICKS = list(range(1592, 1632))
 def run_against_reference(overrides):
     scenario = Scenario.from_dict(overrides)
     setup = _prepare_trial(scenario)
-    expected = _finish_trial(setup, reference_run(setup))
+    expected = _finish_trial(setup, *reference_run(setup))
     report = run_trial(scenario)
     assert_same_trial(report, expected)
     return report
@@ -312,9 +395,9 @@ def turning_setup(overrides=None):
 
 def test_turning_plan_equals_reference_loop():
     ref = turning_setup()
-    expected = _finish_trial(ref, reference_run(ref))
+    expected = _finish_trial(ref, *reference_run(ref))
     new = turning_setup()
-    report = _finish_trial(new, _tick_kernel(new))
+    report = _finish_trial(new, *_tick_kernel(new))
     q = new.fsm.plan.orientations
     assert (np.abs(np.sum(q[1:] * q[:-1], axis=1)) <= 0.9995).any()  # slerp's far branch
     assert report.final_phase == "DONE"
@@ -330,9 +413,9 @@ def test_turning_plan_through_lip_and_teeth_equals_reference_loop():
     overrides = {key: TOUCH[key] for key in ("food", "mouth", "mouth_error_mm", "bite",
                                              "bite_timeout_s")}
     ref = turning_setup(overrides)
-    expected = _finish_trial(ref, reference_run(ref))
+    expected = _finish_trial(ref, *reference_run(ref))
     new = turning_setup(overrides)
-    report = _finish_trial(new, _tick_kernel(new))
+    report = _finish_trial(new, *_tick_kernel(new))
     assert_same_trial(report, expected)
 
     log, mouth = report.log, new.world.mouth

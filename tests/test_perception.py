@@ -7,7 +7,7 @@ from bitesim.geometry import Pose
 from bitesim.harness import mouth_frame_from_position
 from bitesim.humansim import FoodGeometry, FoodPreset, load_food_presets
 from bitesim.perception import (Aabb, EmptyCloudError, FoodOffsets, PointCloud,
-                                compute_offsets, food_bounding_box, load_cloud, save_cloud,
+                                compute_offsets, food_bounding_box, load_cloud,
                                 scan_bounding_box, synth_depth_scan, target_pose)
 from bitesim.transfer import entry_segment
 
@@ -88,7 +88,7 @@ class TestScanBoundingBox:
 
     @staticmethod
     def assert_box_of_cloud(food, **kwargs):
-        box = scan_bounding_box(food, SCAN_POSE, **kwargs)
+        box = scan_bounding_box(food, **kwargs)
         ref = food_bounding_box(synth_depth_scan(food, SCAN_POSE, **kwargs))
         assert box.min.tobytes() == ref.min.tobytes()
         assert box.max.tobytes() == ref.max.tobytes()
@@ -116,18 +116,18 @@ class TestScanBoundingBox:
 
     def test_bad_resolution_rejected(self):
         with pytest.raises(ValueError, match="resolution"):
-            scan_bounding_box(cube_preset(), SCAN_POSE, resolution=0.0)
+            scan_bounding_box(cube_preset(), resolution=0.0)
 
     def test_non_finite_noise_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            scan_bounding_box(cube_preset(), SCAN_POSE, resolution=0.5, noise_mm=np.inf)
+            scan_bounding_box(cube_preset(), resolution=0.5, noise_mm=np.inf)
 
     def test_never_holds_the_cloud(self):
         food = load_food_presets()["broccoli"]
         cloud_bytes = synth_depth_scan(food, SCAN_POSE).points.nbytes
         tracemalloc.start()
         try:
-            scan_bounding_box(food, SCAN_POSE)
+            scan_bounding_box(food)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -227,11 +227,6 @@ class TestTargetPose:
                     - 0.018 * mouth.z_axis - 0.003 * mouth.y_axis)
         assert np.linalg.norm(seg.end_pose.position - expected) < 1e-12
 
-    def test_invalid_entry_depth(self):
-        mouth = mouth_frame_from_position([0.55, 0, 0.45])
-        with pytest.raises(ValueError):
-            target_pose(mouth, FoodOffsets(0, 0), entry_depth=0.0)
-
     def test_offset_sanity_enforced_at_construction(self):
         with pytest.raises(ValueError):
             FoodOffsets(60.0, 0.0)
@@ -239,21 +234,11 @@ class TestTargetPose:
 
 class TestCloudIO:
     def test_save_load_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        cloud = PointCloud(rng.uniform(-5, 5, (50, 3)), resolution=0.2)
+        pts = np.random.default_rng(3).uniform(-5, 5, (50, 3))
         path = tmp_path / "cloud.csv"
-        save_cloud(cloud, path)
-        loaded = load_cloud(path)
-        assert loaded.frame == "mouth"
-        assert loaded.resolution == 0.2
-        np.testing.assert_allclose(loaded.points, cloud.points, atol=1e-6)
-
-    def test_header_line(self, tmp_path):
-        cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]), resolution=0.1)
-        path = tmp_path / "cloud.csv"
-        save_cloud(cloud, path)
-        first = path.read_text().splitlines()[0]
-        assert first == "# frame=mouth resolution_mm=0.1"
+        path.write_text("# frame=mouth resolution_mm=0.2\nx_mm,y_mm,z_mm\n"
+                        + "".join("%.17g,%.17g,%.17g\n" % tuple(p) for p in pts))
+        assert load_cloud(path).points.tobytes() == pts.tobytes()
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

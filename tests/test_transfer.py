@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitesim.controller import Wrench
-from bitesim.geometry import Pose, quat_conj, quat_distance, quat_mul
+from bitesim.geometry import Pose, quat_conj, quat_mul
 from bitesim.harness import mouth_frame_from_position
 from bitesim.transfer import (BiteDetector, FsmState, Segment, TrajectoryPlan,
                               TransferPhase, build_fixed_pose_plan, build_transfer_plan,
                               concat_plans, detect_bite, entry_segment, interpolate,
                               interpolate_rows, linear_segment, phase_segments, plan_arc,
                               step, transfer_orientation)
+from conftest import quat_chord
 
 MOUTH = mouth_frame_from_position([0.55, 0.0, 0.45])
 TARGET = Pose(MOUTH.position, transfer_orientation(MOUTH))
@@ -30,7 +31,7 @@ class TestPlanArc:
     def test_final_waypoint_hits_target(self):
         arc = plan_arc(TARGET, MOUTH.z_axis)
         np.testing.assert_allclose(arc.end_pose.position, TARGET.position, atol=1e-12)
-        assert quat_distance(arc.end_pose.orientation, TARGET.orientation) < 1e-12
+        assert quat_chord(arc.end_pose.orientation, TARGET.orientation) < 1e-12
 
     def test_zero_sweep_degenerates(self):
         arc = plan_arc(TARGET, MOUTH.z_axis, start_angle=0.0)
@@ -100,7 +101,7 @@ class TestEntrySegment:
     def test_orientation_held(self):
         seg = entry_segment(TARGET, MOUTH)
         for p in seg.poses:
-            assert quat_distance(p.orientation, TARGET.orientation) < 1e-12
+            assert quat_chord(p.orientation, TARGET.orientation) < 1e-12
 
 
 class TestBiteDetection:
@@ -346,7 +347,7 @@ class TestForkFlip:
             xfer_q = transfer_orientation(m)
             rels.append(quat_mul(quat_conj(m.orientation), xfer_q))
         for rel in rels[1:]:
-            assert quat_distance(rel, rels[0]) < 1e-9
+            assert quat_chord(rel, rels[0]) < 1e-9
 
     def test_transfer_points_into_mouth_pitched_up(self):
         q = transfer_orientation(MOUTH, pitch=np.deg2rad(25.0))
