@@ -208,12 +208,73 @@ def _signed_rank_null(n: int) -> np.ndarray:
     return c
 
 
+# cephes ndtr.c, the normal cdf behind scipy.special.ndtr: erf on
+# |x| <= 1 is x T(x^2) / U(x^2); erfc is exp(-x^2) P(x) / Q(x) below 8
+# and exp(-x^2) R(x) / S(x) from 8. Coefficients from the highest power;
+# the monic denominators carry their leading 1.0.
+_NDTR_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+           7.00332514112805075473E3, 5.55923013010394962768E4)
+_NDTR_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+           2.26290000613890934246E4, 4.92673942608635921086E4)
+_NDTR_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_NDTR_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_NDTR_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_NDTR_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843E2  # log of the largest double
+
+
+def _polevl(x: float, coefs: tuple) -> float:
+    """The polynomial in x with these coefficients, by Horner's rule in
+    cephes' order (polevl, and p1evl for a leading 1.0)."""
+    y = coefs[0]
+    for c in coefs[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf(x: float) -> float:  # |x| < 1
+    z = x * x
+    return x * _polevl(z, _NDTR_T) / _polevl(z, _NDTR_U)
+
+
+def _erfc(x: float) -> float:  # x >= 1/sqrt 2
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:  # exp(z) underflows
+        return 0.0
+    p, q = (_NDTR_P, _NDTR_Q) if x < 8.0 else (_NDTR_R, _NDTR_S)
+    return math.exp(z) * _polevl(x, p) / _polevl(x, q)
+
+
+def _ndtr(a: float) -> float:
+    """The standard normal cdf at a, with the bits of scipy.special.ndtr:
+    cephes ndtr.c operation for operation, in Python floats, whose
+    math.exp is the libm exp that cephes calls."""
+    if math.isnan(a):  # cephes returns its own NaN, whatever the payload
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
 def _one_sided_less(diff: np.ndarray) -> float:
     """Wilcoxon signed-rank p for 'differences are negative', zeros
     dropped: the bits of scipy.stats.wilcoxon(d, alternative="less"),
     which takes the exact null without ties up to 50 values, every sign
     pattern with ties up to 13, and else the normal approximation
-    without continuity correction. Only scipy.special is imported."""
+    without continuity correction, whose tail is _ndtr, the normal cdf
+    scipy.stats calls, in Python floats."""
     d = diff[diff != 0.0]
     n = d.size
     if n == 0:
@@ -235,12 +296,10 @@ def _one_sided_less(diff: np.ndarray) -> float:
         null = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) @ ranks
         below = np.count_nonzero(null <= r_plus + abs(100 * np.finfo(float).eps * r_plus))
         return below / (1 << n)
-    from scipy.special import ndtr  # the normal cdf scipy.stats calls
-
     m = float(n)
     # 24 times the variance of r_plus, less the ties' share
     var24 = m * (m + 1.0) * (2.0 * m + 1.0) - float(np.sum(counts.astype(float) ** 3 - counts)) / 2
-    return float(ndtr((r_plus - m * (m + 1.0) * 0.25) / math.sqrt(var24 / 24)))
+    return _ndtr((r_plus - m * (m + 1.0) * 0.25) / math.sqrt(var24 / 24))
 
 
 def _arm_displacement(result: IkBatchResult, home: np.ndarray):

@@ -47,8 +47,8 @@ from .perception import FoodOffsets, compute_offsets, scan_bounding_box, target_
 from .humansim import (CAVITY_DEPTH, LIP_MARGIN, BiteScript,
                        FoodAttachmentState, MouthModel, bite_force, contact_force,
                        load_food_presets, perturbation_trace, signal_trace)
-from .presets import (DISTURBANCE_PARAMS, SCENARIO, STUDY, SUITE, SUITE_TRIAL, ConfigError,
-                      check_keys, resolve)
+from .presets import (DISTURBANCE_PARAMS, MAX_SUITE_TICKS, SCENARIO, STUDY, SUITE, SUITE_TRIAL,
+                      ConfigError, check_keys, resolve)
 
 CSV_HEADER = ("t_s,px,py,pz,qw,qx,qy,qz,fx,fy,fz,tau_x,tau_y,tau_z,phase,"
               "set_px,set_py,set_pz,set_qw,set_qx,set_qy,set_qz,deviation_m")
@@ -441,6 +441,11 @@ class TrialSetup:
 _SCAN_OFFSETS: dict[tuple[str, float], FoodOffsets] = {}
 
 
+def _tick_count(cfg: dict) -> int:
+    """Ticks of a trial: its horizon at 1 kHz, both ends included."""
+    return int(round(float(cfg["horizon_s"]) / TICK_PERIOD)) + 1
+
+
 def _prepare_trial(scenario: Scenario) -> TrialSetup:
     """Scan, targeting, plan, traces and the initial states of one trial.
 
@@ -536,7 +541,7 @@ def _prepare_trial(scenario: Scenario) -> TrialSetup:
     exit_gains = ReactivityGains.from_vectors(cfg["exit_gains"]["k_p"],
                                               cfg["exit_gains"]["k_i"])
 
-    n_ticks = int(round(float(cfg["horizon_s"]) / dt)) + 1
+    n_ticks = _tick_count(cfg)
     perturb = perturbation_trace(cfg["head_perturbation"]["kind"],
                                  cfg["head_perturbation"], n_ticks, dt, seed)
     disturbance = _disturbance_trace(cfg["disturbance"], n_ticks, dt, seed + 1)
@@ -1238,7 +1243,9 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
     """Run every scenario x repetition with seeds derived from the suite seed.
 
     Every key and every trial's scenario is checked before the first
-    trial runs."""
+    trial runs, and so is the suite's total of ticks, which sizes the
+    setups held at once: past presets.MAX_SUITE_TICKS it is a
+    ConfigError naming 'repetitions'."""
     cfg = resolve(suite_cfg, SUITE, "suite")
     if "seed" not in suite_cfg:
         raise ConfigError("suite seed is mandatory")
@@ -1249,6 +1256,7 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
         raise ConfigError("suite needs a non-empty trials list")
 
     trials = []
+    ticks = 0
     for n, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"suite trials[{n}] must be an object")
@@ -1256,9 +1264,16 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
         overrides = dict(entry.get("scenario", {}))
         method = entry.get("method", overrides.get("gain_preset", "ours"))
         overrides.setdefault("gain_preset", method)
-        for _ in range(reps):
+        for rep in range(reps):
             seed = _trial_seed(suite_seed, len(trials))
             trials.append((method, Scenario.from_dict({**overrides, "seed": seed})))
+            if rep == 0:  # every repetition of an entry has its horizon
+                ticks += reps * _tick_count(trials[-1][1].raw)
+                if ticks > MAX_SUITE_TICKS:
+                    raise ConfigError(
+                        f"suite key 'repetitions' must be few enough for the suite's "
+                        f"trials to take at most {MAX_SUITE_TICKS:,} ticks (horizon_s at "
+                        f"1 kHz, plus 1, each), got {reps}: {ticks:,} by trials[{n}]")
 
     # every setup is built here, before any ticks run: a bad scenario
     # fails first, and the scan cache stays warm in this process
@@ -1284,12 +1299,10 @@ def build_study_inputs(study_cfg: dict | None = None):
     """Resolve a study config dict into run_wrist_study arguments.
 
     Keys are those of presets.STUDY; an unknown key or a value out of its
-    range raises ConfigError with its path.
+    range raises ConfigError with its path. The study these inputs run
+    needs no import beyond numpy: its signed-rank tests take their normal
+    tail from comfort._ndtr.
     """
-    # the study's normal tail needs scipy.special (about 0.25 s to import):
-    # import it with the inputs, not in the first timed run_wrist_study
-    import scipy.special  # noqa: F401
-
     cfg = resolve({} if study_cfg is None else study_cfg, STUDY, "study")
     _check_facing("study", "mouth_position", cfg["mouth_position"],
                   "mouth_facing", cfg.get("mouth_facing"))

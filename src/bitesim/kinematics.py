@@ -314,8 +314,6 @@ def ik_damped_least_squares_batch(chain: ChainModel, targets, seeds,
     damping = params.damping ** 2 * _EYE6
     near_lower = lower + 1e-9
     near_upper = upper - 1e-9
-    # restarts come at least max(stall_window, 1) iterations apart
-    uniforms, yaw = _restart_draws(n, params.max_iter // max(params.stall_window, 1) + 1)
 
     # state of the rows still iterating; idx maps them to output rows
     idx = np.arange(b)
@@ -371,7 +369,10 @@ def ik_damped_least_squares_batch(chain: ChainModel, targets, seeds,
         n_restart = np.count_nonzero(restart)
         if n_restart:
             # re-seed, alternating a base yaw aimed at the target azimuth
-            # with a plain uniform draw; these rows take no step this time
+            # with a plain uniform draw; these rows take no step this time.
+            # The table is built on a solve's first restart, which few
+            # solves reach; restarts come max(stall_window, 1) or more apart
+            uniforms, yaw = _restart_draws(n, params.max_iter // max(params.stall_window, 1) + 1)
             n_restarts += restart
             k = n_restarts[restart] - 1
             q_new = lower + uniforms[k] * (upper - lower)

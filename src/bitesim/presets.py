@@ -44,6 +44,10 @@ DEFAULT_MOUTH_POSITION = [0.55, 0.0, 0.45]
 MAX_HORIZON_S = 600.0  # 600,001 ticks
 MAX_STUDY_COUNT = 1_000_000  # poses, each solved on both chains
 MIN_SCAN_RESOLUTION_MM = 0.01  # 10^6 points on a face of a 10 mm box
+# a suite's ticks, summed over its trials: a setup holds 24 to 73 bytes
+# per tick (one 600 s trial, without and with random-walk traces), so a
+# suite's setups hold at most 0.24 to 0.73 GB at once
+MAX_SUITE_TICKS = 10_000_000
 
 # parameters and defaults of the injected-disturbance kinds (forces in N)
 DISTURBANCE_PARAMS = {

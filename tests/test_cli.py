@@ -149,12 +149,13 @@ class TestSuiteCommand:
         assert "unknown suite key 'repetitons'" in capsys.readouterr().err
         assert not (tmp_path / "mini_suite.json").exists()
 
-    @pytest.mark.parametrize("reps", [0, -1])
+    @pytest.mark.parametrize("reps", [0, -1, 1000])  # 1000 x 10,001 ticks: past the bound
     def test_bad_repetitions_exit_code(self, tmp_path, capsys, reps):
         suite = write_json(tmp_path / "suite.json", {
             "seed": 5, "repetitions": reps, "trials": [{"method": "ours"}]})
         assert main(["suite", suite, "--out-dir", str(tmp_path)]) == 2
-        assert "suite key 'repetitions' must be >= 1" in capsys.readouterr().err
+        wanted = ">= 1" if reps < 1 else "few enough for the suite's trials to take at most"
+        assert f"suite key 'repetitions' must be {wanted}" in capsys.readouterr().err
 
     def test_suite_config_error(self, tmp_path):
         suite = write_json(tmp_path / "suite.json", {"trials": []})

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtr
 
 from bitesim.comfort import (ComfortParams, PoseDistribution, StudyInvalidError, StudyReport,
-                             _one_sided_less, comfort_cost, run_wrist_study, sample_fork_poses)
+                             _ndtr, _one_sided_less, comfort_cost, run_wrist_study,
+                             sample_fork_poses)
 from bitesim.geometry import Pose, quat_from_axis_angle, quat_mul
 from bitesim.harness import ConfigError, build_study_inputs
 from bitesim.kinematics import (ChainModel, IkParams, JointSpec,
@@ -309,3 +312,46 @@ class TestOneSidedLess:
     @pytest.mark.parametrize("diff", [np.zeros(0), np.zeros(7)])
     def test_no_nonzero_difference_gives_one(self, diff):
         assert _one_sided_less(diff) == 1.0
+
+
+def float_bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def around(a: float, k: int) -> np.ndarray:
+    """a and the k floats on each side of it."""
+    lo, hi = [a], [a]
+    for _ in range(k):
+        lo.append(np.nextafter(lo[-1], -np.inf))
+        hi.append(np.nextafter(hi[-1], np.inf))
+    return np.array(lo[:0:-1] + hi)
+
+
+# where cephes ndtr switches branch: at |a| = 1 from erf to erfc, at
+# sqrt 2 from erfc's 1 - erf to P/Q, at 8 sqrt 2 from P/Q to R/S, and
+# near 37.68 where -x^2 passes -MAXLOG and erfc gives 0
+NDTR_BRANCHES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                 math.sqrt(2.0 * 7.09782712893383996843E2))
+
+
+class TestNdtr:
+    """The normal cdf behind _one_sided_less against scipy.special.ndtr as
+    the oracle: the same bits everywhere."""
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_special_values(self, a):
+        assert float_bits(_ndtr(a)) == float_bits(ndtr(a))
+
+    @pytest.mark.parametrize("a", [s * b for b in NDTR_BRANCHES for s in (1.0, -1.0)])
+    def test_branch_points_and_their_neighbours(self, a):
+        xs = around(a, 1000)
+        assert float_bits([_ndtr(float(x)) for x in xs]) == float_bits(ndtr(xs))
+
+    def test_a_grid_through_the_subnormal_tail(self):
+        xs = np.linspace(-40.0, 40.0, 16_001)  # below -37.5 the cdf is subnormal
+        assert float_bits([_ndtr(float(x)) for x in xs]) == float_bits(ndtr(xs))
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=st.floats(allow_nan=False, allow_infinity=False))
+    def test_bits_of_scipy(self, a):
+        assert float_bits(_ndtr(a)) == float_bits(ndtr(a))

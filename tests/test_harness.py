@@ -401,10 +401,23 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("cfg", [{"repetitions": 0}, {"repetitions": -1},
                                      {"repetitions": 1.5}, {"seed": "s"}, {"name": 3},
-                                     {"seed": -1}])
+                                     {"seed": -1}, {"repetitions": 1000},
+                                     {"repetitions": 10**12}])
     def test_suite_value_of_another_kind_or_out_of_range(self, cfg):
         with pytest.raises(ConfigError, match=f"^suite key '{next(iter(cfg))}' must be"):
             run_suite({"seed": 1, **cfg, "trials": [{"method": "ours"}]})
+
+    def test_suite_at_its_tick_bound_is_accepted(self, monkeypatch):
+        # 999 trials of 10,001 ticks lie within presets.MAX_SUITE_TICKS, 1000 do not
+        class Prepared(Exception):
+            pass
+
+        def prepared(scenario):
+            raise Prepared
+        monkeypatch.setattr(harness, "_prepare_trial", prepared)
+        with pytest.raises(Prepared):
+            run_suite({"seed": 1, "repetitions": presets.MAX_SUITE_TICKS // 10_001,
+                       "trials": [{"method": "ours"}]})
 
     @pytest.mark.parametrize("study", [[], 0, False, ""])
     def test_study_not_an_object(self, study):

@@ -23,7 +23,8 @@ from bitesim.geometry import (Pose, quat_conj, quat_from_axis_angle, quat_mul, q
                               quat_normalize_rows, quat_to_matrix, quat_to_rotvec,
                               quat_to_rotvec_rows, row_dots, slerp, slerp_rows)
 from bitesim.controller import Wrench
-from bitesim.humansim import CAVITY_DEPTH, LIP_MARGIN, FoodAttachmentState, load_food_presets
+from bitesim.humansim import (CAVITY_DEPTH, LIP_MARGIN, MAX_PERTURBATION_AMPLITUDE,
+                              FoodAttachmentState, load_food_presets)
 from bitesim.kinematics import IkParams, ik_damped_least_squares
 from bitesim.harness import (Scenario, TickLog, VirtualRobotState, _below_1e_12,
                              _clear_of_mouth, _finish_trial, _prepare_trial, _resolve_chain,
@@ -178,24 +179,31 @@ def test_nominal_trial_equals_reference_loop():
 CENTRED_FOODS = tuple(f for f in FOODS if f != "cherry_tomato")
 
 
+DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: math.hypot(*d) > 0.1)
+
+
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(food=st.sampled_from(CENTRED_FOODS), gain_preset=st.sampled_from(sorted(GAIN_PRESETS)),
-       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
-           lambda d: math.hypot(*d) > 0.1),
-       amplitude=st.floats(0.0, 6.0), period=st.floats(0.2, 2.0),
-       horizon=st.sampled_from([2.0, 3.5, 4.0]))
-def test_lateral_mirror_of_a_push(food, gain_preset, direction, amplitude, period, horizon):
+       direction=DIRECTIONS, amplitude=st.floats(0.0, 6.0), period=st.floats(0.2, 2.0),
+       head_direction=DIRECTIONS, head_amplitude=st.floats(0.0, MAX_PERTURBATION_AMPLITUDE),
+       head_period=st.floats(0.2, 2.0), horizon=st.sampled_from([2.0, 3.5, 4.0]))
+def test_lateral_mirror_of_a_push(food, gain_preset, direction, amplitude, period,
+                                  head_direction, head_amplitude, head_period, horizon):
     # the default mouth sits on the plane y = 0, and negation is exact in
-    # floats: a push mirrored in y mirrors the trial, bit for bit
-    def trial(dy):
+    # floats: a push and a head motion mirrored in y mirror the trial, bit
+    # for bit
+    def trial(sign):
         return run_trial(Scenario.from_dict({
             "food": food, "gain_preset": gain_preset, "horizon_s": horizon,
             "joint_log_stride": 0,
             "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 1.0},
             "disturbance": {"kind": "sinusoid", "amplitude_n": amplitude, "period_s": period,
-                            "direction": [direction[0], dy, direction[2]]}}))
+                            "direction": [direction[0], sign * direction[1], direction[2]]},
+            "head_perturbation": {
+                "kind": "sinusoid", "amplitude": head_amplitude, "period": head_period,
+                "direction": [head_direction[0], sign * head_direction[1], head_direction[2]]}}))
 
-    a, b = trial(direction[1]), trial(-direction[1])
+    a, b = trial(1.0), trial(-1.0)
     for name in ("position", "force"):  # y negated, signs of zero aside
         assert np.array_equal(-getattr(a.log, name)[:, 1], getattr(b.log, name)[:, 1]), name
     assert a.log.position[:, [0, 2]].tobytes() == b.log.position[:, [0, 2]].tobytes()
