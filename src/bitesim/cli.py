@@ -11,7 +11,6 @@ raises is mapped to its code in one place, main.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -21,7 +20,7 @@ from .controller import SensorFault
 from .harness import (ConfigError, Scenario, build_study_inputs, export_trajectory,
                       run_suite, run_trial, save_log)
 from .perception import compute_offsets, food_bounding_box, load_cloud
-from .presets import GAIN_PRESETS
+from .presets import GAIN_PRESETS, load_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,8 +50,7 @@ def _config(path, kind: str, **flags):
     are set; a file that holds no object is a ConfigError naming the kind."""
     cfg = {}
     if path:
-        with open(path, "r", encoding="utf-8") as f:
-            cfg = json.load(f)
+        cfg = load_json(Path(path).read_text(encoding="utf-8"), f"{kind} file {str(path)!r}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"a {kind} must be an object, got {cfg!r}")
     return {**cfg, **{key: value for key, value in flags.items() if value is not None}}

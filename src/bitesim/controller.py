@@ -52,11 +52,6 @@ class Wrench:
     def zero(cls) -> "Wrench":
         return cls()
 
-    @classmethod
-    def from_vector(cls, v) -> "Wrench":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(v[:3], v[3:])
-
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.force, self.torque])
 
@@ -159,10 +154,6 @@ class ControllerState:
             raise ValueError(f"integral cap must be finite and > 0, got {self.integral_cap!r}")
         acc = np.asarray(self.integral, dtype=float).reshape(6)
         object.__setattr__(self, "integral", _ro(acc))
-
-    def with_gains(self, gains: ReactivityGains, reset_integral: bool = False) -> "ControllerState":
-        acc = np.zeros(6) if reset_integral else self.integral
-        return replace(self, gains=gains, integral=acc)
 
 
 def desired_wrench(params: ImpedanceParams, pose_error, velocity_error) -> Wrench:

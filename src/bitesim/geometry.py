@@ -92,18 +92,6 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     return q
 
 
-def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v)
-    if angle < 1e-12:
-        # first-order expansion, exact enough at double precision
-        q = np.empty(4)
-        q[0] = 1.0 - angle * angle / 8.0
-        q[1:] = 0.5 * v
-        return quat_normalize(q)
-    return quat_from_axis_angle(v / angle, angle)
-
-
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     """Log map: rotation vector (axis * angle) of a unit quaternion."""
     if q[0] < 0.0:
@@ -236,9 +224,6 @@ class Pose:
         object.__setattr__(pose, "orientation", orientation)
         return pose
 
-    def rotate(self, v: np.ndarray) -> np.ndarray:
-        return quat_rotate(self.orientation, v)
-
     @property
     def x_axis(self) -> np.ndarray:
         return quat_rotate(self.orientation, np.array([1.0, 0.0, 0.0]))
@@ -250,9 +235,6 @@ class Pose:
     @property
     def z_axis(self) -> np.ndarray:
         return quat_rotate(self.orientation, np.array([0.0, 0.0, 1.0]))
-
-    def translated(self, delta: np.ndarray) -> "Pose":
-        return Pose(self.position + np.asarray(delta, dtype=float), self.orientation)
 
 
 def pose_error(current: Pose, target: Pose) -> np.ndarray:

@@ -14,7 +14,7 @@ tool-applied reading the controller consumes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 
@@ -145,9 +145,6 @@ class MouthModel:
             raise ValueError("aperture must be > 0")
         if self.stiffness < 0 or self.damping < 0:
             raise ValueError("contact stiffness/damping must be >= 0")
-
-    def with_center(self, center: Pose) -> "MouthModel":
-        return replace(self, center=center)
 
 
 def contact_force(fork_tip: Pose, fork_velocity, mouth: MouthModel) -> Wrench:

@@ -31,7 +31,6 @@ __all__ = [
     "ik_damped_least_squares_batch",
     "joint_displacement",
     "link_points",
-    "load_chain",
     "bundled_chain",
     "BUNDLED_CHAINS",
 ]
@@ -462,6 +461,11 @@ def _pose_from_flat(vals) -> Pose:
 
 
 def chain_from_dict(spec: dict) -> ChainModel:
+    """The chain a chain definition describes; one that is not an object
+    whose 'joints' is a list of objects is a ValueError."""
+    if not (isinstance(spec, dict) and isinstance(spec.get("joints"), list)
+            and all(isinstance(j, dict) for j in spec["joints"])):
+        raise ValueError("a chain must be an object whose 'joints' is a list of objects")
     joints = [
         JointSpec(
             offset=_pose_from_flat(j["fixed_offset"]),
@@ -477,12 +481,6 @@ def chain_from_dict(spec: dict) -> ChainModel:
         has_wrist=bool(spec.get("has_wrist", False)),
         home=spec.get("home"),
     )
-
-
-def load_chain(path) -> ChainModel:
-    """Load a chain definition from a JSON file."""
-    with open(path, "r", encoding="utf-8") as f:
-        return chain_from_dict(json.load(f))
 
 
 # the packaged chains: the tool on the stock mount, and behind the 2-DOF

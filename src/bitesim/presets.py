@@ -14,6 +14,7 @@ mouth, the scripted user approaches) is ``transfer_mode: fixed_pose``.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Callable, NamedTuple
 
@@ -48,6 +49,11 @@ MIN_SCAN_RESOLUTION_MM = 0.01  # 10^6 points on a face of a 10 mm box
 # per tick (one 600 s trial, without and with random-walk traces), so a
 # suite's setups hold at most 0.24 to 0.73 GB at once
 MAX_SUITE_TICKS = 10_000_000
+# the ticks each trial adds to that sum for the part of its setup that
+# does not grow with its horizon: a zero-horizon setup holds 69.5 to
+# 70.4 KB (tracemalloc of 20 setups, scan cache warm, for the default,
+# random-walk and fixed-pose scenarios), which is 2,900 ticks at 24 B
+SUITE_SETUP_TICKS = 3_000
 
 # parameters and defaults of the injected-disturbance kinds (forces in N)
 DISTURBANCE_PARAMS = {
@@ -60,6 +66,16 @@ DISTURBANCE_PARAMS = {
 
 class ConfigError(ValueError):
     """Scenario/suite/study configuration cannot be resolved."""
+
+
+def load_json(text: str, source: str):
+    """The value of source's JSON text (a config or chain file, a log's
+    events); text that does not decode, JSON nested too deep for the
+    decoder included, is a ConfigError naming source."""
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError) as e:
+        raise ConfigError(f"{source} cannot be decoded as JSON: {e}") from e
 
 
 def _is_number(x) -> bool:

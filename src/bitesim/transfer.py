@@ -39,9 +39,6 @@ class TransferPhase(enum.IntEnum):
     ABORTED = 8
 
 
-EXIT_SIDE_PHASES = frozenset({TransferPhase.EXIT, TransferPhase.RETRACT_ARC})
-
-
 @dataclass(frozen=True)
 class Segment:
     label: str  # arc | linear-entry | dwell | linear-exit | arc-return

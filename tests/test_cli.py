@@ -2,14 +2,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bitesim import cli, presets
 from bitesim.cli import main
+from bitesim.harness import ConfigError, Scenario, _resolve_chain
 
 SHORT_SCENARIO = {
     "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 1.0},
     "horizon_s": 3.5,
     "joint_log_stride": 0,
 }
+
+
+# a JSON document nested 100,000 deep, far past the decoder's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+TOO_DEEP = "cannot be decoded as JSON: maximum recursion depth exceeded"
 
 
 def write_json(path, obj):
@@ -302,6 +311,16 @@ class TestExportCommand:
         assert f"config error: log {str(bad)!r} {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_deeply_nested_events_writes_no_file(self, tmp_path, capsys):
+        arrays = self.saved_log(tmp_path)
+        arrays["events"] = np.array(DEEP)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        out = tmp_path / "x.csv"
+        assert main(["export", str(bad), str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: log {str(bad)!r} {TOO_DEEP}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, value, message", [
         ("force", lambda a: a[:-1], "log array 'force' has shape (1200, 3), want (1201, 3)"),
         ("t", lambda a: a[:, None], "log array 't' has shape (1201, 1), want one value per tick"),
@@ -335,3 +354,84 @@ def test_config_that_is_not_an_object_exit_code(tmp_path, capsys, command, confi
     path = write_json(tmp_path / "config.json", config)
     assert main([command, path, "--seed", "3", "--out-dir", str(tmp_path)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+def schema_keys(schema: dict):
+    for key, value in schema.items():
+        yield key
+        if isinstance(value, dict):
+            yield from schema_keys(value)
+
+
+# JSON values of any shape, their keys drawn from those the configs and
+# chain files read as well as at random
+KEYS = sorted({*schema_keys(presets.SCENARIO), *schema_keys(presets.SUITE),
+               *schema_keys(presets.SUITE_TRIAL), *schema_keys(presets.STUDY),
+               "joints", "fixed_offset", "axis", "limits", "tool_tip", "has_wrist"})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=16)
+# chain definitions whose joints and tool tip hold values of any shape
+CHAIN_SPECS = st.fixed_dictionaries({
+    "joints": st.lists(st.fixed_dictionaries(
+        {key: JSON_VALUES for key in ("fixed_offset", "axis", "limits")}), max_size=2),
+    "tool_tip": JSON_VALUES})
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["scenario", "suite", "study", "chain"]),
+       text=(JSON_VALUES | CHAIN_SPECS).map(json.dumps))
+@example(kind="scenario", text=DEEP)
+@example(kind="suite", text=DEEP)
+@example(kind="study", text=DEEP)
+@example(kind="chain", text=DEEP)
+@example(kind="chain", text="[]")
+@example(kind="chain", text='{"joints": 5}')
+def test_any_json_file_resolves_or_is_a_config_error(tmp_path_factory, kind, text):
+    # a config file goes through cli._config and its schema's walk, a
+    # chain file through _resolve_chain; any JSON either passes or raises
+    # ConfigError, which the command line maps to exit code 2
+    path = tmp_path_factory.getbasetemp() / f"{kind}.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        if kind == "chain":
+            _resolve_chain(str(path))
+        elif kind == "scenario":
+            Scenario.from_dict(cli._config(str(path), kind))
+        else:
+            presets.resolve(cli._config(str(path), kind), getattr(presets, kind.upper()), kind)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("command", ["trial", "wrist-study"])
+@pytest.mark.parametrize("text, message", [
+    (DEEP, TOO_DEEP), ("{", "cannot be decoded as JSON: Expecting property name")],
+    ids=["deep", "cut"])
+def test_config_that_does_not_decode_exit_code(tmp_path, capsys, command, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main([command, str(path), "--out-dir", str(tmp_path)]) == 2
+    kind = "scenario" if command == "trial" else "study"
+    assert capsys.readouterr().err.startswith(f"config error: {kind} file {str(path)!r} {message}")
+
+
+@pytest.mark.parametrize("command, key", [("wrist-study", "chain_with"), ("trial", "chain")])
+@pytest.mark.parametrize("chain, message", [
+    ("[]", "a chain must be an object whose 'joints' is a list of objects"),
+    ('{"joints": 5}', "a chain must be an object whose 'joints' is a list of objects"),
+    ('{"joints": [5]}', "a chain must be an object whose 'joints' is a list of objects"),
+    (DEEP, f"the file {TOO_DEEP}")], ids=["list", "int", "ints", "deep"])
+def test_chain_file_of_another_shape_exit_code(tmp_path, capsys, command, key, chain, message):
+    # a trial resolves its chain only to log joints
+    chain_path = tmp_path / "c.json"
+    chain_path.write_text(chain)
+    config = write_json(tmp_path / "config.json", {key: str(chain_path), "count": 10}
+                        if command == "wrist-study" else {**SHORT_SCENARIO, key: str(chain_path),
+                                                          "joint_log_stride": 100})
+    assert main([command, config, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot resolve chain {str(chain_path)!r}: {message}")

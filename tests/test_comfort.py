@@ -11,7 +11,7 @@ from scipy.special import ndtr
 from bitesim.comfort import (ComfortParams, PoseDistribution, StudyInvalidError, StudyReport,
                              _ndtr, _one_sided_less, comfort_cost, run_wrist_study,
                              sample_fork_poses)
-from bitesim.geometry import Pose, quat_from_axis_angle, quat_mul
+from bitesim.geometry import Pose, quat_from_axis_angle, quat_mul, quat_rotate
 from bitesim.harness import ConfigError, build_study_inputs
 from bitesim.kinematics import (ChainModel, IkParams, JointSpec,
                                 ik_damped_least_squares, joint_displacement)
@@ -96,7 +96,7 @@ def per_pose_samples(dist):
         q = dist.center.orientation
         for axis, a in zip(axes, ang):
             q = quat_mul(q, quat_from_axis_angle(axis, a))
-        poses.append(Pose(dist.center.position + dist.center.rotate(off), q))
+        poses.append(Pose(dist.center.position + quat_rotate(dist.center.orientation, off), q))
     return poses
 
 

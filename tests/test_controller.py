@@ -33,7 +33,7 @@ class TestWrench:
 
     def test_vector_roundtrip(self):
         v = np.arange(6.0)
-        np.testing.assert_array_equal(Wrench.from_vector(v).as_vector(), v)
+        np.testing.assert_array_equal(Wrench(v[:3], v[3:]).as_vector(), v)
 
 
 class TestDesiredWrench:

@@ -339,7 +339,7 @@ def test_suite_report_digest(monkeypatch):
 def test_plan_waypoint_digest(mode, mouth):
     setup = _prepare_trial(Scenario.from_dict({**PLAN_MOUTHS[mouth], "transfer_mode": mode,
                                                "joint_log_stride": 0}))
-    assert plan_digest(setup.fsm.plan) == PLAN_SHA256[mode, mouth]
+    assert plan_digest(setup.plan) == PLAN_SHA256[mode, mouth]
 
 
 def test_study_sample_rows_digest():

@@ -13,16 +13,17 @@ from hypothesis import strategies as st
 
 from bitesim import harness, presets
 from bitesim.controller import (ControllerState, ImpedanceParams, ReactivityGains,
-                                SafetyLatch, SensorFault)
+                                SafetyLatch, SensorFault, phase_gains)
 from bitesim.geometry import Pose
 from bitesim.harness import (CSV_HEADER, ConfigError, Scenario, SuiteReport, TickLog,
-                             TrialReport, VirtualRobotState, WorldState, build_study_inputs,
-                             export_trajectory, load_log, mouth_frame_from_position, run_suite,
-                             run_trial, save_log, simulate_tick)
+                             TrialReport, build_study_inputs, export_trajectory, load_log,
+                             mouth_frame_from_position, run_suite, run_trial, save_log)
 from bitesim.humansim import (HEAD_MOTION_PARAMS, BiteScript, FoodAttachmentState, MouthModel,
                               load_food_presets)
 from bitesim.perception import compute_offsets, food_bounding_box, synth_depth_scan
 from bitesim.transfer import BiteDetector, FsmState, Segment, TrajectoryPlan, TransferPhase
+
+from reference import VirtualRobotState, WorldState, simulate_tick
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +59,8 @@ def make_static_world(gains_vec=(0.0, 0.0), mouth_pos=(5.0, 0.0, 0.45),
         attachment=FoodAttachmentState(foods["pineapple"]),
         safety=SafetyLatch(3.0),
         impedance=imp,
-        entry_gains=gains,
-        exit_gains=gains,
-        exit_axis=mouth_frame.z_axis,
+        gains_entry=gains,
+        gains_exit=phase_gains(TransferPhase.EXIT, mouth_frame.z_axis, gains, gains),
         perturb_trace=np.zeros((n, 3)),
         disturbance_trace=dist_trace,
     ), mass
@@ -408,16 +408,22 @@ class TestConfigKeys:
             run_suite({"seed": 1, **cfg, "trials": [{"method": "ours"}]})
 
     def test_suite_at_its_tick_bound_is_accepted(self, monkeypatch):
-        # 999 trials of 10,001 ticks lie within presets.MAX_SUITE_TICKS, 1000 do not
+        # each trial counts its ticks (10,001 or 1) and the share of its
+        # setup: 769 trials of 10 s, or 3,332 of none, lie within
+        # presets.MAX_SUITE_TICKS; one more fails before any setup is built
         class Prepared(Exception):
             pass
 
         def prepared(scenario):
             raise Prepared
         monkeypatch.setattr(harness, "_prepare_trial", prepared)
-        with pytest.raises(Prepared):
-            run_suite({"seed": 1, "repetitions": presets.MAX_SUITE_TICKS // 10_001,
-                       "trials": [{"method": "ours"}]})
+        for ticks, reps in ((10_001, 769), (1, 3_332)):
+            assert reps == presets.MAX_SUITE_TICKS // (ticks + presets.SUITE_SETUP_TICKS)
+            suite = {"seed": 1, "trials": [{"scenario": {"horizon_s": (ticks - 1) / 1000}}]}
+            with pytest.raises(Prepared):
+                run_suite({**suite, "repetitions": reps})
+            with pytest.raises(ConfigError, match="^suite key 'repetitions' must be few enough"):
+                run_suite({**suite, "repetitions": reps + 1})
 
     @pytest.mark.parametrize("study", [[], 0, False, ""])
     def test_study_not_an_object(self, study):
@@ -547,7 +553,7 @@ class TestScanOffsets:
     def test_noisy_scans_are_taken_per_trial(self, scans):
         plans = [harness._prepare_trial(Scenario.from_dict({
             "food": "tofu", "scan": {"resolution_mm": 0.5, "noise_mm": 0.2}, "seed": seed,
-            "joint_log_stride": 0})).fsm.plan for seed in (1, 2, 1)]
+            "joint_log_stride": 0})).plan for seed in (1, 2, 1)]
         assert scans == ["tofu"] * 3 and not harness._SCAN_OFFSETS
         assert not np.array_equal(plans[0].positions, plans[1].positions)
         np.testing.assert_array_equal(plans[0].positions, plans[2].positions)

@@ -1,9 +1,10 @@
 """The flat tick kernel against the per-tick object pipeline it replaced.
 
 reference_run is the loop body run_trial had before the kernel: one
-simulate_tick per tick (Pose, Wrench and state objects, transfer.step,
-controller.reactive_term). Started from the same setup objects and
-classified by the same _finish_trial, run_trial must give the same bits.
+simulate_tick of tests/reference.py per tick (Pose, Wrench and state
+objects, transfer.step, controller.reactive_term). Started from the
+same setup and classified by the same _finish_trial, run_trial must
+give the same bits.
 """
 
 import cProfile
@@ -26,11 +27,13 @@ from bitesim.controller import Wrench
 from bitesim.humansim import (CAVITY_DEPTH, LIP_MARGIN, MAX_PERTURBATION_AMPLITUDE,
                               FoodAttachmentState, load_food_presets)
 from bitesim.kinematics import IkParams, ik_damped_least_squares
-from bitesim.harness import (Scenario, TickLog, VirtualRobotState, _below_1e_12,
-                             _clear_of_mouth, _finish_trial, _prepare_trial, _resolve_chain,
-                             _setpoint_table, _tick_kernel, run_trial, simulate_tick)
+from bitesim.harness import (Scenario, TickLog, _finish_trial, _prepare_trial, _resolve_chain,
+                             run_trial)
+from bitesim.kernel import _below_1e_12, _clear_of_mouth, _setpoint_table, _tick_kernel
 from bitesim.presets import GAIN_PRESETS
 from bitesim.transfer import TrajectoryPlan, TransferPhase, interpolate, phase_segments, step
+
+from reference import initial_states, simulate_tick
 
 FOODS = ("carrot", "strawberry", "blueberry", "pineapple",
          "cherry_tomato", "broccoli", "cheesecake", "tofu")
@@ -41,7 +44,7 @@ TICK_FIELDS = ("t", "position", "orientation", "force", "torque", "phase",
 def reference_run(setup) -> tuple[TickLog, FoodAttachmentState]:
     """run_trial's tick loop as it was: simulate_tick objects per tick.
     Returns the log and the world's food attachment, which it updates."""
-    world, fsm, ctrl, robot = setup.world, setup.fsm, setup.ctrl, setup.robot
+    robot, ctrl, fsm, world = initial_states(setup)
     n_ticks = setup.n_ticks
     log = TickLog(t=np.empty(n_ticks), position=np.empty((n_ticks, 3)),
                   orientation=np.empty((n_ticks, 4)), force=np.empty((n_ticks, 3)),
@@ -387,17 +390,15 @@ def turning_setup(overrides=None):
         "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 0.5},
         "horizon_s": 3.5, "joint_log_stride": 0, **(overrides or {})}))
     times = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.25, 1.5, 1.75, 2.0])
-    nominal = setup.fsm.plan
+    nominal = setup.plan
     arc_end = phase_segments(nominal)[0].t_end
     pre = interpolate(nominal, arc_end).orientation
     poses = [Pose(interpolate(nominal, t).position,
                   quat_mul(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]),
                                                 np.pi / 2 * max(0.0, 1.0 - t / arc_end)), pre))
              for t in times]
-    plan = TrajectoryPlan(times, [p.position for p in poses],
-                          [p.orientation for p in poses], nominal.segments)
-    setup.fsm = replace(setup.fsm, plan=plan)
-    setup.robot = VirtualRobotState(plan.start_pose, np.zeros(6), setup.robot.mass)
+    setup.plan = TrajectoryPlan(times, [p.position for p in poses],
+                                [p.orientation for p in poses], nominal.segments)
     return setup
 
 
@@ -406,7 +407,7 @@ def test_turning_plan_equals_reference_loop():
     expected = _finish_trial(ref, *reference_run(ref))
     new = turning_setup()
     report = _finish_trial(new, *_tick_kernel(new))
-    q = new.fsm.plan.orientations
+    q = new.plan.orientations
     assert (np.abs(np.sum(q[1:] * q[:-1], axis=1)) <= 0.9995).any()  # slerp's far branch
     assert report.final_phase == "DONE"
     assert np.abs(report.log.orientation - report.log.set_orientation).max() > 1e-3
@@ -426,7 +427,7 @@ def test_turning_plan_through_lip_and_teeth_equals_reference_loop():
     report = _finish_trial(new, *_tick_kernel(new))
     assert_same_trial(report, expected)
 
-    log, mouth = report.log, new.world.mouth
+    log, mouth = report.log, new.mouth
     rot = quat_to_matrix(mouth.center.orientation)
     offsets = log.position - mouth.center.position
     y_m, z_m = offsets @ rot[:, 1], offsets @ rot[:, 2]
@@ -453,7 +454,7 @@ def test_setpoint_tables_equal_step_on_the_turning_plan():
         "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 0.5,
                      "scan_s": 0.05, "face_detect_s": 0.0},
         "horizon_s": 3.0, "bite_timeout_s": 0.25, "joint_log_stride": 0}))
-    nominal = setup.fsm.plan
+    nominal = setup.plan
     arc_end = phase_segments(nominal)[0].t_end
     pre = interpolate(nominal, arc_end).orientation
     times = np.linspace(0.0, 2.0, 21)
@@ -463,10 +464,10 @@ def test_setpoint_tables_equal_step_on_the_turning_plan():
              for t in times]
     plan = TrajectoryPlan(times, [p.position for p in poses], [p.orientation for p in poses],
                           nominal.segments)
-    fsm = replace(setup.fsm, plan=plan)
+    setup = replace(setup, plan=plan)
     dt, n = 0.001, setup.n_ticks
 
-    state, setpoints, phases, transitions = fsm, [], [], {}
+    state, setpoints, phases, transitions = initial_states(setup)[2], [], [], {}
     for i in range(n):
         state, sp, events = step(state, Wrench.zero(), i * dt, dt)
         setpoints.append(np.concatenate([sp.position, sp.orientation]))
@@ -478,8 +479,8 @@ def test_setpoint_tables_equal_step_on_the_turning_plan():
     assert transitions[exit_tick] == [(TransferPhase.BITE_WAIT, TransferPhase.EXIT)]
     assert phases[-1] == TransferPhase.DONE
 
-    first = _setpoint_table(fsm, 0, n, TransferPhase.SCAN, 0.0)
-    then = _setpoint_table(fsm, exit_tick + 1, n, TransferPhase.EXIT, exit_tick * dt,
+    first = _setpoint_table(setup, 0, TransferPhase.SCAN, 0.0)
+    then = _setpoint_table(setup, exit_tick + 1, TransferPhase.EXIT, exit_tick * dt,
                            first.setpoints[exit_tick])
     cut = exit_tick + 1
     assert first.phases[:exit_tick] == phases[:exit_tick]

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bitesim.geometry import Pose, quat_conj, quat_mul, quat_rotate, quat_to_rotvec
+from bitesim.harness import _resolve_chain
 from bitesim.kinematics import (ChainModel, IkParams, JointSpec, chain_from_dict,
                                 forward_kinematics, ik_damped_least_squares, jacobian,
-                                joint_displacement, link_points, load_chain)
+                                joint_displacement, link_points)
 from conftest import quat_chord
 
 
@@ -201,7 +202,7 @@ class TestChainIO:
         }
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(spec))
-        chain = load_chain(path)
+        chain = _resolve_chain(str(path))
         assert chain.dof == 1
         tip = forward_kinematics(chain, [0.0])
         np.testing.assert_allclose(tip.position, [0.2, 0, 0.5], atol=1e-12)

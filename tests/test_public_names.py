@@ -5,11 +5,10 @@ The modules under src/bitesim/ are parsed, never run. Each public
 module-level function and each public method of a public class must be
 read in the package itself, read by a benchmark script under perfbench/
 (an import, an attribute, or a name its tracer wraps), or read by
-tests/test_acceptance.py; simulate_tick, the reference the kernel tests
-hold the tick kernel to, is named here. A class method or static method
-counts as read where it is reached through its class (``Class.name``,
-or ``cls.name`` inside it); any other method or property, whose object
-a parse cannot tell, where an attribute of its name is read.
+tests/test_acceptance.py. A class method or static method counts as
+read where it is reached through its class (``Class.name``, or
+``cls.name`` inside it); any other method or property, whose object a
+parse cannot tell, where an attribute of its name is read.
 """
 
 import ast
@@ -19,7 +18,6 @@ import bitesim
 
 PACKAGE = Path(bitesim.__file__).resolve().parent
 ROOT = PACKAGE.parent.parent
-REFERENCE = {"simulate_tick"}
 
 
 def trees(paths) -> list[ast.Module]:
@@ -73,7 +71,7 @@ def unread(modules: dict[str, ast.Module], readers) -> list[str]:
     own_names, own_pairs = reads(modules.values())
     # a module's import of a name reads it, as does a call from another module
     names, pairs = reads(readers)
-    names |= own_names | REFERENCE
+    names |= own_names
     pairs |= own_pairs
     missing = []
     for module, cls, name, on_class in public_names(modules):
