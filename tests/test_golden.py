@@ -10,7 +10,8 @@ the wrist study still built one Pose per sample and kinematics kept its
 own stacked rotation forms; the resolved-config value was recorded
 while scenario defaults and ranges were still declared apart; the scan
 values were recorded while the samplers still took sin and cos over the
-whole 2-D angle grid. A change
+whole 2-D angle grid; the IK solve values were recorded while a
+restarting row still sat out the step of its iteration. A change
 that alters any of them changes the study, the trial log or the configs
 they run and has to be recorded, with its reason, in CHANGES.md.
 """
@@ -22,12 +23,13 @@ import numpy as np
 import pytest
 
 from bitesim import harness
-from bitesim.comfort import run_wrist_study, sample_fork_poses
+from bitesim.comfort import _sample_rows, run_wrist_study, sample_fork_poses
 from bitesim.geometry import Pose
 from bitesim.harness import (Scenario, _prepare_trial, build_study_inputs,
                              export_trajectory, mouth_frame_from_position, run_suite,
                              run_trial)
 from bitesim.humansim import load_food_presets
+from bitesim.kinematics import IkParams, bundled_chain, ik_damped_least_squares_batch
 from bitesim.perception import compute_offsets, food_bounding_box, synth_depth_scan
 from bitesim.presets import DEFAULT_MOUTH_POSITION, GAIN_PRESETS
 
@@ -37,6 +39,13 @@ NOMINAL_JOINTS_SHA256 = "36a638aa80223c8a1d622725b53d500b3c526726890dc6ae007c3db
 NOMINAL_CSV_SHA256 = "eee466a86000d8747ba9d59febe6391faec10f663091b6f8ec53f420c3dbdc87"
 # [x, y, z, qw, qx, qy, qz] of each of the default study's 10,000 samples
 SAMPLE_ROWS_SHA256 = "43d5bacb280d417cc5179746c6c2ebf22ea0e588941e81e3bfdf4a57d228b644"
+# q, converged, iterations, residual and restarts of panda_7dof solves from
+# the study's home: the default study's first 1,000 rows (675 restarting
+# row-iterations), and two far targets whose live rows all restart at once
+IK_SOLVE_SHA256 = {
+    "study_1000": "8c480fa79448b21f8ef26f3299a52b27e3458cb07973161a4d5eb62fdebca30f",
+    "far_pair": "f3e187aba7dd6ac592d428b2e5471d11c7da010a27939c493238da1261163f61",
+}
 # position and orientation of the default mouth, facing the base or turned
 MOUTH_FACINGS = {"base": None, "turned": [-1.0, 0.3, 0.0]}
 MOUTH_FRAME_SHA256 = {
@@ -347,6 +356,25 @@ def test_study_sample_rows_digest():
     rows = np.array([np.concatenate([p.position, p.orientation]) for p in poses])
     assert rows.shape == (10000, 7)
     assert sha256(rows.tobytes()) == SAMPLE_ROWS_SHA256
+
+
+def ik_solve_inputs(name):
+    """The targets and IkParams of the IK_SOLVE_SHA256 case of that name."""
+    if name == "study_1000":
+        return _sample_rows(build_study_inputs()[2])[:1000], IkParams()
+    far = np.array([[3.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.5, 1.0, 0.0, 0.0, 0.0]])
+    return far, IkParams(max_iter=40, stall_window=1)
+
+
+@pytest.mark.parametrize("name", sorted(IK_SOLVE_SHA256))
+def test_ik_solve_digest(name):
+    targets, params = ik_solve_inputs(name)
+    result = ik_damped_least_squares_batch(bundled_chain("panda_7dof"), targets,
+                                           build_study_inputs()[5], params)
+    h = hashlib.sha256()
+    for a in (result.q, result.converged, result.iterations, result.residual, result.restarts):
+        h.update(a.tobytes())
+    assert h.hexdigest() == IK_SOLVE_SHA256[name]
 
 
 def test_bundled_foods_are_the_scanned_foods():
