@@ -318,17 +318,17 @@ def _failure_residuals_mm(result: IkBatchResult) -> np.ndarray:
 
 def run_wrist_study(chain_with: ChainModel, chain_without: ChainModel,
                     dist: PoseDistribution, ik_params: IkParams,
-                    comfort: ComfortParams, home=None) -> StudyReport:
+                    comfort: ComfortParams, home) -> StudyReport:
     """Solve every sampled pose on both chains and compare them.
 
-    Both solves start from the shared home; displacement is measured
-    from home over the 7 arm joints. A pose is excluded when either
+    Both solves start from ``home``, the wrist joints from chain_with's
+    own home; displacement is measured from home over the 7 arm joints. A pose is excluded when either
     chain fails to converge, so the statistics always compare the same
     sample set. Raises StudyInvalidError below 50% convergence.
     """
     if chain_without.dof < ARM_JOINT_COUNT or chain_with.dof < ARM_JOINT_COUNT:
         raise ValueError("both chains need the 7 arm joints")
-    home_without = chain_without.home if home is None else np.asarray(home, dtype=float)
+    home_without = np.asarray(home, dtype=float)
     if home_without.shape[0] != chain_without.dof:
         raise ValueError("home must match the without-wrist chain DOF")
     home_with = np.concatenate([

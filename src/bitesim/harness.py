@@ -461,12 +461,12 @@ def _finish_trial(setup: TrialSetup, log: TickLog,
 
 def run_trial(scenario: Scenario) -> TrialReport:
     """Execute scan, targeting, and the full transfer FSM for one trial."""
-    # a chain file that cannot be read fails before the ticks run
+    # a chain file that cannot be read fails before the ticks run, logged or not
+    chain = _resolve_chain(scenario["chain"])
     stride = int(scenario["joint_log_stride"])
-    chain = _resolve_chain(scenario["chain"]) if stride else None
     setup = _prepare_trial(scenario)
     log, attachment = _tick_kernel(setup)
-    if chain is not None:
+    if stride:
         _log_joints(log, chain, stride)
     return _finish_trial(setup, log, attachment)
 
@@ -593,8 +593,11 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
                         f"1 kHz, plus 1, plus {SUITE_SETUP_TICKS:,} for the setup, each), "
                         f"got {reps}: {ticks:,} by trials[{n}]")
 
-    # every setup is built here, before any ticks run: a bad scenario
-    # fails first, and the scan cache stays warm in this process
+    # every chain is resolved, though a suite logs no joints, and every
+    # setup built here, before any ticks run: a bad scenario fails first,
+    # and the scan cache stays warm in this process
+    for name in dict.fromkeys(scenario["chain"] for _, scenario in trials):
+        _resolve_chain(name)
     setups = [_prepare_trial(scenario) for _, scenario in trials]
     per_method: dict[str, dict[str, int]] = {}
     outcomes = []

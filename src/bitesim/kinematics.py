@@ -284,8 +284,9 @@ def ik_damped_least_squares_batch(chain: ChainModel, targets, seeds,
     through the same iterations as one array program: per iteration one
     stacked FK, Jacobian and linear solve, with per-row masks for
     convergence, stall restarts and pinned joints. A row leaves the stack
-    when it converges and sits out the step of an iteration in which it
-    restarts. Each row gets exactly the bits a lone solve of it gets.
+    when it converges; a row that restarts takes the step with the rest
+    and is re-seeded over it. Each row gets exactly the bits a lone solve
+    of it gets.
     """
     n = chain.dof
     targets = np.asarray(targets, dtype=float)
@@ -364,13 +365,29 @@ def ik_damped_least_squares_batch(chain: ChainModel, targets, seeds,
             restarts[idx] = n_restarts
             break
 
+        far = pos_n > _MAX_LIN_STEP
+        if np.count_nonzero(far):
+            err[far, :3] *= (_MAX_LIN_STEP / pos_n[far])[:, None]
+        far = rot_n > _MAX_ANG_STEP
+        if np.count_nonzero(far):
+            err[far, 3:] *= (_MAX_ANG_STEP / rot_n[far])[:, None]
+
+        jac = _jacobian(origins, axes, tip_p)
+        dq = _dls_step(jac, err, damping)
+        # joints pinned at a limit that still push outward leave the step
+        pinned = ((q <= near_lower) & (dq < 0)) | ((q >= near_upper) & (dq > 0))
+        if np.count_nonzero(pinned):
+            held = pinned.any(axis=1)
+            jac_held = np.where(pinned[held][:, None, :], 0.0, jac[held])
+            dq[held] = _dls_step(jac_held, err[held], damping)
+        q = np.minimum(np.maximum(q + dq, lower), upper)
+
         restart = since_improve >= params.stall_window
-        n_restart = np.count_nonzero(restart)
-        if n_restart:
-            # re-seed, alternating a base yaw aimed at the target azimuth
-            # with a plain uniform draw; these rows take no step this time.
-            # The table is built on a solve's first restart, which few
-            # solves reach; restarts come max(stall_window, 1) or more apart
+        if np.count_nonzero(restart):
+            # re-seed over the step, alternating a base yaw aimed at the
+            # target azimuth with a plain uniform draw. The table is built
+            # on a solve's first restart, which few solves reach; restarts
+            # come max(stall_window, 1) or more apart
             uniforms, yaw = _restart_draws(n, params.max_iter // max(params.stall_window, 1) + 1)
             n_restarts += restart
             k = n_restarts[restart] - 1
@@ -381,35 +398,6 @@ def ik_damped_least_squares_batch(chain: ChainModel, targets, seeds,
             q[restart] = q_new
             attempt_best[restart] = np.inf
             since_improve[restart] = 0
-            if n_restart == idx.size:
-                continue
-            go = ~restart
-            q_go, origins, axes, tip_p, step, pos_n, rot_n = (
-                a[go] for a in (q, origins, axes, tip_p, err, pos_n, rot_n))
-        else:
-            go = None
-            q_go, step = q, err
-
-        far = pos_n > _MAX_LIN_STEP
-        if np.count_nonzero(far):
-            step[far, :3] *= (_MAX_LIN_STEP / pos_n[far])[:, None]
-        far = rot_n > _MAX_ANG_STEP
-        if np.count_nonzero(far):
-            step[far, 3:] *= (_MAX_ANG_STEP / rot_n[far])[:, None]
-
-        jac = _jacobian(origins, axes, tip_p)
-        dq = _dls_step(jac, step, damping)
-        # joints pinned at a limit that still push outward leave the step
-        pinned = ((q_go <= near_lower) & (dq < 0)) | ((q_go >= near_upper) & (dq > 0))
-        if np.count_nonzero(pinned):
-            held = pinned.any(axis=1)
-            jac_held = np.where(pinned[held][:, None, :], 0.0, jac[held])
-            dq[held] = _dls_step(jac_held, step[held], damping)
-        q_go = np.minimum(np.maximum(q_go + dq, lower), upper)
-        if go is None:
-            q = q_go
-        else:
-            q[go] = q_go
 
     return IkBatchResult(out_q, converged, iterations, out_err, restarts)
 

@@ -426,7 +426,6 @@ def test_config_that_does_not_decode_exit_code(tmp_path, capsys, command, text, 
     ('{"joints": [5]}', "a chain must be an object whose 'joints' is a list of objects"),
     (DEEP, f"the file {TOO_DEEP}")], ids=["list", "int", "ints", "deep"])
 def test_chain_file_of_another_shape_exit_code(tmp_path, capsys, command, key, chain, message):
-    # a trial resolves its chain only to log joints
     chain_path = tmp_path / "c.json"
     chain_path.write_text(chain)
     config = write_json(tmp_path / "config.json", {key: str(chain_path), "count": 10}
@@ -435,3 +434,16 @@ def test_chain_file_of_another_shape_exit_code(tmp_path, capsys, command, key, c
     assert main([command, config, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot resolve chain {str(chain_path)!r}: {message}")
+
+
+@pytest.mark.parametrize("command, stride", [("trial", 0), ("trial", 10), ("suite", 0)])
+def test_missing_chain_file_exit_code(tmp_path, capsys, command, stride):
+    # a chain that cannot be read fails whether or not joints are logged
+    chain = str(tmp_path / "missing.json")
+    scenario = {"chain": chain, "joint_log_stride": stride, "horizon_s": 0.5}
+    config = write_json(tmp_path / "config.json", scenario if command == "trial" else
+                        {"seed": 1, "trials": [{"scenario": scenario}]})
+    assert main([command, config, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot resolve chain {chain!r}")
+    assert "Traceback" not in err

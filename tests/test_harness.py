@@ -515,6 +515,13 @@ class TestConfigKeys:
         with pytest.raises(ConfigError, match="^cannot resolve chain"):
             run_trial(Scenario.from_dict({"chain": str(tmp_path / "missing.json")}))
 
+    def test_suite_resolves_its_chains_before_running(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "_prepare_trial", lambda *a: pytest.fail("a trial ran"))
+        with pytest.raises(ConfigError, match="^cannot resolve chain"):
+            run_suite({"seed": 1, "trials": [
+                {"method": "ours"},
+                {"scenario": {"chain": str(tmp_path / "missing.json"), "joint_log_stride": 0}}]})
+
     def test_suite_checks_every_scenario_before_running(self, monkeypatch):
         import bitesim.harness as harness
         monkeypatch.setattr(harness, "_prepare_trial", lambda *a: pytest.fail("a trial ran"))

@@ -206,13 +206,47 @@ def test_lateral_mirror_of_a_push(food, gain_preset, direction, amplitude, perio
                 "kind": "sinusoid", "amplitude": head_amplitude, "period": head_period,
                 "direction": [head_direction[0], sign * head_direction[1], head_direction[2]]}}))
 
-    a, b = trial(1.0), trial(-1.0)
+    assert_mirrored(trial(1.0), trial(-1.0))
+
+
+def assert_mirrored(a, b):
+    """Trial b is trial a mirrored in y: py and fy negated, the rest the same bits."""
     for name in ("position", "force"):  # y negated, signs of zero aside
         assert np.array_equal(-getattr(a.log, name)[:, 1], getattr(b.log, name)[:, 1]), name
     assert a.log.position[:, [0, 2]].tobytes() == b.log.position[:, [0, 2]].tobytes()
     assert a.log.orientation.tobytes() == b.log.orientation.tobytes()
     assert json.dumps(a.events) == json.dumps(b.events)
     assert a.outcome == b.outcome
+
+
+# (food, seed, outcome): the seed draws the head's random walk and a
+# constant push that starts at tick 30
+@pytest.mark.parametrize("food, seed, outcome", [
+    ("pineapple", 2, "success"), ("blueberry", 3, "success"),
+    ("carrot", 1, "drop"), ("tofu", 3, "drop")])
+def test_lateral_mirror_of_a_random_walk(monkeypatch, food, seed, outcome):
+    # a random-walk head motion whose trace has its y column negated, and
+    # an array push whose y column is negated, mirror the trial
+    perturbation_trace = harness.perturbation_trace
+    push = np.zeros((4001, 6))
+    push[30:, :3] = np.random.default_rng(seed).uniform(-0.5, 0.5, 3)
+
+    def trial(sign):
+        def mirrored_trace(*args, **kwargs):
+            trace = perturbation_trace(*args, **kwargs)
+            trace[:, 1] *= sign
+            return trace
+
+        monkeypatch.setattr(harness, "perturbation_trace", mirrored_trace)
+        return run_trial(Scenario.from_dict({
+            "food": food, "seed": seed, "horizon_s": 4.0, "joint_log_stride": 0,
+            "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 1.0},
+            "disturbance": {"kind": "array", "trace": (push * [1, sign, 1, 1, 1, 1]).tolist()},
+            "head_perturbation": {"kind": "random-walk", "sigma": 0.004}}))
+
+    a, b = trial(1.0), trial(-1.0)
+    assert a.outcome == outcome
+    assert_mirrored(a, b)
 
 
 # the same setup run twice: the kernel writes nothing into it. The
