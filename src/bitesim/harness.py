@@ -7,9 +7,11 @@ wrench minus the reactive correction, plus the physical contact forces,
 integrates through the virtual mass with semi-implicit Euler. Joint
 configurations are recovered by IK from the logged poses at a
 configurable stride, for logging only: run_trial logs them, run_suite,
-which reports outcomes only, does not. run_suite runs its trials in
-forked worker processes, one per usable CPU, with the bytes of a run in
-one process. Every run is seed-deterministic end to end.
+which reports outcomes only, does not. run_suite runs its trials
+through _pooled(fn, tasks), the package's one worker pool: fn of each
+task, in task order, in forked worker processes, one per usable CPU,
+with the bytes of a run in one process. Every run is seed-deterministic
+end to end.
 
 run_trial builds a trial's TrialSetup (_prepare_trial), runs its ticks
 from t = 0 in kernel._tick_kernel, a flat loop over floats that only
@@ -513,46 +515,37 @@ def _suite_outcome(setup: TrialSetup) -> str:
     return _finish_trial(setup, *_tick_kernel(setup)).outcome
 
 
-def _suite_workers(n_trials: int) -> int:
-    """Worker processes for a suite: one per usable CPU, at most one per
-    trial, and one where the platform cannot tell which CPUs are usable."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_trials)
+# the function and tasks of the _pooled call a worker serves, bound by fork
+_POOL_JOB: tuple = ()
 
 
-# the setups of the suite a pool worker runs, inherited from the parent by fork
-_WORKER_SETUPS: list[TrialSetup] = []
+def _bind_pool_job(fn, tasks) -> None:
+    global _POOL_JOB
+    _POOL_JOB = fn, tasks
 
 
-def _init_suite_worker(setups: list[TrialSetup]) -> None:
-    global _WORKER_SETUPS
-    _WORKER_SETUPS = setups
+def _pool_task(index: int):
+    return _POOL_JOB[0](_POOL_JOB[1][index])
 
 
-def _pooled_outcome(index: int) -> str:
-    """The outcome of the suite's trial index, in a pool worker."""
-    return _suite_outcome(_WORKER_SETUPS[index])
-
-
-def _suite_outcomes(setups: list[TrialSetup]) -> list[str]:
-    """The outcome of each setup, in order: in forked workers, one per
-    usable CPU, or inline where only one worker results or fork is not a
-    start method. A worker receives the setups by fork, not by pickling,
-    and sends back one string per trial. Every trial runs to its end, or
-    to the death of a worker, before the earliest failing one raises, as
-    inline; no worker outlives the call."""
-    workers = _suite_workers(len(setups))
+def _pooled(fn, tasks) -> list:
+    """fn of each task, in order: in forked workers, one per usable CPU and
+    at most one per task, or inline where one worker results, the usable
+    CPUs are unknown or fork is not a start method. fn and the tasks reach
+    the workers by fork, not pickling, so fn may be a closure. Every task
+    runs to its end, or to a worker's death, before the earliest failing
+    one raises, as inline; no worker outlives the call."""
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
+                  len(tasks))
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_init_suite_worker,
-                                     initargs=(setups,)) as pool:
-                futures = [pool.submit(_pooled_outcome, i) for i in range(len(setups))]
+                                     initializer=_bind_pool_job, initargs=(fn, tasks)) as pool:
+                futures = [pool.submit(_pool_task, i) for i in range(len(tasks))]
             return [f.result() for f in futures]
-    return [_suite_outcome(setup) for setup in setups]
+    return [fn(task) for task in tasks]
 
 
 def run_suite(suite_cfg: dict) -> SuiteReport:
@@ -601,7 +594,8 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
     setups = [_prepare_trial(scenario) for _, scenario in trials]
     per_method: dict[str, dict[str, int]] = {}
     outcomes = []
-    for idx, ((method, scenario), outcome) in enumerate(zip(trials, _suite_outcomes(setups))):
+    for idx, ((method, scenario), outcome) in enumerate(
+            zip(trials, _pooled(_suite_outcome, setups))):
         bucket = per_method.setdefault(method, {k: 0 for k in OUTCOMES})
         bucket[outcome] += 1
         outcomes.append({"index": idx, "method": method, "seed": int(scenario["seed"]),

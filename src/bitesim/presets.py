@@ -45,6 +45,13 @@ DEFAULT_MOUTH_POSITION = [0.55, 0.0, 0.45]
 MAX_HORIZON_S = 600.0  # 600,001 ticks
 MAX_STUDY_COUNT = 1_000_000  # poses, each solved on both chains
 MIN_SCAN_RESOLUTION_MM = 0.01  # 10^6 points on a face of a 10 mm box
+# a plan is built at 100 Hz over its whole segments, whatever the
+# horizon: an arc, entry or exit lasts at least a tick, and no segment
+# may outlast the longest horizon, past which no tick runs
+MIN_SEGMENT_S = 0.001
+# the perceived mouth's offset on each axis of the mouth frame; the
+# largest in any preset, test or bundled config is 34 mm
+MAX_MOUTH_ERROR_MM = 1000.0
 # a suite's ticks, summed over its trials: a setup holds 24 to 73 bytes
 # per tick (one 600 s trial, without and with random-walk traces), so a
 # suite's setups hold at most 0.24 to 0.73 GB at once
@@ -131,10 +138,14 @@ _NULL_OR_3_FINITE = _Rule("null or a list of 3 finite numbers",
 _CHAIN = _Rule(f"a .json path or one of {sorted(BUNDLED_CHAINS)}",
                lambda v: v.endswith(".json") or v in BUNDLED_CHAINS)
 
-_HORIZON = _Rule(f"in [0, {MAX_HORIZON_S:g}] s", lambda v: 0 <= v <= MAX_HORIZON_S)
+_DURATION = _Rule(f"in [0, {MAX_HORIZON_S:g}] s", lambda v: 0 <= v <= MAX_HORIZON_S)
 _STUDY_COUNT = _Rule(f"in [1, {MAX_STUDY_COUNT}]", lambda v: 1 <= v <= MAX_STUDY_COUNT)
 _SCAN_RESOLUTION = _Rule(f"finite and >= {MIN_SCAN_RESOLUTION_MM:g} mm",
                          lambda v: MIN_SCAN_RESOLUTION_MM <= v < math.inf)
+_SEGMENT = _Rule(f"in [{MIN_SEGMENT_S:g}, {MAX_HORIZON_S:g}] s",
+                 lambda v: MIN_SEGMENT_S <= v <= MAX_HORIZON_S)
+_MOUTH_ERROR = _Rule(f"a list of numbers in [-{MAX_MOUTH_ERROR_MM:g}, {MAX_MOUTH_ERROR_MM:g}] mm",
+                     lambda v: all(abs(x) <= MAX_MOUTH_ERROR_MM for x in v))
 
 
 def _one_of(choices) -> _Rule:
@@ -184,7 +195,7 @@ SCENARIO = {
         "damping": _Key(10.0, _NON_NEGATIVE), "lateral_halfwidth_m": _Key(0.025, _POSITIVE),
         "facing": _Key(_UNSET, _NULL_OR_3_FINITE),  # null: toward the base
     },
-    "mouth_error_mm": _Key([0.0, 0.0, 0.0], _FINITE_EACH),
+    "mouth_error_mm": _Key([0.0, 0.0, 0.0], _MOUTH_ERROR),
     "bite": {"t_bite_s": _Key(0.5, _NON_NEGATIVE), "peak_force_n": _Key(1.0, _NON_NEGATIVE),
              "ramp_s": _Key(0.2, _NON_NEGATIVE), "refuse": _Key(False)},
     "head_perturbation": _kinds(HEAD_MOTION_PARAMS),
@@ -200,14 +211,14 @@ SCENARIO = {
     "safety_mode": _Key("component", _one_of(("component", "norm"))),
     "integral_cap_n": _Key(10.0),  # its range is checked in ControllerState's words
     "lowpass_cutoff_hz": _Key(0.0, _NON_NEGATIVE),  # 0 turns the filter off
-    "segments": {"arc_s": _Key(6.0, _POSITIVE), "entry_s": _Key(2.0, _POSITIVE),
-                 "exit_s": _Key(2.0, _POSITIVE), "retract_s": _Key(6.0, _NON_NEGATIVE),
-                 "scan_s": _Key(0.0, _NON_NEGATIVE), "face_detect_s": _Key(0.0, _NON_NEGATIVE)},
+    "segments": {"arc_s": _Key(6.0, _SEGMENT), "entry_s": _Key(2.0, _SEGMENT),
+                 "exit_s": _Key(2.0, _SEGMENT), "retract_s": _Key(6.0, _DURATION),
+                 "scan_s": _Key(0.0, _DURATION), "face_detect_s": _Key(0.0, _DURATION)},
     "arc_radius_m": _Key(0.45, _POSITIVE), "arc_start_deg": _Key(90.0, _FINITE),
     "entry_depth_m": _Key(0.018, _POSITIVE), "lowering_m": _Key(0.003, _NON_NEGATIVE),
     "fork_pitch_deg": _Key(25.0, _FINITE),
     "bite_threshold_n": _Key(0.3, _POSITIVE), "bite_timeout_s": _Key(1.5, _POSITIVE),
-    "horizon_s": _Key(10.0, _HORIZON), "joint_log_stride": _Key(100, _NON_NEGATIVE),
+    "horizon_s": _Key(10.0, _DURATION), "joint_log_stride": _Key(100, _NON_NEGATIVE),
     "scan": {"resolution_mm": _Key(0.1, _SCAN_RESOLUTION), "noise_mm": _Key(0.0, _NON_NEGATIVE)},
     "entry_gains": _GAINS, "exit_gains": _GAINS,
 }

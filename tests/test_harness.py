@@ -1,7 +1,9 @@
 import json
 import multiprocessing
 import os
+import pickle
 import signal
+import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
@@ -322,7 +324,12 @@ MORE_RANGE_ERRORS = [
     {"mouth": {"center_position": [0, 0, 0.4]}}, {"mouth": {"facing": [1e200, 1e200, 0]}},
     {"segments": {"retract_s": -1}}, {"segments": {"face_detect_s": -1}},
     {"gain_preset": "fixed_pose"}, {"seed": -1}, {"horizon_s": 1e12}, {"horizon_s": 600.001},
-    {"scan": {"resolution_mm": 1e-6}}, {"scan": {"resolution_mm": 0.0099}}]
+    {"scan": {"resolution_mm": 1e-6}}, {"scan": {"resolution_mm": 0.0099}},
+    {"segments": {"arc_s": 1e6}}, {"segments": {"entry_s": 1e-300}},
+    {"segments": {"exit_s": 600.001}}, {"segments": {"arc_s": 0.0009}},
+    {"segments": {"retract_s": 601}}, {"segments": {"scan_s": 1e300}},
+    {"segments": {"face_detect_s": 600.5}},
+    {"mouth_error_mm": [1e300, 0, 0]}, {"mouth_error_mm": [0, 0, -1000.5]}]
 # one study value out of its key's range: each used to run a study that
 # means nothing, to end as an invalid study, or to stop with an error
 # naming no key
@@ -363,6 +370,19 @@ class TestConfigKeys:
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
         with pytest.raises(ConfigError, match=f"^scenario key '{path}' must be"):
             Scenario.from_dict(overrides)
+
+    def test_edges_of_segments_and_mouth_error(self):
+        for overrides in (
+                {"segments": {"arc_s": 0.001, "entry_s": 0.001, "exit_s": 0.001,
+                              "retract_s": 0}},
+                {"segments": {"arc_s": 0.001, "entry_s": 0.001, "exit_s": 0.001},
+                 "transfer_mode": "fixed_pose"},
+                {"mouth_error_mm": [1000, -1000, 1000]}):
+            report = run_trial(Scenario.from_dict({"horizon_s": 0.5, "joint_log_stride": 0,
+                                                   **overrides}))
+            assert np.isfinite(report.mean_deviation_m), overrides
+        Scenario.from_dict({"segments": dict.fromkeys(presets.SCENARIO["segments"],
+                                                      presets.MAX_HORIZON_S)})
 
     def test_array_disturbance_needs_a_trace(self):
         with pytest.raises(ConfigError, match="'disturbance.trace' must be set"):
@@ -846,15 +866,47 @@ def short_suite(*names):
                                   for name in names]}
 
 
+def usable_cpus(monkeypatch, n):
+    """Have os.sched_getaffinity report n usable CPUs, which sets the
+    worker count of harness._pooled whatever the machine's CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestPooled:
+    """harness._pooled on its pooled and its inline path."""
+
+    def test_both_paths_return_the_results_in_task_order(self, monkeypatch):
+        scale, caller = 3.0, os.getpid()
+
+        def fn(task):  # a closure, which pickle cannot send to a worker
+            time.sleep(0.002 * (8 - task))  # later tasks end first
+            return np.sin(scale * task), os.getpid() == caller
+
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(fn)
+        usable_cpus(monkeypatch, 3)
+        pooled = harness._pooled(fn, range(8))
+        usable_cpus(monkeypatch, 1)
+        inline = harness._pooled(fn, range(8))
+        assert pooled == [(np.sin(scale * t), False) for t in range(8)]
+        assert inline == [(np.sin(scale * t), True) for t in range(8)]
+
+    def test_one_task_or_unknown_cpus_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda *a: pytest.fail("a worker was forked"))
+        usable_cpus(monkeypatch, 4)
+        assert harness._pooled(lambda task: os.getpid(), [0]) == [os.getpid()]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert harness._pooled(abs, [-1, -2, 3]) == [1, 2, 3]
+
+
 class TestPooledSuite:
     """Suites run in forked workers as they run inline. Each test sets the
     worker count, so both paths run whatever the machine's CPUs."""
 
     @pytest.fixture
     def workers(self, monkeypatch):
-        def use(n):
-            monkeypatch.setattr(harness, "_suite_workers", lambda n_trials: min(n, n_trials))
-        return use
+        return lambda n: usable_cpus(monkeypatch, n)
 
     def test_same_bytes_pooled_as_inline(self, workers):
         workers(1)
