@@ -39,7 +39,7 @@ from .kinematics import (ChainModel, IkParams, bundled_chain, chain_from_dict,
 from .comfort import ComfortParams, JsonReport, PoseDistribution
 from .controller import ImpedanceParams, ReactivityGains, TICK_PERIOD, phase_gains
 from .transfer import (BiteDetector, TransferPhase, build_fixed_pose_plan, build_transfer_plan,
-                       step, transfer_orientation)
+                       plan_waypoints, step, transfer_orientation)
 from .perception import FoodOffsets, compute_offsets, scan_bounding_box, target_pose
 from .humansim import (BiteScript, FoodAttachmentState, MouthModel, load_food_presets,
                        perturbation_trace, signal_trace)
@@ -274,6 +274,15 @@ _SCAN_OFFSETS: dict[tuple[str, float], FoodOffsets] = {}
 def _tick_count(cfg: dict) -> int:
     """Ticks of a trial: its horizon at 1 kHz, both ends included."""
     return int(round(float(cfg["horizon_s"]) / TICK_PERIOD)) + 1
+
+
+def _setup_share(cfg: dict) -> int:
+    """A trial's ticks in a suite's sum for the setup its horizon does not
+    size: presets.SUITE_SETUP_TICKS, or one per waypoint of its plan, which
+    is built over whole segments, where the plan has more."""
+    seg = cfg["segments"]
+    waypoints = plan_waypoints(float(seg[k]) for k in ("arc_s", "entry_s", "exit_s"))
+    return max(SUITE_SETUP_TICKS, waypoints)
 
 
 def _prepare_trial(scenario: Scenario) -> TrialSetup:
@@ -553,8 +562,8 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
 
     Every key and every trial's scenario is checked before the first
     trial runs, and so is the suite's total of ticks, each trial's own
-    plus presets.SUITE_SETUP_TICKS, which sizes the setups held at once:
-    past presets.MAX_SUITE_TICKS it is a ConfigError naming
+    plus its setup's share (_setup_share), which sizes the setups held at
+    once: past presets.MAX_SUITE_TICKS it is a ConfigError naming
     'repetitions'."""
     cfg = resolve(suite_cfg, SUITE, "suite")
     if "seed" not in suite_cfg:
@@ -577,13 +586,15 @@ def run_suite(suite_cfg: dict) -> SuiteReport:
         for rep in range(reps):
             seed = _trial_seed(suite_seed, len(trials))
             trials.append((method, Scenario.from_dict({**overrides, "seed": seed})))
-            if rep == 0:  # every repetition of an entry has its horizon
-                ticks += reps * (_tick_count(trials[-1][1].raw) + SUITE_SETUP_TICKS)
+            if rep == 0:  # every repetition of an entry has its horizon and plan
+                raw = trials[-1][1].raw
+                ticks += reps * (_tick_count(raw) + _setup_share(raw))
                 if ticks > MAX_SUITE_TICKS:
                     raise ConfigError(
                         f"suite key 'repetitions' must be few enough for the suite's "
                         f"trials to take at most {MAX_SUITE_TICKS:,} ticks (horizon_s at "
-                        f"1 kHz, plus 1, plus {SUITE_SETUP_TICKS:,} for the setup, each), "
+                        f"1 kHz, plus 1, plus {SUITE_SETUP_TICKS:,} for the setup or one per "
+                        f"plan waypoint if more, each), "
                         f"got {reps}: {ticks:,} by trials[{n}]")
 
     # every chain is resolved, though a suite logs no joints, and every

@@ -8,11 +8,17 @@ returns its TickLog and the food attachment; it writes nothing into the
 setup, so a setup runs to the same bytes every time. tests/reference.py
 holds the same tick as a pipeline of Pose, Wrench and state objects,
 the oracle the kernel must match bit for bit.
+
+Most ticks of a trial are quiet: the fork is clear of the mouth, no
+bite can act, no disturbance row is on and the FSM only follows its
+table. Such a tick takes the loop's short path: it integrates the plant
+and writes its row, whose wrench, phase and events are already known.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -89,6 +95,7 @@ class TrialSetup:
 # orientation, force, torque, phase, setpoint position and orientation
 _REC_T, _REC_POS, _REC_ORI, _REC_FORCE, _REC_TORQUE = 0, 1, 4, 8, 11
 _REC_PHASE, _REC_SET_POS, _REC_SET_ORI, _REC_WIDTH = 14, 15, 18, 22
+_REC_ROW = struct.Struct(f"{_REC_WIDTH}d")  # one row, packed as it lies in the array
 
 
 class _SetpointTable(NamedTuple):
@@ -227,14 +234,16 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     BLAS call, the final unit() norm.
 
     The orientation error's rotation vector and unit()'s result are kept
-    from the tick that computed them, keyed by their inputs (the setpoint
-    and robot quaternions; the raw quaternion). A tick reuses one when its
-    key equals the kept key and holds no zero: floats other than zero that
-    compare equal have the same bits, a zero of either sign is always
-    recomputed, and a NaN input raises before another tick could compare
-    it. Where the plan holds one orientation and no torque turns the fork,
-    the orientation stays one row, and a force-free tick outside the bite
-    wait reuses both and makes no BLAS call.
+    from the tick that computed them, keyed by their inputs: the setpoint
+    quaternion with the unit() result the robot's quaternion came from,
+    which keeps its bits while it is the same object; the raw quaternion.
+    A tick reuses one when its float key equals the kept key and holds no
+    zero: floats other than zero that compare equal have the same bits, a
+    zero of either sign is always recomputed, and a NaN input raises
+    before another tick could compare it. Where the plan holds one
+    orientation and no torque turns the fork, the orientation stays one
+    row, and a force-free tick outside the bite wait reuses both and makes
+    no BLAS call.
 
     Most ticks meet no force: no contact (contact_force is exactly zero
     outside the mouth's planes), no bite and no disturbance. Without the
@@ -252,6 +261,26 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     tick the exit starts; the loop keeps what feeds back on itself: bite
     detection, the safety trip, contact, the reactive PI term and the
     integration.
+
+    Quiet stretches. A tick is quiet when _clear_of_mouth puts the fork
+    against no wall, no disturbance row is on, no bite can act (the phase
+    is not BITE_WAIT, nor an EXIT whose bite still holds the food), no
+    table transition falls on it, the reactive term of the last
+    force-free tick is held (so no low-pass filter) and nothing has
+    tripped. Its measurement is (-0.0,) * 6, which trips nothing (the
+    schema keeps safety_limit_n > 0) and touches neither the integral nor
+    the food; its phase and gains are those of the tick before, and it
+    has no event. A general tick that leaves these states opens a stretch
+    up to the table's next transition tick or the next disturbance row.
+    Within it, a tick that passes the contact pre-test, wherever the head
+    has moved the mouth, runs only the impedance error, the integration,
+    the checks and its row write; any other tick takes the general path,
+    the one place with the forces, bite, safety and FSM logic.
+
+    Rows go through struct: each tick packs its 22 floats into the record
+    array's bytes (pack_into), and the setpoint, head and disturbance rows
+    are read by unpack_from, at a third of the cost of a numpy row
+    assignment or row.tolist() and with the same float64 bits.
 
     The kernel only records: the report is read from the log, its events
     and the attachment. Joint logging is left to the caller
@@ -304,8 +333,9 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
         return c * x, c * y, c * z
 
     # mouth frames: as given, and as Pose() renormalises it when the head
-    # moves; columns of the rotation matrix for contact, the quaternion's
-    # z axis for the lip test and the quaternion itself for the bite
+    # moves; the rotation matrix's columns as lists for the pre-test, then
+    # as arrays for contact, the quaternion's z axis for the lip test and
+    # the quaternion itself for the bite
     mouth = setup.mouth
     lip, cavity = LIP_MARGIN, CAVITY_DEPTH
     half_aperture = mouth.aperture / 2.0
@@ -315,14 +345,16 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     for q in (mouth.center.orientation, quat_normalize(mouth.center.orientation)):
         rot = quat_to_matrix(q)
         z_axis = quat_rotate(q, np.array([0.0, 0.0, 1.0]))
-        frames.append((rot[:, 0], rot[:, 1], rot[:, 2], z_axis, q.tolist(),
-                       rot[:, 0].tolist(), rot[:, 1].tolist(), rot[:, 2].tolist()))
-    head = setup.head_trace
+        frames.append((*rot.T.tolist(), (rot[:, 0], rot[:, 1], rot[:, 2], z_axis, q.tolist())))
+    # row k of a C-contiguous (n, w) float64 array, as w floats, is
+    # struct's unpack_from(array, 8 * w * k): no row view, no tolist()
+    read3, read6, read7 = (struct.Struct(f"{w}d").unpack_from for w in (3, 6, 7))
+    head = np.ascontiguousarray(setup.head_trace, dtype=float)
     if not np.all(np.isfinite(head[:n_ticks])):
         raise ValueError("pose position must be finite")
     head_moves = (head != 0.0).any(axis=1).tolist()
     last_head = len(head) - 1
-    dist = setup.disturbance_trace
+    dist = np.ascontiguousarray(setup.disturbance_trace, dtype=float)
     dist_on = dist.any(axis=1).tolist()
     last_dist = len(dist) - 1
 
@@ -363,138 +395,143 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     px, py, pz = setup.plan.start_pose.position.tolist()
     qw, qx, qy, qz = setup.plan.start_pose.orientation.tolist()
     w0 = w1 = w2 = w3 = w4 = w5 = 0.0  # the twist
-    # the last inputs and results of the orientation error and of unit():
-    # no key equals None, and a key holding a zero is always recomputed
-    last_turn_key = last_raw_q = None
+    # the last inputs and results of the orientation error (keyed by the
+    # setpoint quaternion and the unit() result the pose holds) and of
+    # unit(): no key equals None, and a key holding a zero is recomputed
+    last_turn_key = last_raw_q = turn_q = None
     turn = q_unit = None
 
     rec = np.empty((n_ticks, _REC_WIDTH))
+    rec_bytes, row_bytes, pack_row = memoryview(rec).cast("B"), _REC_ROW.size, _REC_ROW.pack_into
     events: list[dict] = []
+    # ticks before quiet_end whose fork is clear of the mouth are quiet
+    dist_rows = np.flatnonzero(dist_on)
+    quiet_end = 0
 
     for i in range(n_ticks):
         t = i * dt
         jh = i if i < last_head else last_head
         if head_moves[jh]:
-            ox, oy, oz = head[jh].tolist()
-            mx, my, mz = mx0 + ox, my0 + oy, mz0 + oz
-            x_hat, y_hat, z_hat, z_axis, mouth_q, xh, yh, zh = frames[1]
+            ox, oy, oz = read3(head, 24 * jh)
+            dx, dy, dz = px - (mx0 + ox), py - (my0 + oy), pz - (mz0 + oz)
+            xh, yh, zh, frame = frames[1]
         else:
-            mx, my, mz = mx0, my0, mz0
-            x_hat, y_hat, z_hat, z_axis, mouth_q, xh, yh, zh = frames[0]
+            dx, dy, dz = px - mx0, py - my0, pz - mz0
+            xh, yh, zh, frame = frames[0]
+        clear = _clear_of_mouth(dx, dy, dz, xh, yh, zh, lip, cavity, lateral, half_aperture)
+        quiet = clear and i < quiet_end
+        if not quiet:
+            x_hat, y_hat, z_hat, z_axis, mouth_q = frame
+            f0 = f1 = f2 = m0 = m1 = m2 = 0.0
 
-        # forces on the fork: penalty contact, then the bite, then the
-        # injected disturbance (humansim.contact_force and bite_force)
-        dx, dy, dz = px - mx, py - my, pz - mz
-        f0 = f1 = f2 = 0.0
-        if (not _clear_of_mouth(dx, dy, dz, xh, yh, zh, lip, cavity, lateral, half_aperture)
-                and not ((z_m := dot3(dx, dy, dz, z_hat)) > lip or z_m < -cavity)):
-            x_m = dot3(dx, dy, dz, x_hat)
-            y_m = dot3(dx, dy, dz, y_hat)
-            v = np.array((w0, w1, w2))
-            v_x = float(v.dot(x_hat))
-            v_y = float(v.dot(y_hat))
-            if y_m < -half_aperture:
-                mag = max(0.0, k_mouth * (-half_aperture - y_m) + c_mouth * (-v_y))
-                f0, f1, f2 = f0 + mag * yh[0], f1 + mag * yh[1], f2 + mag * yh[2]
-            elif y_m > half_aperture:
-                mag = max(0.0, k_mouth * (y_m - half_aperture) + c_mouth * v_y)
-                f0, f1, f2 = f0 - mag * yh[0], f1 - mag * yh[1], f2 - mag * yh[2]
-            if x_m > lateral:
-                mag = max(0.0, k_mouth * (x_m - lateral) + c_mouth * v_x)
-                f0, f1, f2 = f0 - mag * xh[0], f1 - mag * xh[1], f2 - mag * xh[2]
-            elif x_m < -lateral:
-                mag = max(0.0, k_mouth * (-lateral - x_m) + c_mouth * (-v_x))
-                f0, f1, f2 = f0 + mag * xh[0], f1 + mag * xh[1], f2 + mag * xh[2]
-        bite_n = 0.0
-        if not detached and not script.refuse and (
-                phase == WAIT or phase == EXIT and bitten and dot3(dx, dy, dz, z_axis) <= lip):
-            t_in_bite = t - wait_started_at
-            if t_in_bite >= script.t_bite:
-                frac = (min(1.0, (t_in_bite - script.t_bite) / script.ramp)
-                        if script.ramp > 0 else 1.0)
-                bite_y = -frac * script.peak_force
-                if bite_y != 0.0:
-                    bite_n = abs(bite_y)
-                    # quat_rotate(mouth_q, (0, bite_y, 0)) term for term,
-                    # the 0 * x terms kept for their signed zeros
-                    w, x, y, z = mouth_q
-                    uv0, uv1, uv2 = y * 0.0 - z * bite_y, z * 0.0 - x * 0.0, x * bite_y - y * 0.0
-                    f0 = f0 + (0.0 + 2.0 * (w * uv0 + (y * uv2 - z * uv1)))
-                    f1 = f1 + (bite_y + 2.0 * (w * uv1 + (z * uv0 - x * uv2)))
-                    f2 = f2 + (0.0 + 2.0 * (w * uv2 + (x * uv1 - y * uv0)))
-        jd = i if i < last_dist else last_dist
-        if dist_on[jd]:
-            d = dist[jd].tolist()
-            f0, f1, f2 = f0 + d[0], f1 + d[1], f2 + d[2]
-            m0, m1, m2 = 0.0 + d[3], 0.0 + d[4], 0.0 + d[5]
-        else:
-            m0 = m1 = m2 = 0.0
-        # the sensor reads the tool-applied wrench
-        fm0, fm1, fm2, tm0, tm1, tm2 = -f0, -f1, -f2, -m0, -m1, -m2
+            # forces on the fork: penalty contact, then the bite, then the
+            # injected disturbance (humansim.contact_force and bite_force)
+            if not clear and not ((z_m := dot3(dx, dy, dz, z_hat)) > lip or z_m < -cavity):
+                x_m = dot3(dx, dy, dz, x_hat)
+                y_m = dot3(dx, dy, dz, y_hat)
+                v = np.array((w0, w1, w2))
+                v_x = float(v.dot(x_hat))
+                v_y = float(v.dot(y_hat))
+                if y_m < -half_aperture:
+                    mag = max(0.0, k_mouth * (-half_aperture - y_m) + c_mouth * (-v_y))
+                    f0, f1, f2 = f0 + mag * yh[0], f1 + mag * yh[1], f2 + mag * yh[2]
+                elif y_m > half_aperture:
+                    mag = max(0.0, k_mouth * (y_m - half_aperture) + c_mouth * v_y)
+                    f0, f1, f2 = f0 - mag * yh[0], f1 - mag * yh[1], f2 - mag * yh[2]
+                if x_m > lateral:
+                    mag = max(0.0, k_mouth * (x_m - lateral) + c_mouth * v_x)
+                    f0, f1, f2 = f0 - mag * xh[0], f1 - mag * xh[1], f2 - mag * xh[2]
+                elif x_m < -lateral:
+                    mag = max(0.0, k_mouth * (-lateral - x_m) + c_mouth * (-v_x))
+                    f0, f1, f2 = f0 + mag * xh[0], f1 + mag * xh[1], f2 + mag * xh[2]
+            bite_n = 0.0
+            if not detached and not script.refuse and (
+                    phase == WAIT or phase == EXIT and bitten and dot3(dx, dy, dz, z_axis) <= lip):
+                t_in_bite = t - wait_started_at
+                if t_in_bite >= script.t_bite:
+                    frac = (min(1.0, (t_in_bite - script.t_bite) / script.ramp)
+                            if script.ramp > 0 else 1.0)
+                    bite_y = -frac * script.peak_force
+                    if bite_y != 0.0:
+                        bite_n = abs(bite_y)
+                        # quat_rotate(mouth_q, (0, bite_y, 0)) term for term,
+                        # the 0 * x terms kept for their signed zeros
+                        w, x, y, z = mouth_q
+                        uv0, uv1, uv2 = (y * 0.0 - z * bite_y, z * 0.0 - x * 0.0,
+                                         x * bite_y - y * 0.0)
+                        f0 = f0 + (0.0 + 2.0 * (w * uv0 + (y * uv2 - z * uv1)))
+                        f1 = f1 + (bite_y + 2.0 * (w * uv1 + (z * uv0 - x * uv2)))
+                        f2 = f2 + (0.0 + 2.0 * (w * uv2 + (x * uv1 - y * uv0)))
+            jd = i if i < last_dist else last_dist
+            if dist_on[jd]:
+                d = read6(dist, 48 * jd)
+                f0, f1, f2 = f0 + d[0], f1 + d[1], f2 + d[2]
+                m0, m1, m2 = 0.0 + d[3], 0.0 + d[4], 0.0 + d[5]
+            # the sensor reads the tool-applied wrench
+            fm0, fm1, fm2, tm0, tm1, tm2 = -f0, -f1, -f2, -m0, -m1, -m2
 
-        if not tripped:
-            if norm_mode:
-                tripped = norm3(fm0, fm1, fm2) > limit
+            if not tripped:
+                if norm_mode:
+                    tripped = norm3(fm0, fm1, fm2) > limit
+                else:
+                    tripped = abs(fm0) > limit or abs(fm1) > limit or abs(fm2) > limit
+
+            # transfer.step: a safety trip aborts; otherwise the table gives the
+            # phase, the transitions into it and the setpoint, and in BITE_WAIT
+            # the bite detector (transfer.detect_bite) may start the exit
+            tick_events = ()
+            f_y = None
+            if phase == ABORTED:
+                pass
+            elif tripped:
+                f_y = dot3(fm0, fm1, fm2, axis)
+                tick_events = ((phase, ABORTED, "safety_abort"),)
+                phase = ABORTED
             else:
-                tripped = abs(fm0) > limit or abs(fm1) > limit or abs(fm2) > limit
+                phase = phases[i]
+                tick_events = transitions.get(i, ())
+                if phase == WAIT:
+                    f_y = dot3(fm0, fm1, fm2, axis)
+                    bitten = abs(f_y) > detector.threshold
+                    if not bitten:
+                        elapsed = elapsed + dt
+                    if bitten or elapsed >= timeout_at:
+                        tick_events = (*tick_events, (WAIT, EXIT, "bite" if bitten else "timeout"))
+                        phase = EXIT
+                        # the exit runs on time from this tick on
+                        table = _setpoint_table(setup, i + 1, EXIT, t, setpoints[i])
+                        phases[i + 1:], setpoints[i + 1:], velocities[i + 1:] = table[:3]
+                        transitions.update(table.transitions)
+            for p_from, p_to, kind in tick_events:
+                if f_y is None:
+                    f_y = dot3(fm0, fm1, fm2, axis)
+                events.append({"t": t, "phase_from": names[p_from], "phase_to": names[p_to],
+                               "event": kind, "f_y": f_y})
 
-        # transfer.step: a safety trip aborts; otherwise the table gives the
-        # phase, the transitions into it and the setpoint, and in BITE_WAIT
-        # the bite detector (transfer.detect_bite) may start the exit
-        tick_events = ()
-        f_y = None
-        if phase == ABORTED:
-            pass
-        elif tripped:
-            f_y = dot3(fm0, fm1, fm2, axis)
-            tick_events = ((phase, ABORTED, "safety_abort"),)
-            phase = ABORTED
-        else:
-            phase = phases[i]
-            tick_events = transitions.get(i, ())
-            if phase == WAIT:
-                f_y = dot3(fm0, fm1, fm2, axis)
-                bitten = abs(f_y) > detector.threshold
-                if not bitten:
-                    elapsed = elapsed + dt
-                if bitten or elapsed >= timeout_at:
-                    tick_events = (*tick_events, (WAIT, EXIT, "bite" if bitten else "timeout"))
-                    phase = EXIT
-                    # the exit runs on time from this tick on
-                    table = _setpoint_table(setup, i + 1, EXIT, t, setpoints[i])
-                    phases[i + 1:], setpoints[i + 1:], velocities[i + 1:] = table[:3]
-                    transitions.update(table.transitions)
-        for p_from, p_to, kind in tick_events:
-            if f_y is None:
-                f_y = dot3(fm0, fm1, fm2, axis)
-            events.append({"t": t, "phase_from": names[p_from], "phase_to": names[p_to],
-                           "event": kind, "f_y": f_y})
-
-        # exit-side gains; the integral resets when the exit side begins
-        want_exit = phase == EXIT or phase == RETRACT
-        if want_exit != exit_gains:
-            exit_gains = want_exit
-            p_force, i_force, p_torque, i_torque, cap_lo, cap_hi = gains[exit_gains]
-            free_f_bar = None
-            if exit_gains:
-                integral = [0.0] * 6
+            # exit-side gains; the integral resets when the exit side begins
+            want_exit = phase == EXIT or phase == RETRACT
+            if want_exit != exit_gains:
+                exit_gains = want_exit
+                p_force, i_force, p_torque, i_torque, cap_lo, cap_hi = gains[exit_gains]
+                free_f_bar = None
+                if exit_gains:
+                    integral = [0.0] * 6
 
         if phase == ABORTED:
             # the plant freezes where it is
             w0 = w1 = w2 = w3 = w4 = w5 = 0.0
-            sp = (px, py, pz, qw, qx, qy, qz)
+            spx, spy, spz, sqw, sqx, sqy, sqz = px, py, pz, qw, qx, qy, qz
         else:
             # impedance wrench from the setpoint error (geometry.pose_error,
             # controller.desired_wrench)
-            sp = setpoints[i].tolist()
-            spx, spy, spz, sqw, sqx, sqy, sqz = sp
+            spx, spy, spz, sqw, sqx, sqy, sqz = read7(setpoints, 56 * i)
             e0, e1, e2 = spx - px, spy - py, spz - pz
-            turn_key = (sqw, sqx, sqy, sqz, qw, qx, qy, qz)
-            if turn_key != last_turn_key or 0.0 in turn_key:
-                last_turn_key = turn_key
+            turn_key = (sqw, sqx, sqy, sqz)
+            if turn_key != last_turn_key or 0.0 in turn_key or q_unit is not turn_q:
+                last_turn_key, turn_q = turn_key, q_unit
                 turn = rotvec(*qmul(sqw, sqx, sqy, sqz, qw, -qx, -qy, -qz))
             e3, e4, e5 = turn
-            v0, v1, v2, v3, v4, v5 = velocities[i].tolist()
+            v0, v1, v2, v3, v4, v5 = read6(velocities, 48 * i)
             v0, v1, v2, v3, v4, v5 = v0 - w0, v1 - w1, v2 - w2, v3 - w3, v4 - w4, v5 - w5
             g0, g1, g2 = k0 * e0 + c0 * v0, k1 * e1 + c1 * v1, k2 * e2 + c2 * v2
             g3, g4, g5 = k3 * e3 + c3 * v3, k4 * e4 + c4 * v4, k5 * e5 + c5 * v5
@@ -506,10 +543,11 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
             # reactive PI term on the (optionally low-passed) measurement
             # (controller.reactive_term). Unfiltered, a zero measurement
             # leaves the clamped integral as it is, so a force-free tick
-            # reuses the term of the last one under the same gains
-            free = alpha is None and not (fm0 or fm1 or fm2 or tm0 or tm1 or tm2)
-            if free and free_f_bar is not None:
-                f_bar = free_f_bar
+            # reuses the term of the last one under the same gains, and so
+            # does a quiet tick
+            if quiet or (free := alpha is None and not (fm0 or fm1 or fm2 or tm0 or tm1 or tm2)
+                         ) and free_f_bar is not None:
+                fb0, fb1, fb2, fb3, fb4, fb5 = free_f_bar
             else:
                 fm = (fm0, fm1, fm2, tm0, tm1, tm2)
                 if alpha is not None:
@@ -529,23 +567,28 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
                          p_torque[1] * fm[4] + i_torque[1] * integral[4],
                          p_torque[2] * fm[5] + i_torque[2] * integral[5])
                 free_f_bar = f_bar if free else None
+                fb0, fb1, fb2, fb3, fb4, fb5 = f_bar
 
             # semi-implicit Euler through the virtual mass: command less
             # reactive term plus the forces on the fork
-            fb0, fb1, fb2, fb3, fb4, fb5 = f_bar
             w0, w1, w2 = (w0 + dt * ((g0 - fb0 + f0) / ms0), w1 + dt * ((g1 - fb1 + f1) / ms1),
                           w2 + dt * ((g2 - fb2 + f2) / ms2))
             w3, w4, w5 = (w3 + dt * ((g3 - fb3 + m0) / ms3), w4 + dt * ((g4 - fb4 + m1) / ms4),
                           w5 + dt * ((g5 - fb5 + m2) / ms5))
             px, py, pz = px + dt * w0, py + dt * w1, pz + dt * w2
             r0, r1, r2 = dt * w3, dt * w4, dt * w5
-            if r0 != 0.0 or r1 != 0.0 or r2 != 0.0:
-                # quat_from_rotvec (tests/reference.py), then quat_mul onto the pose;
-                # below 1e-12, 1 - angle**2 / 8 rounds to 1 and so does the
-                # squared norm of (1, r / 2), which unit() returns as it is
-                if _below_1e_12(r0, r1, r2):
-                    aw, ax, ay, az = 1.0, 0.5 * r0, 0.5 * r1, 0.5 * r2
-                elif (angle := norm3(r0, r1, r2)) < 1e-12:
+            # quat_from_rotvec (tests/reference.py), then quat_mul onto the pose;
+            # below 1e-12, 1 - angle**2 / 8 rounds to 1 and so does the
+            # squared norm of (1, r / 2), which unit() returns as it is, and
+            # quat_mul's 1 * q terms are q
+            if r0 == 0.0 and r1 == 0.0 and r2 == 0.0:
+                raw_q = (qw, qx, qy, qz)
+            elif _below_1e_12(r0, r1, r2):
+                ax, ay, az = 0.5 * r0, 0.5 * r1, 0.5 * r2
+                raw_q = (qw - ax * qx - ay * qy - az * qz, qx + ax * qw + ay * qz - az * qy,
+                         qy - ax * qz + ay * qw + az * qx, qz + ax * qy - ay * qx + az * qw)
+            else:
+                if (angle := norm3(r0, r1, r2)) < 1e-12:
                     aw, ax, ay, az = unit(1.0 - angle * angle / 8.0, 0.5 * r0, 0.5 * r1,
                                           0.5 * r2)
                 else:
@@ -556,8 +599,6 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
                     s = float(np.sin(half)) / n
                     ax, ay, az = s * u0, s * u1, s * u2
                 raw_q = qmul(aw, ax, ay, az, qw, qx, qy, qz)
-            else:
-                raw_q = (qw, qx, qy, qz)
             if raw_q != last_raw_q or 0.0 in raw_q:
                 last_raw_q = raw_q
                 q_unit = unit(*raw_q)
@@ -569,6 +610,12 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
                 if not all(map(math.isfinite, (w0, w1, w2, w3, w4, w5))):
                     raise ValueError("twist must be finite")
 
+        # a quiet tick keeps the zero forces and the (-0.0,) * 6 wrench of the tick before
+        pack_row(rec_bytes, i * row_bytes, t, px, py, pz, qw, qx, qy, qz,
+                 fm0, fm1, fm2, tm0, tm1, tm2, phase, spx, spy, spz, sqw, sqx, sqy, sqz)
+        if quiet:
+            continue
+
         # food attachment, on-fork forces split by source; a zero force
         # never exceeds a detachment threshold (presets keep them >= 0)
         if not detached:
@@ -579,7 +626,16 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
             if bite_n > 0.0:
                 detached = attachment.update(bite_n, t, bite_engaged=True)
 
-        rec[i] = (t, px, py, pz, qw, qx, qy, qz, fm0, fm1, fm2, tm0, tm1, tm2, phase, *sp)
+        # a quiet stretch may follow where the reactive term is held (so
+        # no low-pass filter), nothing trips and no bite can act; it ends
+        # before the table's next transition and the next disturbance row
+        quiet_end = 0
+        if (free_f_bar is not None and not tripped and phase != WAIT
+                and not (phase == EXIT and bitten and not detached)):
+            k = int(np.searchsorted(dist_rows, i, side="right"))
+            quiet_end = min([j for j in transitions if j > i] + [
+                int(dist_rows[k]) if k < len(dist_rows)
+                else i + 1 if dist_on[last_dist] else n_ticks])
 
     # the log's float arrays are column views of the record rows
     return TickLog(

@@ -59,7 +59,10 @@ MAX_SUITE_TICKS = 10_000_000
 # the ticks each trial adds to that sum for the part of its setup that
 # does not grow with its horizon: a zero-horizon setup holds 69.5 to
 # 70.4 KB (tracemalloc of 20 setups, scan cache warm, for the default,
-# random-walk and fixed-pose scenarios), which is 2,900 ticks at 24 B
+# random-walk and fixed-pose scenarios), which is 2,900 ticks at 24 B.
+# Most of it is the default plan's 1,001 waypoints of 64 B (time,
+# position, orientation), so a trial whose plan has more waypoints than
+# this adds one per waypoint instead
 SUITE_SETUP_TICKS = 3_000
 
 # parameters and defaults of the injected-disturbance kinds (forces in N)

@@ -155,9 +155,18 @@ def concat_plans(parts: list[TrajectoryPlan]) -> TrajectoryPlan:
                           np.concatenate(orientations), segments)
 
 
+def _waypoint_intervals(duration: float) -> int:
+    return max(1, int(round(duration * WAYPOINT_RATE)))
+
+
 def _waypoint_times(duration: float) -> np.ndarray:
-    n = max(1, int(round(duration * WAYPOINT_RATE)))
-    return np.linspace(0.0, duration, n + 1)
+    return np.linspace(0.0, duration, _waypoint_intervals(duration) + 1)
+
+
+def plan_waypoints(durations) -> int:
+    """The waypoints of a plan that concat_plans joins from segments of
+    these durations: each segment adds its intervals, the first its start."""
+    return 1 + sum(map(_waypoint_intervals, durations))
 
 
 def plan_arc(target_pre_mouth: Pose, out_direction, radius: float = DEFAULT_ARC_RADIUS,

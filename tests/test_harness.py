@@ -23,7 +23,8 @@ from bitesim.harness import (CSV_HEADER, ConfigError, Scenario, SuiteReport, Tic
 from bitesim.humansim import (HEAD_MOTION_PARAMS, BiteScript, FoodAttachmentState, MouthModel,
                               load_food_presets)
 from bitesim.perception import compute_offsets, food_bounding_box, synth_depth_scan
-from bitesim.transfer import BiteDetector, FsmState, Segment, TrajectoryPlan, TransferPhase
+from bitesim.transfer import (BiteDetector, FsmState, Segment, TrajectoryPlan, TransferPhase,
+                             plan_waypoints)
 
 from reference import VirtualRobotState, WorldState, simulate_tick
 
@@ -444,6 +445,40 @@ class TestConfigKeys:
                 run_suite({**suite, "repetitions": reps})
             with pytest.raises(ConfigError, match="^suite key 'repetitions' must be few enough"):
                 run_suite({**suite, "repetitions": reps + 1})
+
+    def test_suite_counts_the_waypoints_of_long_plans(self, monkeypatch):
+        # a plan is built over whole segments: a 0.5 s trial over three
+        # 600 s segments holds 180,001 waypoints (11.5 MB), which count
+        # for its setup in place of presets.SUITE_SETUP_TICKS, so 55 such
+        # trials lie within presets.MAX_SUITE_TICKS and 56 fail before any
+        # setup is built
+        class Prepared(Exception):
+            pass
+
+        def prepared(scenario):
+            raise Prepared
+        monkeypatch.setattr(harness, "_prepare_trial", prepared)
+        long_plan = {"segments": {"arc_s": 600.0, "entry_s": 600.0, "exit_s": 600.0},
+                     "horizon_s": 0.5}
+        suite = {"seed": 1, "trials": [{"scenario": long_plan}]}
+        reps = presets.MAX_SUITE_TICKS // (501 + 180_001)
+        assert reps == 55
+        with pytest.raises(Prepared):
+            run_suite({**suite, "repetitions": reps})
+        with pytest.raises(ConfigError, match="^suite key 'repetitions' must be few enough"):
+            run_suite({**suite, "repetitions": reps + 1})
+
+    @pytest.mark.parametrize("mode", ["in_mouth", "fixed_pose"])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"segments": {"arc_s": 0.001, "entry_s": 0.004, "exit_s": 0.0051}},
+        {"segments": {"arc_s": 0.0149, "entry_s": 0.005, "exit_s": 1.234}},
+        {"segments": {"arc_s": 0.0251, "entry_s": 3.0, "exit_s": 0.001}}])
+    def test_setup_share_counts_every_waypoint_of_the_plan(self, mode, overrides):
+        scenario = Scenario.from_dict({**overrides, "transfer_mode": mode, "horizon_s": 0.0})
+        seg = scenario.raw["segments"]
+        waypoints = plan_waypoints([seg["arc_s"], seg["entry_s"], seg["exit_s"]])
+        assert waypoints == len(harness._prepare_trial(scenario).plan.times)
+        assert harness._setup_share(scenario.raw) == presets.SUITE_SETUP_TICKS
 
     @pytest.mark.parametrize("study", [[], 0, False, ""])
     def test_study_not_an_object(self, study):

@@ -414,6 +414,80 @@ def test_turn_then_hold_equals_reference_loop():
     assert moves[-1] < len(q) - 1000
 
 
+# The kernel runs force-free ticks in quiet stretches, which a general
+# tick must end wherever a force, a transition or a bite can come in.
+# Each trial below puts one such edge inside a stretch.
+EDGE = {"segments": SHORT, "food": "carrot", "joint_log_stride": 0}
+
+
+def test_stretch_ends_where_the_fork_reaches_the_lip():
+    # aimed 25.5 mm low at a 40 mm mouth, the fork crosses the lip plane
+    # late in the arc just below the lower teeth, so the first tick in
+    # the contact slab meets the teeth
+    overrides = {**EDGE, "mouth": {"aperture_m": 0.04}, "mouth_error_mm": [0.0, -25.5, 0.0],
+                 "bite": {"refuse": True}, "horizon_s": 1.2}
+    report = run_against_reference(overrides)
+    mouth = _prepare_trial(Scenario.from_dict(overrides)).mouth
+    z_m = (report.log.position - mouth.center.position) @ quat_to_matrix(
+        mouth.center.orientation)[:, 2]
+    first = wrench_ticks(report.log)[0]
+    assert first == 998 and report.log.phase[first] == TransferPhase.APPROACH_ARC
+    # the contact of a tick is that of the pose the tick before left
+    assert z_m[first - 2] > LIP_MARGIN >= z_m[first - 1]
+
+
+def test_stretch_resumes_between_two_pushes():
+    # an array disturbance pushes on ticks 300-349 and 600-649 of the arc
+    # and is zero between and after: a stretch ends at each push and
+    # resumes after the first
+    push = np.zeros((701, 6))
+    push[300:350, 0] = 0.5
+    push[600:650, 1] = -0.5
+    report = run_against_reference({**EDGE, "bite": {"refuse": True}, "horizon_s": 1.2,
+                                    "disturbance": {"kind": "array", "trace": push.tolist()}})
+    assert wrench_ticks(report.log) == list(range(300, 350)) + list(range(600, 650))
+
+
+def test_stretch_begins_on_the_exit_table():
+    # a refused bite times out with no force on the fork: the exit's
+    # table is built on the timeout tick, and the stretch that begins on
+    # the next tick must end at that table's transitions
+    report = run_against_reference({**EDGE, "bite": {"refuse": True}, "bite_timeout_s": 0.3,
+                                    "horizon_s": 3.5})
+    assert wrench_ticks(report.log) == []
+    assert [(ev["t"], ev["phase_to"], ev["event"]) for ev in report.events[-3:]] == [
+        (1.799, "EXIT", "timeout"), (2.299, "RETRACT_ARC", None), (3.299, "DONE", None)]
+
+
+def test_bite_holding_the_food_in_the_exit_starts_no_stretch():
+    # a push along the detector's axis reads as a bite on the first tick
+    # of the wait (1500), before the scripted bite: the exit's ticks
+    # 1520-1599 are force-free, but the bite still holds the food and
+    # acts from tick 1600, while the fork is still past the lip
+    push = np.zeros((1521, 6))
+    push[1500:1520, 2] = 1.0
+    report = run_against_reference({**EDGE, "bite": {"t_bite_s": 0.1, "ramp_s": 0.05},
+                                    "horizon_s": 2.5,
+                                    "disturbance": {"kind": "array", "trace": push.tolist()}})
+    assert [(ev["t"], ev["event"]) for ev in report.events if ev["phase_to"] == "EXIT"] == \
+        [(1.5, "bite")]
+    ticks = wrench_ticks(report.log)
+    assert ticks[:21] == list(range(1500, 1520)) + [1600]
+    assert (report.log.phase[1520:1601] == TransferPhase.EXIT).all()
+
+
+def test_random_walk_head_in_a_free_stretch():
+    # the mouth wanders up to 20 mm per axis as the fork enters: it meets
+    # the teeth on a few ticks and is clear of them for 194 ticks between,
+    # so the stretch between must test the mouth where the head has moved
+    report = run_against_reference({
+        **EDGE, "seed": 6, "bite": {"refuse": True}, "horizon_s": 1.6,
+        "head_perturbation": {"kind": "random-walk", "sigma": 0.02, "amplitude": 0.02}})
+    assert wrench_ticks(report.log) == [*range(1000, 1006), 1009, 1010, 1205, 1206, 1207,
+                                        1220, 1221]
+    assert report.final_phase == "BITE_WAIT"
+
+
 def turning_setup(overrides=None):
     """A trial setup whose plan follows the nominal plan's path but turns
     the fork by 90 degrees about world z over the arc, in waypoints about
@@ -678,6 +752,22 @@ def test_kernel_dot_calls_per_tick():
                 if name == "<method 'dot' of 'numpy.ndarray' objects>"
                 or name == "dot" and "numpy" in path)
     assert calls / setup.n_ticks <= 1.5
+
+
+def test_kernel_calls_per_tick():
+    """Quiet ticks call little: under cProfile the default nominal trial
+    makes 15.6 calls per tick, and a suite_table nominal trial (a 60 mm
+    mouth) 15.5; they made 18.8 and 18.7 before quiet stretches. About
+    80 % of their ticks are quiet, so one call more on the quiet path
+    puts either past 16. Counts repeat exactly; timings do not."""
+    suite_nominal = {"food": "carrot", "mouth": {"aperture_m": 0.06, "lateral_halfwidth_m": 0.05},
+                     "bite": {"t_bite_s": 0.5}, "joint_log_stride": 0}
+    for overrides in ({}, suite_nominal):
+        setup = _prepare_trial(Scenario.from_dict(overrides))
+        profile = cProfile.Profile()
+        profile.runcall(_tick_kernel, setup)
+        calls = sum(stat[1] for stat in pstats.Stats(profile).stats.values())
+        assert calls / setup.n_ticks <= 16.0
 
 
 def test_stacked_forms_the_plans_rely_on():
