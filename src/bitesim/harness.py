@@ -98,13 +98,27 @@ def _check_facing(kind: str, position_key: str, position, facing_key: str, facin
 
 def _check_pairs(cfg: dict) -> None:
     """The scenario values judged by a second value, named as the range
-    rules name theirs: damping by stiffness (ImpedanceParams' rule), and
-    the mouth's facing by its centre."""
-    imp, mouth = cfg["impedance"], cfg["mouth"]
+    rules name theirs: damping by stiffness (ImpedanceParams' rule), the
+    virtual mass by stiffness and damping, and the mouth's facing by its
+    centre.
+
+    The kernel's semi-implicit Euler step of m x'' = -k x - c x' is stable
+    exactly where a + 2 b < 4, with a = dt² k / m and b = dt c / m: its
+    update's determinant is 1 - b and its trace 2 - a - b. Coupling
+    through contact and the reactive gains is not judged."""
+    imp, mouth, mass = cfg["impedance"], cfg["mouth"], cfg["virtual_mass"]
     if imp["damping"] is not None and any(
             k > 0 and not d > 0 for k, d in zip(imp["stiffness"], imp["damping"])):
         raise ConfigError(f"scenario key 'impedance.damping' must be > 0 on every axis of "
                           f"nonzero stiffness, got {imp['damping']!r}")
+    damping = imp["damping"] or [2.0 * math.sqrt(k * m) for k, m in zip(imp["stiffness"], mass)]
+    dt = TICK_PERIOD
+    for axis, (k, c, m) in enumerate(zip(imp["stiffness"], damping, mass)):
+        if not dt * dt * k / m + 2.0 * dt * c / m < 4.0:
+            raise ConfigError(
+                f"scenario key 'virtual_mass' must be > dt²·k/4 + dt·c/2 on every axis "
+                f"(dt {dt} s, k the impedance stiffness, c its damping) for a stable "
+                f"integration, got {m!r} on axis {axis} with k {k!r} and c {c!r}")
     _check_facing("scenario", "mouth.center_position", mouth["center_position"],
                   "mouth.facing", mouth.get("facing"))
 

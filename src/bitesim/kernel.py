@@ -9,10 +9,9 @@ setup, so a setup runs to the same bytes every time. tests/reference.py
 holds the same tick as a pipeline of Pose, Wrench and state objects,
 the oracle the kernel must match bit for bit.
 
-Most ticks of a trial are quiet: the fork is clear of the mouth, no
-bite can act, no disturbance row is on and the FSM only follows its
-table. Such a tick takes the loop's short path: it integrates the plant
-and writes its row, whose wrench, phase and events are already known.
+Most ticks are quiet, which each tick decides for itself by one rule
+(_tick_kernel): such a tick only integrates the plant and writes its
+row, whose wrench, phase and events are already known.
 """
 
 from __future__ import annotations
@@ -262,20 +261,19 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     detection, the safety trip, contact, the reactive PI term and the
     integration.
 
-    Quiet stretches. A tick is quiet when _clear_of_mouth puts the fork
-    against no wall, no disturbance row is on, no bite can act (the phase
-    is not BITE_WAIT, nor an EXIT whose bite still holds the food), no
-    table transition falls on it, the reactive term of the last
-    force-free tick is held (so no low-pass filter) and nothing has
-    tripped. Its measurement is (-0.0,) * 6, which trips nothing (the
-    schema keeps safety_limit_n > 0) and touches neither the integral nor
-    the food; its phase and gains are those of the tick before, and it
-    has no event. A general tick that leaves these states opens a stretch
-    up to the table's next transition tick or the next disturbance row.
-    Within it, a tick that passes the contact pre-test, wherever the head
-    has moved the mouth, runs only the impedance error, the integration,
-    the checks and its row write; any other tick takes the general path,
-    the one place with the forces, bite, safety and FSM logic.
+    Quiet ticks, one rule: quiet = hold and clear and not dist_on[jd]
+    and i not in transitions. Each general tick sets hold as it ends: it
+    did not abort, it measured no wrench with the filter off (free, so
+    its reactive term is held) and it left no bite that can act (the
+    phase is not BITE_WAIT, nor an EXIT whose bite still holds the food).
+    clear is _clear_of_mouth where the head has put the mouth. A quiet
+    tick measures (-0.0,) * 6, which trips nothing (the schema keeps
+    safety_limit_n > 0) and touches neither the integral nor the food;
+    its phase and gains are those of the tick before, it has no event,
+    and it leaves hold as it is. It runs only the impedance error, the
+    integration, the checks and its row write; every other tick takes
+    the general path, the one place with the forces, bite, safety trip
+    (the FSM's branch for a phase not yet ABORTED) and FSM logic.
 
     Rows go through struct: each tick packs its 22 floats into the record
     array's bytes (pack_into), and the setpoint, head and disturbance rows
@@ -289,7 +287,6 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     """
     n_ticks = setup.n_ticks
     dt = TICK_PERIOD
-    tripped = False
     norm_mode = setup.safety_mode == "norm"
     limit = setup.safety_limit
 
@@ -381,8 +378,11 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     ms0, ms1, ms2, ms3, ms4, ms5 = setup.mass.tolist()
 
     # FSM: integer phase, the detector's elapsed time; the phases that
-    # time alone drives come from setpoint tables
-    SCAN, FACE, APPROACH, ENTRY, WAIT, EXIT, RETRACT, DONE, ABORTED = range(9)
+    # time alone drives come from setpoint tables, so the loop names only
+    # the phases it tests
+    P = TransferPhase
+    SCAN, WAIT, EXIT, RETRACT, ABORTED = (
+        int(p) for p in (P.SCAN, P.BITE_WAIT, P.EXIT, P.RETRACT_ARC, P.ABORTED))
     names = [p.name for p in TransferPhase]
     table = _setpoint_table(setup, 0, SCAN, 0.0)
     phases, setpoints, velocities, transitions = table[:4]
@@ -404,9 +404,7 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     rec = np.empty((n_ticks, _REC_WIDTH))
     rec_bytes, row_bytes, pack_row = memoryview(rec).cast("B"), _REC_ROW.size, _REC_ROW.pack_into
     events: list[dict] = []
-    # ticks before quiet_end whose fork is clear of the mouth are quiet
-    dist_rows = np.flatnonzero(dist_on)
-    quiet_end = 0
+    hold = False  # set as each general tick ends: the next tick may be quiet
 
     for i in range(n_ticks):
         t = i * dt
@@ -419,7 +417,8 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
             dx, dy, dz = px - mx0, py - my0, pz - mz0
             xh, yh, zh, frame = frames[0]
         clear = _clear_of_mouth(dx, dy, dz, xh, yh, zh, lip, cavity, lateral, half_aperture)
-        quiet = clear and i < quiet_end
+        jd = i if i < last_dist else last_dist
+        quiet = hold and clear and not dist_on[jd] and i not in transitions
         if not quiet:
             x_hat, y_hat, z_hat, z_axis, mouth_q = frame
             f0 = f1 = f2 = m0 = m1 = m2 = 0.0
@@ -462,19 +461,12 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
                         f0 = f0 + (0.0 + 2.0 * (w * uv0 + (y * uv2 - z * uv1)))
                         f1 = f1 + (bite_y + 2.0 * (w * uv1 + (z * uv0 - x * uv2)))
                         f2 = f2 + (0.0 + 2.0 * (w * uv2 + (x * uv1 - y * uv0)))
-            jd = i if i < last_dist else last_dist
             if dist_on[jd]:
                 d = read6(dist, 48 * jd)
                 f0, f1, f2 = f0 + d[0], f1 + d[1], f2 + d[2]
                 m0, m1, m2 = 0.0 + d[3], 0.0 + d[4], 0.0 + d[5]
             # the sensor reads the tool-applied wrench
             fm0, fm1, fm2, tm0, tm1, tm2 = -f0, -f1, -f2, -m0, -m1, -m2
-
-            if not tripped:
-                if norm_mode:
-                    tripped = norm3(fm0, fm1, fm2) > limit
-                else:
-                    tripped = abs(fm0) > limit or abs(fm1) > limit or abs(fm2) > limit
 
             # transfer.step: a safety trip aborts; otherwise the table gives the
             # phase, the transitions into it and the setpoint, and in BITE_WAIT
@@ -483,7 +475,8 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
             f_y = None
             if phase == ABORTED:
                 pass
-            elif tripped:
+            elif (norm3(fm0, fm1, fm2) > limit if norm_mode
+                  else abs(fm0) > limit or abs(fm1) > limit or abs(fm2) > limit):
                 f_y = dot3(fm0, fm1, fm2, axis)
                 tick_events = ((phase, ABORTED, "safety_abort"),)
                 phase = ABORTED
@@ -626,16 +619,11 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
             if bite_n > 0.0:
                 detached = attachment.update(bite_n, t, bite_engaged=True)
 
-        # a quiet stretch may follow where the reactive term is held (so
-        # no low-pass filter), nothing trips and no bite can act; it ends
-        # before the table's next transition and the next disturbance row
-        quiet_end = 0
-        if (free_f_bar is not None and not tripped and phase != WAIT
-                and not (phase == EXIT and bitten and not detached)):
-            k = int(np.searchsorted(dist_rows, i, side="right"))
-            quiet_end = min([j for j in transitions if j > i] + [
-                int(dist_rows[k]) if k < len(dist_rows)
-                else i + 1 if dist_on[last_dist] else n_ticks])
+        # the next tick may be quiet if this one held the reactive term of
+        # a force-free measurement (so no low-pass filter), did not abort,
+        # and left no bite that can act
+        hold = (phase != ABORTED and free and phase != WAIT
+                and not (phase == EXIT and bitten and not detached))
 
     # the log's float arrays are column views of the record rows
     return TickLog(

@@ -46,6 +46,8 @@ class JointSpec:
 
     def __post_init__(self):
         a = np.asarray(self.axis, dtype=float).reshape(3)
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"joint axis must be finite, got {a.tolist()}")
         n = np.linalg.norm(a)
         if n < 1e-12:
             raise ValueError("joint axis must be nonzero")
@@ -53,6 +55,8 @@ class JointSpec:
         a.setflags(write=False)
         object.__setattr__(self, "axis", a)
         lo, hi = self.limits
+        if not np.all(np.isfinite((lo, hi))):
+            raise ValueError(f"joint limits must be finite, got [{lo}, {hi}]")
         if lo > hi:
             raise ValueError(f"joint limits reversed: [{lo}, {hi}]")
         object.__setattr__(self, "limits", (float(lo), float(hi)))
@@ -70,6 +74,8 @@ class ChainModel:
         if home is None:
             home = np.zeros(len(joints))
         self.home = np.asarray(home, dtype=float).reshape(len(joints)).copy()
+        if not np.all(np.isfinite(self.home)):
+            raise ValueError(f"home must be finite, got {self.home.tolist()}")
         self.home.setflags(write=False)
 
         self.lower = np.array([j.limits[0] for j in self.joints])

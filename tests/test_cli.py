@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from bitesim import cli, presets
 from bitesim.cli import main
 from bitesim.harness import ConfigError, Scenario, _resolve_chain
+from test_kinematics import chain_with_non_finite
 
 SHORT_SCENARIO = {
     "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 1.0},
@@ -98,7 +100,8 @@ class TestTrialCommand:
         {"mouth": {"facing": [float("nan"), 0, 0]}},
         {"impedance": {"damping": [0, 40, 40, 1, 1, 1]}}, {"mouth": {"facing": [0, 0, 1]}},
         {"mouth": {"center_position": [0, 0, 0.4]}}, {"mouth": {"facing": [1e200, 1e200, 0]}},
-        {"seed": -1}, {"horizon_s": 1e12}, {"scan": {"resolution_mm": 1e-6}}])
+        {"seed": -1}, {"horizon_s": 1e12}, {"scan": {"resolution_mm": 1e-6}},
+        {"virtual_mass": [1e-12, 2.0, 2.0, 0.02, 0.02, 0.02]}])
     def test_bad_value_exit_code(self, tmp_path, capsys, overrides):
         (key, value), = overrides.items()
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
@@ -434,6 +437,23 @@ def test_chain_file_of_another_shape_exit_code(tmp_path, capsys, command, key, c
     assert main([command, config, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot resolve chain {str(chain_path)!r}: {message}")
+
+
+@pytest.mark.parametrize("command, key", [("wrist-study", "chain_without"), ("trial", "chain")])
+@pytest.mark.parametrize("place", ["axis", "lower limit", "upper limit", "home"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_chain_file_with_a_non_finite_value_exit_code(tmp_path, capsys, command, key, place,
+                                                      value):
+    # json.dumps writes NaN and Infinity, which the chain file's reader accepts
+    chain_path = tmp_path / "c.json"
+    chain_path.write_text(json.dumps(chain_with_non_finite(place, value)))
+    config = write_json(tmp_path / "config.json", {key: str(chain_path), "count": 10}
+                        if command == "wrist-study" else {**SHORT_SCENARIO, key: str(chain_path),
+                                                          "joint_log_stride": 100})
+    assert main([command, config, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot resolve chain {str(chain_path)!r}: ")
+    assert "must be finite" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, stride", [("trial", 0), ("trial", 10), ("suite", 0)])

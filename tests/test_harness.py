@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from bitesim import harness, presets
 from bitesim.controller import (ControllerState, ImpedanceParams, ReactivityGains,
-                                SafetyLatch, SensorFault, phase_gains)
+                                SafetyLatch, SensorFault, TICK_PERIOD, phase_gains)
 from bitesim.geometry import Pose
 from bitesim.harness import (CSV_HEADER, ConfigError, Scenario, SuiteReport, TickLog,
                              TrialReport, build_study_inputs, export_trajectory, load_log,
@@ -330,7 +331,13 @@ MORE_RANGE_ERRORS = [
     {"segments": {"exit_s": 600.001}}, {"segments": {"arc_s": 0.0009}},
     {"segments": {"retract_s": 601}}, {"segments": {"scan_s": 1e300}},
     {"segments": {"face_detect_s": 600.5}},
-    {"mouth_error_mm": [1e300, 0, 0]}, {"mouth_error_mm": [0, 0, -1000.5]}]
+    {"mouth_error_mm": [1e300, 0, 0]}, {"mouth_error_mm": [0, 0, -1000.5]},
+    {"virtual_mass": [1e-12, 2.0, 2.0, 0.02, 0.02, 0.02]}]
+# a stiffness or damping that the default virtual mass cannot integrate
+# stably: the stability rule judges the mass by both, so it names
+# virtual_mass, not the key these change
+UNSTABLE = [{"impedance": {"stiffness": [2e8, 2e8, 2e8, 1e7, 1e7, 1e7]}},
+            {"impedance": {"damping": [1e6] * 6}}]
 # one study value out of its key's range: each used to run a study that
 # means nothing, to end as an invalid study, or to stop with an error
 # naming no key
@@ -371,6 +378,42 @@ class TestConfigKeys:
         path = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
         with pytest.raises(ConfigError, match=f"^scenario key '{path}' must be"):
             Scenario.from_dict(overrides)
+
+    @pytest.mark.parametrize("overrides", UNSTABLE)
+    def test_unstable_integration_names_virtual_mass(self, overrides):
+        with pytest.raises(ConfigError, match="^scenario key 'virtual_mass' must be"):
+            Scenario.from_dict(overrides)
+
+    @pytest.mark.parametrize("k, c", [(200.0, None), (200.0, 1e3), (0.0, 50.0), (1e7, 1.0)])
+    def test_stability_bound_is_that_of_the_integration(self, k, c):
+        # a = dt² k / m and b = dt c / m: the step of m x'' = -k x - c x'
+        # diverges where a + 2 b > 4, so the least stable mass is
+        # dt² k / 4 + dt c / 2 (c = 2 sqrt(k m) when damping is null)
+        dt = TICK_PERIOD
+        edge = (dt * math.sqrt(k) / (2.0 * math.sqrt(2.0) - 2.0)) ** 2 if c is None else \
+            dt * dt * k / 4.0 + dt * c / 2.0
+
+        def scenario(m):
+            return {"virtual_mass": [m, 2.0, 2.0, 0.02, 0.02, 0.02],
+                    "impedance": {"stiffness": [k, 200, 200, 10, 10, 10],
+                                  "damping": None if c is None else [c, 40, 40, 1, 1, 1]}}
+
+        def peak(m):
+            # the largest |x| over 2 s of the kernel's step, from x = 1, v = 1
+            damping = 2.0 * math.sqrt(k * m) if c is None else c
+            x = v = top = 1.0
+            for _ in range(2000):
+                v = v + dt * ((-k * x - damping * v) / m)
+                x = x + dt * v
+                top = max(top, abs(x))
+                if top > 1e6:
+                    break
+            return top
+
+        Scenario.from_dict(scenario(edge * (1 + 1e-9)))
+        with pytest.raises(ConfigError, match="^scenario key 'virtual_mass' must be"):
+            Scenario.from_dict(scenario(edge * (1 - 1e-9)))
+        assert peak(edge * 1.1) < 10.0 and peak(edge * 0.9) > 1e6
 
     def test_edges_of_segments_and_mouth_error(self):
         for overrides in (

@@ -414,9 +414,9 @@ def test_turn_then_hold_equals_reference_loop():
     assert moves[-1] < len(q) - 1000
 
 
-# The kernel runs force-free ticks in quiet stretches, which a general
-# tick must end wherever a force, a transition or a bite can come in.
-# Each trial below puts one such edge inside a stretch.
+# The kernel runs force-free ticks as quiet ticks, which must give way to
+# a general tick wherever a force, a transition or a bite can come in.
+# Each trial below puts one such edge between quiet ticks.
 EDGE = {"segments": SHORT, "food": "carrot", "joint_log_stride": 0}
 
 
@@ -438,8 +438,8 @@ def test_stretch_ends_where_the_fork_reaches_the_lip():
 
 def test_stretch_resumes_between_two_pushes():
     # an array disturbance pushes on ticks 300-349 and 600-649 of the arc
-    # and is zero between and after: a stretch ends at each push and
-    # resumes after the first
+    # and is zero between and after: quiet ticks give way at each push and
+    # resume after the first
     push = np.zeros((701, 6))
     push[300:350, 0] = 0.5
     push[600:650, 1] = -0.5
@@ -450,8 +450,8 @@ def test_stretch_resumes_between_two_pushes():
 
 def test_stretch_begins_on_the_exit_table():
     # a refused bite times out with no force on the fork: the exit's
-    # table is built on the timeout tick, and the stretch that begins on
-    # the next tick must end at that table's transitions
+    # table is built on the timeout tick, and the quiet ticks from the
+    # next tick on must give way at that table's transitions
     report = run_against_reference({**EDGE, "bite": {"refuse": True}, "bite_timeout_s": 0.3,
                                     "horizon_s": 3.5})
     assert wrench_ticks(report.log) == []
@@ -476,10 +476,24 @@ def test_bite_holding_the_food_in_the_exit_starts_no_stretch():
     assert (report.log.phase[1520:1601] == TransferPhase.EXIT).all()
 
 
+def test_force_free_ticks_after_a_safety_abort():
+    # one tick of a 5 N push trips the 3 N stop on tick 300 of the arc;
+    # the aborted ticks that follow are force-free, and each must log the
+    # zero wrench it measures, not the push of the abort tick
+    push = np.zeros((1001, 6))
+    push[300] = [5.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    report = run_against_reference({**EDGE, "bite": {"refuse": True}, "horizon_s": 1.0,
+                                    "disturbance": {"kind": "array", "trace": push.tolist()}})
+    assert wrench_ticks(report.log) == [300]
+    assert [(ev["t"], ev["event"]) for ev in report.events if ev["phase_to"] == "ABORTED"] == \
+        [(0.3, "safety_abort")]
+    assert report.final_phase == "ABORTED"
+
+
 def test_random_walk_head_in_a_free_stretch():
     # the mouth wanders up to 20 mm per axis as the fork enters: it meets
     # the teeth on a few ticks and is clear of them for 194 ticks between,
-    # so the stretch between must test the mouth where the head has moved
+    # so the quiet ticks between must test the mouth where the head has moved
     report = run_against_reference({
         **EDGE, "seed": 6, "bite": {"refuse": True}, "horizon_s": 1.6,
         "head_perturbation": {"kind": "random-walk", "sigma": 0.02, "amplitude": 0.02}})
@@ -757,7 +771,7 @@ def test_kernel_dot_calls_per_tick():
 def test_kernel_calls_per_tick():
     """Quiet ticks call little: under cProfile the default nominal trial
     makes 15.6 calls per tick, and a suite_table nominal trial (a 60 mm
-    mouth) 15.5; they made 18.8 and 18.7 before quiet stretches. About
+    mouth) 15.5; they made 18.8 and 18.7 before quiet ticks. About
     80 % of their ticks are quiet, so one call more on the quiet path
     puts either past 16. Counts repeat exactly; timings do not."""
     suite_nominal = {"food": "carrot", "mouth": {"aperture_m": 0.06, "lateral_halfwidth_m": 0.05},

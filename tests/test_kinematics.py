@@ -1,8 +1,11 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bitesim
 from bitesim.geometry import Pose, quat_conj, quat_mul, quat_rotate, quat_to_rotvec
 from bitesim.harness import _resolve_chain
 from bitesim.kinematics import (ChainModel, IkParams, JointSpec, chain_from_dict,
@@ -24,6 +27,20 @@ def finite_difference_jacobian(chain, q, h=1e-6):
         jac[3:, i] = quat_to_rotvec(
             quat_mul(pp.orientation, quat_conj(pm.orientation))) / (2 * h)
     return jac
+
+
+def chain_with_non_finite(place: str, value: float) -> dict:
+    """The bundled 7-DOF chain's definition with value in its first
+    joint's axis, in one of that joint's limits, or in its home."""
+    spec = json.loads((Path(bitesim.__file__).parent / "data" / "panda_7dof.json").read_text())
+    joint = spec["joints"][0]
+    if place == "axis":
+        joint["axis"][0] = value
+    elif place == "home":
+        spec["home"][0] = value
+    else:
+        joint["limits"][place == "upper limit"] = value
+    return spec
 
 
 def random_configs(chain, n, seed):
@@ -206,6 +223,14 @@ class TestChainIO:
         assert chain.dof == 1
         tip = forward_kinematics(chain, [0.0])
         np.testing.assert_allclose(tip.position, [0.2, 0, 0.5], atol=1e-12)
+
+    @pytest.mark.parametrize("place", ["axis", "lower limit", "upper limit", "home"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, place, value):
+        # a chain file may hold NaN or Infinity, which Python's json reads
+        with pytest.raises(ValueError, match="^home must be finite" if place == "home"
+                           else "^joint (axis|limits) must be finite"):
+            chain_from_dict(chain_with_non_finite(place, value))
 
     def test_reversed_limits_rejected(self):
         with pytest.raises(ValueError):
