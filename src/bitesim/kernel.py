@@ -11,7 +11,8 @@ the oracle the kernel must match bit for bit.
 
 Most ticks are quiet, which each tick decides for itself by one rule
 (_tick_kernel): such a tick only integrates the plant and writes its
-row, whose wrench, phase and events are already known.
+row, whose wrench, phase and events are already known. Most quiet ticks
+also find the rotation settled, and integrate only its linear half.
 """
 
 from __future__ import annotations
@@ -104,6 +105,9 @@ class _SetpointTable(NamedTuple):
     phases: list[int]
     setpoints: np.ndarray  # (m, 7): position, then orientation (w, x, y, z)
     velocities: np.ndarray  # (m, 6) feed-forward: linear, then angular
+    # whether a row holds the bits of the row before in its orientation
+    # and its angular feed-forward; never the first row
+    repeats: list[bool]
     transitions: dict[int, list[tuple[int, int, None]]]  # tick: (from, to, event)
     wait_start: float | None  # the time BITE_WAIT begins, if it does
 
@@ -121,7 +125,11 @@ def _setpoint_table(setup: TrialSetup, first: int, phase: int, t_phase_start: fl
     gives them all. The feed-forward velocity of a tick is its setpoint's
     change since the tick before (prev_setpoint for the first, none at
     t = 0) over the tick period, the rotation as quat_to_rotvec of
-    q[i] * conj(q[i - 1]); each row rounds as the per-tick sums do."""
+    q[i] * conj(q[i - 1]); each row rounds as the per-tick sums do.
+    A row repeats the row before when its orientation and angular
+    feed-forward have the same bits, compared as int64; the first row is
+    never marked, since the table does not hold the feed-forward of the
+    tick before it."""
     P = TransferPhase
     plan = setup.plan
     arc, entry, exit_seg = phase_segments(plan)
@@ -176,7 +184,11 @@ def _setpoint_table(setup: TrialSetup, first: int, phase: int, t_phase_start: fl
                             quat_to_rotvec_rows(turn) / TICK_PERIOD])
     if prev_setpoint is None:
         velocities[0] = 0.0
-    return _SetpointTable(phases.tolist(), rows, velocities, transitions, wait_start)
+    angular = np.hstack([orientations, velocities[:, 3:]]).view(np.int64)
+    repeats = np.zeros(len(rows), dtype=bool)
+    repeats[1:] = (angular[1:] == angular[:-1]).all(axis=1)
+    return _SetpointTable(phases.tolist(), rows, velocities, repeats.tolist(), transitions,
+                          wait_start)
 
 
 # The kernel's float pre-tests: True only where a float sum, a few ulp from
@@ -232,17 +244,18 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     dots. A force-free tick outside the bite wait then makes at most one
     BLAS call, the final unit() norm.
 
-    The orientation error's rotation vector and unit()'s result are kept
-    from the tick that computed them, keyed by their inputs: the setpoint
-    quaternion with the unit() result the robot's quaternion came from,
-    which keeps its bits while it is the same object; the raw quaternion.
-    A tick reuses one when its float key equals the kept key and holds no
-    zero: floats other than zero that compare equal have the same bits, a
-    zero of either sign is always recomputed, and a NaN input raises
-    before another tick could compare it. Where the plan holds one
-    orientation and no torque turns the fork, the orientation stays one
-    row, and a force-free tick outside the bite wait reuses both and makes
-    no BLAS call.
+    The orientation error's rotation vector is kept from the tick that
+    computed it, with the unit() result the robot's quaternion came from,
+    which keeps its bits while it is the same object: a tick reuses it
+    while that object is the same and its setpoint row repeats the row
+    before (the table's repeats, which compare bits). unit()'s result is
+    kept with its input, the raw quaternion, and reused while the raw
+    quaternion compares equal and holds no zero: floats other than zero
+    that compare equal have the same bits, a zero of either sign is
+    normalised again, and a NaN input raises before another tick could
+    compare it. Where the plan holds one orientation and no torque turns
+    the fork, the orientation stays one row, and a force-free tick
+    outside the bite wait reuses both and makes no BLAS call.
 
     Most ticks meet no force: no contact (contact_force is exactly zero
     outside the mouth's planes), no bite and no disturbance. Without the
@@ -273,7 +286,24 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     and it leaves hold as it is. It runs only the impedance error, the
     integration, the checks and its row write; every other tick takes
     the general path, the one place with the forces, bite, safety trip
-    (the FSM's branch for a phase not yet ABORTED) and FSM logic.
+    (the FSM's branch for a phase not yet ABORTED) and FSM logic. The
+    general path checks the measured wrench where it reads it, before
+    the safety test: a NaN or inf reading is a SensorFault on any tick,
+    an aborted one too.
+
+    A quiet tick also skips the rotational half of the integration (the
+    angular impedance g3..g5, the Euler step of w3..w5 and the rotation
+    step with its unit() comparison) when its rotation has settled: its
+    setpoint row repeats the row before (repeats[i]), and the tick
+    before was quiet, handed back w3..w5 with the same bits, signed
+    zeros told apart, and kept its unit() result (settled). That tick's
+    rotational inputs are then this tick's, bit for bit: the setpoint
+    orientation and angular feed-forward, the robot's orientation and
+    twist, the held reactive torque, the torque on the fork (the zeros a
+    general tick left) and the gains. So the skipping tick keeps g3..g5,
+    w3..w5 and the orientation as they are. Where the plan holds one
+    orientation and no torque turns the fork, the rotation settles in
+    the arc, and about nine in ten quiet ticks of suite_table skip it.
 
     Rows go through struct: each tick packs its 22 floats into the record
     array's bytes (pack_into), and the setpoint, head and disturbance rows
@@ -346,6 +376,7 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     # row k of a C-contiguous (n, w) float64 array, as w floats, is
     # struct's unpack_from(array, 8 * w * k): no row view, no tolist()
     read3, read6, read7 = (struct.Struct(f"{w}d").unpack_from for w in (3, 6, 7))
+    bits3 = struct.Struct("3d").pack  # three floats' bits, signed zeros told apart
     head = np.ascontiguousarray(setup.head_trace, dtype=float)
     if not np.all(np.isfinite(head[:n_ticks])):
         raise ValueError("pose position must be finite")
@@ -385,7 +416,7 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
         int(p) for p in (P.SCAN, P.BITE_WAIT, P.EXIT, P.RETRACT_ARC, P.ABORTED))
     names = [p.name for p in TransferPhase]
     table = _setpoint_table(setup, 0, SCAN, 0.0)
-    phases, setpoints, velocities, transitions = table[:4]
+    phases, setpoints, velocities, repeats, transitions = table[:5]
     wait_started_at = table.wait_start
     detector = setup.detector
     axis = detector.axis
@@ -395,11 +426,11 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
     px, py, pz = setup.plan.start_pose.position.tolist()
     qw, qx, qy, qz = setup.plan.start_pose.orientation.tolist()
     w0 = w1 = w2 = w3 = w4 = w5 = 0.0  # the twist
-    # the last inputs and results of the orientation error (keyed by the
-    # setpoint quaternion and the unit() result the pose holds) and of
-    # unit(): no key equals None, and a key holding a zero is recomputed
-    last_turn_key = last_raw_q = turn_q = None
-    turn = q_unit = None
+    # the last results of the orientation error (with the unit() result
+    # the pose held) and of unit() (with its input); row 0 never repeats,
+    # so tick 0 computes both
+    last_raw_q = turn_q = turn = q_unit = None
+    settled = False  # the last tick was quiet and handed back w3..w5 and the orientation
 
     rec = np.empty((n_ticks, _REC_WIDTH))
     rec_bytes, row_bytes, pack_row = memoryview(rec).cast("B"), _REC_ROW.size, _REC_ROW.pack_into
@@ -465,8 +496,11 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
                 d = read6(dist, 48 * jd)
                 f0, f1, f2 = f0 + d[0], f1 + d[1], f2 + d[2]
                 m0, m1, m2 = 0.0 + d[3], 0.0 + d[4], 0.0 + d[5]
-            # the sensor reads the tool-applied wrench
+            # the sensor reads the tool-applied wrench, which must be finite
             fm0, fm1, fm2, tm0, tm1, tm2 = -f0, -f1, -f2, -m0, -m1, -m2
+            if not math.isfinite(fm0 + fm1 + fm2 + tm0 + tm1 + tm2):
+                if not all(map(math.isfinite, (fm0, fm1, fm2, tm0, tm1, tm2))):
+                    raise SensorFault("non-finite force measurement")
 
             # transfer.step: a safety trip aborts; otherwise the table gives the
             # phase, the transitions into it and the setpoint, and in BITE_WAIT
@@ -493,7 +527,8 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
                         phase = EXIT
                         # the exit runs on time from this tick on
                         table = _setpoint_table(setup, i + 1, EXIT, t, setpoints[i])
-                        phases[i + 1:], setpoints[i + 1:], velocities[i + 1:] = table[:3]
+                        (phases[i + 1:], setpoints[i + 1:], velocities[i + 1:],
+                         repeats[i + 1:]) = table[:4]
                         transitions.update(table.transitions)
             for p_from, p_to, kind in tick_events:
                 if f_y is None:
@@ -516,18 +551,22 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
             spx, spy, spz, sqw, sqx, sqy, sqz = px, py, pz, qw, qx, qy, qz
         else:
             # impedance wrench from the setpoint error (geometry.pose_error,
-            # controller.desired_wrench)
+            # controller.desired_wrench); a settled quiet tick keeps the
+            # rotational half, g3..g5, w3..w5 and the orientation, as the
+            # tick before left them
             spx, spy, spz, sqw, sqx, sqy, sqz = read7(setpoints, 56 * i)
-            e0, e1, e2 = spx - px, spy - py, spz - pz
-            turn_key = (sqw, sqx, sqy, sqz)
-            if turn_key != last_turn_key or 0.0 in turn_key or q_unit is not turn_q:
-                last_turn_key, turn_q = turn_key, q_unit
-                turn = rotvec(*qmul(sqw, sqx, sqy, sqz, qw, -qx, -qy, -qz))
-            e3, e4, e5 = turn
             v0, v1, v2, v3, v4, v5 = read6(velocities, 48 * i)
-            v0, v1, v2, v3, v4, v5 = v0 - w0, v1 - w1, v2 - w2, v3 - w3, v4 - w4, v5 - w5
+            e0, e1, e2 = spx - px, spy - py, spz - pz
+            v0, v1, v2 = v0 - w0, v1 - w1, v2 - w2
             g0, g1, g2 = k0 * e0 + c0 * v0, k1 * e1 + c1 * v1, k2 * e2 + c2 * v2
-            g3, g4, g5 = k3 * e3 + c3 * v3, k4 * e4 + c4 * v4, k5 * e5 + c5 * v5
+            turning = not (quiet and settled and repeats[i])
+            if turning:
+                if not repeats[i] or q_unit is not turn_q:
+                    turn_q = q_unit
+                    turn = rotvec(*qmul(sqw, sqx, sqy, sqz, qw, -qx, -qy, -qz))
+                e3, e4, e5 = turn
+                v3, v4, v5 = v3 - w3, v4 - w4, v5 - w5
+                g3, g4, g5 = k3 * e3 + c3 * v3, k4 * e4 + c4 * v4, k5 * e5 + c5 * v5
             # a non-finite error makes its wrench component non-finite too
             if not math.isfinite(g0 + g1 + g2 + g3 + g4 + g5):
                 if not all(map(math.isfinite, (e0, e1, e2, e3, e4, e5, v0, v1, v2, v3, v4, v5))):
@@ -544,11 +583,10 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
             else:
                 fm = (fm0, fm1, fm2, tm0, tm1, tm2)
                 if alpha is not None:
-                    filt = [y + alpha * (x - y) for x, y in zip(fm, filt)]
-                    fm = filt
-                if not math.isfinite(sum(fm)):
-                    if not all(map(math.isfinite, fm)):
-                        raise SensorFault("non-finite force measurement")
+                    fm = filt = [y + alpha * (x - y) for x, y in zip(fm, filt)]
+                    if not math.isfinite(sum(fm)):
+                        if not all(map(math.isfinite, fm)):
+                            raise SensorFault("non-finite force measurement")
                 # the clamp of np.clip: the bound it crosses, else the value
                 integral = [lo if lo > x else hi if hi < x else x
                             for x, lo, hi in zip([x + y * dt for x, y in zip(integral, fm)],
@@ -566,36 +604,41 @@ def _tick_kernel(setup: TrialSetup) -> tuple[TickLog, FoodAttachmentState]:
             # reactive term plus the forces on the fork
             w0, w1, w2 = (w0 + dt * ((g0 - fb0 + f0) / ms0), w1 + dt * ((g1 - fb1 + f1) / ms1),
                           w2 + dt * ((g2 - fb2 + f2) / ms2))
-            w3, w4, w5 = (w3 + dt * ((g3 - fb3 + m0) / ms3), w4 + dt * ((g4 - fb4 + m1) / ms4),
-                          w5 + dt * ((g5 - fb5 + m2) / ms5))
             px, py, pz = px + dt * w0, py + dt * w1, pz + dt * w2
-            r0, r1, r2 = dt * w3, dt * w4, dt * w5
-            # quat_from_rotvec (tests/reference.py), then quat_mul onto the pose;
-            # below 1e-12, 1 - angle**2 / 8 rounds to 1 and so does the
-            # squared norm of (1, r / 2), which unit() returns as it is, and
-            # quat_mul's 1 * q terms are q
-            if r0 == 0.0 and r1 == 0.0 and r2 == 0.0:
-                raw_q = (qw, qx, qy, qz)
-            elif _below_1e_12(r0, r1, r2):
-                ax, ay, az = 0.5 * r0, 0.5 * r1, 0.5 * r2
-                raw_q = (qw - ax * qx - ay * qy - az * qz, qx + ax * qw + ay * qz - az * qy,
-                         qy - ax * qz + ay * qw + az * qx, qz + ax * qy - ay * qx + az * qw)
-            else:
-                if (angle := norm3(r0, r1, r2)) < 1e-12:
-                    aw, ax, ay, az = unit(1.0 - angle * angle / 8.0, 0.5 * r0, 0.5 * r1,
-                                          0.5 * r2)
+            if turning:
+                turned = (w3 + dt * ((g3 - fb3 + m0) / ms3), w4 + dt * ((g4 - fb4 + m1) / ms4),
+                          w5 + dt * ((g5 - fb5 + m2) / ms5))
+                r0, r1, r2 = dt * turned[0], dt * turned[1], dt * turned[2]
+                # quat_from_rotvec (tests/reference.py), then quat_mul onto the
+                # pose; below 1e-12, 1 - angle**2 / 8 rounds to 1 and so does
+                # the squared norm of (1, r / 2), which unit() returns as it
+                # is, and quat_mul's 1 * q terms are q
+                if r0 == 0.0 and r1 == 0.0 and r2 == 0.0:
+                    raw_q = (qw, qx, qy, qz)
+                elif _below_1e_12(r0, r1, r2):
+                    ax, ay, az = 0.5 * r0, 0.5 * r1, 0.5 * r2
+                    raw_q = (qw - ax * qx - ay * qy - az * qz, qx + ax * qw + ay * qz - az * qy,
+                             qy - ax * qz + ay * qw + az * qx, qz + ax * qy - ay * qx + az * qw)
                 else:
-                    u0, u1, u2 = r0 / angle, r1 / angle, r2 / angle
-                    n = norm3(u0, u1, u2)
-                    half = 0.5 * angle
-                    aw = float(np.cos(half))
-                    s = float(np.sin(half)) / n
-                    ax, ay, az = s * u0, s * u1, s * u2
-                raw_q = qmul(aw, ax, ay, az, qw, qx, qy, qz)
-            if raw_q != last_raw_q or 0.0 in raw_q:
-                last_raw_q = raw_q
-                q_unit = unit(*raw_q)
-            qw, qx, qy, qz = q_unit
+                    if (angle := norm3(r0, r1, r2)) < 1e-12:
+                        aw, ax, ay, az = unit(1.0 - angle * angle / 8.0, 0.5 * r0, 0.5 * r1,
+                                              0.5 * r2)
+                    else:
+                        u0, u1, u2 = r0 / angle, r1 / angle, r2 / angle
+                        n = norm3(u0, u1, u2)
+                        half = 0.5 * angle
+                        aw = float(np.cos(half))
+                        s = float(np.sin(half)) / n
+                        ax, ay, az = s * u0, s * u1, s * u2
+                    raw_q = qmul(aw, ax, ay, az, qw, qx, qy, qz)
+                if raw_q != last_raw_q or 0.0 in raw_q:
+                    last_raw_q = raw_q
+                    q_unit = unit(*raw_q)
+                    settled = False
+                else:  # the orientation holds; so may the next quiet tick
+                    settled = quiet and bits3(*turned) == bits3(w3, w4, w5)
+                w3, w4, w5 = turned
+                qw, qx, qy, qz = q_unit
             # the checks of Pose and the reference's VirtualRobotState, in order
             if not math.isfinite(px + py + pz + w0 + w1 + w2 + w3 + w4 + w5):
                 if not all(map(math.isfinite, (px, py, pz))):

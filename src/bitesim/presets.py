@@ -52,6 +52,12 @@ MIN_SEGMENT_S = 0.001
 # the perceived mouth's offset on each axis of the mouth frame; the
 # largest in any preset, test or bundled config is 34 mm
 MAX_MOUTH_ERROR_MM = 1000.0
+# the plan's lengths (arc_radius_m, entry_depth_m, lowering_m) and the
+# scripted forces (bite.peak_force_n, a disturbance's amplitude_n); the
+# largest in any preset, test or bundled config are 0.45 m and 5 N. A
+# 3 s trial at either bound runs without an overflow, where 1e300 does not
+MAX_PLAN_LENGTH_M = 100.0
+MAX_FORCE_N = 1e6
 # a suite's ticks, summed over its trials: a setup holds 24 to 73 bytes
 # per tick (one 600 s trial, without and with random-walk traces), so a
 # suite's setups hold at most 0.24 to 0.73 GB at once
@@ -147,6 +153,9 @@ _SCAN_RESOLUTION = _Rule(f"finite and >= {MIN_SCAN_RESOLUTION_MM:g} mm",
                          lambda v: MIN_SCAN_RESOLUTION_MM <= v < math.inf)
 _SEGMENT = _Rule(f"in [{MIN_SEGMENT_S:g}, {MAX_HORIZON_S:g}] s",
                  lambda v: MIN_SEGMENT_S <= v <= MAX_HORIZON_S)
+_PLAN_LENGTH = _Rule(f"in (0, {MAX_PLAN_LENGTH_M:g}] m", lambda v: 0 < v <= MAX_PLAN_LENGTH_M)
+_LOWERING = _Rule(f"in [0, {MAX_PLAN_LENGTH_M:g}] m", lambda v: 0 <= v <= MAX_PLAN_LENGTH_M)
+_FORCE = _Rule(f"in [0, {MAX_FORCE_N:g}] N", lambda v: 0 <= v <= MAX_FORCE_N)
 _MOUTH_ERROR = _Rule(f"a list of numbers in [-{MAX_MOUTH_ERROR_MM:g}, {MAX_MOUTH_ERROR_MM:g}] mm",
                      lambda v: all(abs(x) <= MAX_MOUTH_ERROR_MM for x in v))
 
@@ -160,7 +169,7 @@ def _one_of(choices) -> _Rule:
 # direction is divided by its norm, whose square must not underflow to 0
 # or overflow (Python floats do both without a numpy warning)
 _SIGNAL_RANGES = {
-    "amplitude_n": _NON_NEGATIVE, "period_s": _POSITIVE, "sigma_n": _NON_NEGATIVE,
+    "amplitude_n": _FORCE, "period_s": _POSITIVE, "sigma_n": _NON_NEGATIVE,
     "amplitude": _Rule(f"in [0, {MAX_PERTURBATION_AMPLITUDE}] m",
                        lambda v: 0.0 <= v <= MAX_PERTURBATION_AMPLITUDE),
     "period": _POSITIVE, "sigma": _NON_NEGATIVE,
@@ -199,7 +208,7 @@ SCENARIO = {
         "facing": _Key(_UNSET, _NULL_OR_3_FINITE),  # null: toward the base
     },
     "mouth_error_mm": _Key([0.0, 0.0, 0.0], _MOUTH_ERROR),
-    "bite": {"t_bite_s": _Key(0.5, _NON_NEGATIVE), "peak_force_n": _Key(1.0, _NON_NEGATIVE),
+    "bite": {"t_bite_s": _Key(0.5, _NON_NEGATIVE), "peak_force_n": _Key(1.0, _FORCE),
              "ramp_s": _Key(0.2, _NON_NEGATIVE), "refuse": _Key(False)},
     "head_perturbation": _kinds(HEAD_MOTION_PARAMS),
     "disturbance": _kinds(DISTURBANCE_PARAMS),
@@ -217,8 +226,8 @@ SCENARIO = {
     "segments": {"arc_s": _Key(6.0, _SEGMENT), "entry_s": _Key(2.0, _SEGMENT),
                  "exit_s": _Key(2.0, _SEGMENT), "retract_s": _Key(6.0, _DURATION),
                  "scan_s": _Key(0.0, _DURATION), "face_detect_s": _Key(0.0, _DURATION)},
-    "arc_radius_m": _Key(0.45, _POSITIVE), "arc_start_deg": _Key(90.0, _FINITE),
-    "entry_depth_m": _Key(0.018, _POSITIVE), "lowering_m": _Key(0.003, _NON_NEGATIVE),
+    "arc_radius_m": _Key(0.45, _PLAN_LENGTH), "arc_start_deg": _Key(90.0, _FINITE),
+    "entry_depth_m": _Key(0.018, _PLAN_LENGTH), "lowering_m": _Key(0.003, _LOWERING),
     "fork_pitch_deg": _Key(25.0, _FINITE),
     "bite_threshold_n": _Key(0.3, _POSITIVE), "bite_timeout_s": _Key(1.5, _POSITIVE),
     "horizon_s": _Key(10.0, _DURATION), "joint_log_stride": _Key(100, _NON_NEGATIVE),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from bitesim.controller import (TICK_PERIOD, ControllerState, ImpedanceParams, ReactivityGains,
-                                SafetyLatch, Wrench, desired_wrench, reactive_term)
+                                SafetyLatch, SensorFault, Wrench, desired_wrench, reactive_term)
 from bitesim.geometry import (Pose, pose_error, quat_conj, quat_from_axis_angle, quat_mul,
                               quat_normalize, quat_rotate, quat_to_rotvec)
 from bitesim.humansim import (LIP_MARGIN, BiteScript, FoodAttachmentState, MouthModel,
@@ -124,8 +124,10 @@ def simulate_tick(robot: VirtualRobotState, ctrl: ControllerState, fsm: FsmState
     if d.any():
         on_fork = on_fork + Wrench(d[:3], d[3:])
 
-    # the simulated sensor reports the tool-applied wrench
+    # the simulated sensor reports the tool-applied wrench, which must be finite
     f_m = Wrench(-on_fork.force, -on_fork.torque)
+    if not f_m.is_finite():
+        raise SensorFault("non-finite force measurement")
 
     abort = world.safety.update(f_m)
     fsm_prev_phase = fsm.phase

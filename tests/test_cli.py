@@ -63,6 +63,19 @@ class TestTrialCommand:
         assert err.startswith("sensor fault: ")
         assert "config error" not in err
 
+    def test_infinite_force_is_a_sensor_fault(self, tmp_path, capsys):
+        # an infinite reading would trip the safety stop, but the sensor
+        # fault comes first: it is checked where the wrench is read
+        trace = np.zeros((100, 6))
+        trace[50, 0] = np.inf
+        scen = write_json(tmp_path / "s.json", {
+            **SHORT_SCENARIO,
+            "disturbance": {"kind": "array", "trace": trace.tolist()},
+        })
+        assert main(["trial", scen, "--out-dir", str(tmp_path)]) == 5
+        assert capsys.readouterr().err.startswith("sensor fault: ")
+        assert not list(tmp_path.glob("*_report.json"))
+
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         scen = write_json(tmp_path / "s.json", {**SHORT_SCENARIO, "horizn_s": 3})
         assert main(["trial", scen, "--out-dir", str(tmp_path)]) == 2

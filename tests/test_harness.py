@@ -332,7 +332,10 @@ MORE_RANGE_ERRORS = [
     {"segments": {"retract_s": 601}}, {"segments": {"scan_s": 1e300}},
     {"segments": {"face_detect_s": 600.5}},
     {"mouth_error_mm": [1e300, 0, 0]}, {"mouth_error_mm": [0, 0, -1000.5]},
-    {"virtual_mass": [1e-12, 2.0, 2.0, 0.02, 0.02, 0.02]}]
+    {"virtual_mass": [1e-12, 2.0, 2.0, 0.02, 0.02, 0.02]},
+    {"arc_radius_m": 1e300}, {"entry_depth_m": 1e300}, {"lowering_m": 1e300},
+    {"bite": {"peak_force_n": 1e300}},
+    {"disturbance": {"amplitude_n": 1e300, "kind": "sinusoid"}}]
 # a stiffness or damping that the default virtual mass cannot integrate
 # stably: the stability rule judges the mass by both, so it names
 # virtual_mass, not the key these change
@@ -427,6 +430,20 @@ class TestConfigKeys:
             assert np.isfinite(report.mean_deviation_m), overrides
         Scenario.from_dict({"segments": dict.fromkeys(presets.SCENARIO["segments"],
                                                       presets.MAX_HORIZON_S)})
+
+    def test_edges_of_plan_lengths_and_forces(self):
+        # 3 s trials at each bound, under the suite's warnings as errors
+        length, force = presets.MAX_PLAN_LENGTH_M, presets.MAX_FORCE_N
+        for overrides in (
+                {"arc_radius_m": length}, {"entry_depth_m": length}, {"lowering_m": length},
+                {"bite": {"peak_force_n": force}},
+                {"disturbance": {"kind": "sinusoid", "amplitude_n": force}},
+                {"disturbance": {"kind": "random-walk", "amplitude_n": force,
+                                 "sigma_n": force}}):
+            report = run_trial(Scenario.from_dict({
+                "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 1.0},
+                "horizon_s": 3.0, "joint_log_stride": 0, **overrides}))
+            assert np.isfinite(report.mean_deviation_m), overrides
 
     def test_array_disturbance_needs_a_trace(self):
         with pytest.raises(ConfigError, match="'disturbance.trace' must be set"):

@@ -23,7 +23,7 @@ from bitesim import harness
 from bitesim.geometry import (Pose, quat_conj, quat_from_axis_angle, quat_mul, quat_normalize,
                               quat_normalize_rows, quat_to_matrix, quat_to_rotvec,
                               quat_to_rotvec_rows, row_dots, slerp, slerp_rows)
-from bitesim.controller import Wrench
+from bitesim.controller import SensorFault, Wrench
 from bitesim.humansim import (CAVITY_DEPTH, LIP_MARGIN, MAX_PERTURBATION_AMPLITUDE,
                               FoodAttachmentState, load_food_presets)
 from bitesim.kinematics import IkParams, ik_damped_least_squares
@@ -490,6 +490,22 @@ def test_force_free_ticks_after_a_safety_abort():
     assert report.final_phase == "ABORTED"
 
 
+@pytest.mark.parametrize("reading", [math.nan, math.inf, -math.inf])
+def test_non_finite_reading_after_a_safety_abort_is_a_sensor_fault(reading):
+    # a 5 N push trips the 3 N stop on tick 300 of the arc; the bad
+    # reading on tick 400 reaches an aborted tick, which forms no reactive
+    # term, so only the check where the wrench is read can catch it
+    push = np.zeros((1001, 6))
+    push[300, 0] = 5.0
+    push[400, 4] = reading
+    setup = _prepare_trial(Scenario.from_dict({
+        **EDGE, "bite": {"refuse": True}, "horizon_s": 1.0,
+        "disturbance": {"kind": "array", "trace": push.tolist()}}))
+    for run in (reference_run, _tick_kernel):
+        with pytest.raises(SensorFault, match="^non-finite force measurement$"):
+            run(setup)
+
+
 def test_random_walk_head_in_a_free_stretch():
     # the mouth wanders up to 20 mm per axis as the fork enters: it meets
     # the teeth on a few ticks and is clear of them for 194 ticks between,
@@ -502,12 +518,12 @@ def test_random_walk_head_in_a_free_stretch():
     assert report.final_phase == "BITE_WAIT"
 
 
-def turning_setup(overrides=None):
+def turning_setup(overrides=None, hold_s=0.0):
     """A trial setup whose plan follows the nominal plan's path but turns
-    the fork by 90 degrees about world z over the arc, in waypoints about
-    0.2 s apart, which takes slerp's far branch and gives the plant
-    orientation errors to correct (run_trial's plans hold one fork
-    orientation)."""
+    the fork by 90 degrees about world z over the arc (after holding its
+    first orientation for hold_s), in waypoints about 0.2 s apart, which
+    takes slerp's far branch and gives the plant orientation errors to
+    correct (run_trial's plans hold one fork orientation)."""
     setup = _prepare_trial(Scenario.from_dict({
         "segments": {"arc_s": 1.0, "entry_s": 0.5, "exit_s": 0.5, "retract_s": 0.5},
         "horizon_s": 3.5, "joint_log_stride": 0, **(overrides or {})}))
@@ -516,12 +532,23 @@ def turning_setup(overrides=None):
     arc_end = phase_segments(nominal)[0].t_end
     pre = interpolate(nominal, arc_end).orientation
     poses = [Pose(interpolate(nominal, t).position,
-                  quat_mul(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]),
-                                                np.pi / 2 * max(0.0, 1.0 - t / arc_end)), pre))
+                  quat_mul(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2 * (
+                      1.0 if t <= hold_s else max(0.0, 1.0 - (t - hold_s) / (arc_end - hold_s)))),
+                           pre))
              for t in times]
     setup.plan = TrajectoryPlan(times, [p.position for p in poses],
                                 [p.orientation for p in poses], nominal.segments)
     return setup
+
+
+def setup_against_reference(make_setup):
+    """run_against_reference for a setup that a scenario cannot give."""
+    ref = make_setup()
+    expected = _finish_trial(ref, *reference_run(ref))
+    new = make_setup()
+    report = _finish_trial(new, *_tick_kernel(new))
+    assert_same_trial(report, expected)
+    return report
 
 
 def test_turning_plan_equals_reference_loop():
@@ -626,6 +653,138 @@ def test_setpoint_tables_equal_step_on_the_turning_plan():
     assert np.abs(table_velocities[:, 3:]).max() > 1.0  # the fork does turn
     q = plan.orientations
     assert (np.abs(np.sum(q[1:] * q[:-1], axis=1)) <= 0.9995).any()  # slerp's far branch
+
+
+# A quiet tick keeps the rotation the tick before left (g3..g5, the
+# angular twist and the orientation) when that tick was quiet and handed
+# back its angular twist and orientation bit for bit, and its setpoint
+# row repeats the row before (_setpoint_table's repeats). In the trials
+# below the fork's orientation holds one row while that path runs (in
+# EDGE's plan from tick 751 of the arc), and each starts or stops it.
+
+
+def moving_ticks(log) -> list[int]:
+    """The ticks whose logged orientation differs from the tick before."""
+    q = log.orientation
+    return (np.flatnonzero(np.any(q[1:] != q[:-1], axis=1)) + 1).tolist()
+
+
+def test_settled_rotation_stops_where_the_plan_starts_to_turn():
+    # the plan holds the fork's first orientation for 0.4 s, then turns
+    # it over the rest of the arc: the rows of the turn do not repeat, so
+    # the first quiet tick of the turn leaves the settled rotation
+    setup = turning_setup(hold_s=0.4)
+    repeats = _setpoint_table(setup, 0, TransferPhase.SCAN, 0.0).repeats
+    assert repeats[0] is False and all(repeats[1:401]) and not any(repeats[401:1002])
+    report = setup_against_reference(lambda: turning_setup(hold_s=0.4))
+    assert moving_ticks(report.log) == list(range(401, len(report.log)))
+
+
+def test_torque_push_inside_a_settled_stretch():
+    # a push with a torque on ticks 800-849 of the arc comes after the
+    # rotation has settled; its general ticks must turn the fork, and the
+    # quiet ticks after it must go on turning it
+    push = np.zeros((1001, 6))
+    push[800:850] = [0.3, 0.0, 0.0, 0.001, 0.0, -0.002]
+    report = run_against_reference({**EDGE, "bite": {"refuse": True}, "horizon_s": 1.2,
+                                    "disturbance": {"kind": "array", "trace": push.tolist()}})
+    assert wrench_ticks(report.log) == list(range(800, 850))
+    assert moving_ticks(report.log) == list(range(800, len(report.log)))
+
+
+def exit_turning_setup():
+    """EDGE's trial with a refused bite that times out after 0.3 s, whose
+    plan turns the fork out by up to 45 degrees about world z and back
+    over the exit and holds its orientation everywhere else."""
+    setup = _prepare_trial(Scenario.from_dict({**EDGE, "bite": {"refuse": True},
+                                               "bite_timeout_s": 0.3, "horizon_s": 2.5}))
+    plan = setup.plan
+    exit_seg = phase_segments(plan)[2]
+
+    def turned(t, q):
+        f = (t - exit_seg.t_start) / (exit_seg.t_end - exit_seg.t_start)
+        if not 0.0 < f < 1.0:
+            return q
+        return quat_mul(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]),
+                                             np.pi / 4 * np.sin(np.pi * f)), q)
+    setup.plan = TrajectoryPlan(plan.times, plan.positions,
+                                [turned(t, q) for t, q in zip(plan.times, plan.orientations)],
+                                plan.segments)
+    return setup
+
+
+def test_exit_table_rebuilt_inside_a_settled_stretch():
+    # the first table holds the wait's setpoint to the end, so its rows
+    # after the timeout repeat; the exit's table, built on the timeout
+    # tick (1799) while the fork's rotation is settled, turns the fork,
+    # so its rows must replace the first table's repeats too
+    setup = exit_turning_setup()
+    first = _setpoint_table(setup, 0, TransferPhase.SCAN, 0.0)
+    then = _setpoint_table(setup, 1800, TransferPhase.EXIT, 1.799, first.setpoints[1799])
+    assert all(first.repeats[1800:]) and not any(then.repeats[:499])
+    report = setup_against_reference(exit_turning_setup)
+    assert [(ev["t"], ev["event"]) for ev in report.events if ev["phase_to"] == "EXIT"] == \
+        [(1.799, "timeout")]
+    assert moving_ticks(report.log) == list(range(1800, len(report.log)))
+
+
+def test_random_walk_head_through_a_settled_stretch():
+    # the mouth of test_random_walk_head_in_a_free_stretch wanders into
+    # the fork on a few ticks of the entry, the bite comes and the exit
+    # runs under it: forces without a torque, so the fork's orientation
+    # holds its first row through the whole trial
+    report = run_against_reference({
+        **EDGE, "seed": 6, "horizon_s": 3.5,
+        "head_perturbation": {"kind": "random-walk", "sigma": 0.02, "amplitude": 0.02}})
+    assert wrench_ticks(report.log)[:13] == [*range(1000, 1006), 1009, 1010, 1205, 1206, 1207,
+                                             1220, 1221]
+    assert report.outcome == "success" and moving_ticks(report.log) == []
+
+
+def test_held_reactive_torque_spins_the_fork():
+    # no rotational stiffness, and an integral torque gain about z: a
+    # torque push on ticks 300-349 leaves an integral whose reactive
+    # torque the quiet ticks after it hold, so the fork spins up to the
+    # rate where damping balances that torque. There its twist keeps its
+    # bits while its orientation turns on every tick, so a tick that must
+    # normalise a new raw quaternion must not settle the rotation
+    push = np.zeros((1001, 6))
+    push[300:350, 5] = 0.002
+    report = run_against_reference({
+        **EDGE, "bite": {"refuse": True}, "horizon_s": 1.4,
+        "impedance": {"stiffness": [200.0, 200.0, 200.0, 0.0, 0.0, 0.0],
+                      "damping": [40.0, 40.0, 40.0, 1.0, 1.0, 1.0]},
+        "entry_gains": {"k_p": [7.0, 7.0, 7.0, 0.0, 0.0, 0.0],
+                        "k_i": [20.0, 20.0, 20.0, 0.0, 0.0, 2.0]},
+        "disturbance": {"kind": "array", "trace": push.tolist()}})
+    assert wrench_ticks(report.log) == list(range(300, 350))
+    assert moving_ticks(report.log) == list(range(300, len(report.log)))
+
+
+def test_signed_zero_in_the_angular_feed_forward():
+    # with the fork unpitched the plan holds one orientation q0, about
+    # (0.5, 0.5, 0.5, 0.5), whose rows keep its bits; from 1.2 s of the
+    # entry on it holds -q0, the same rotation. The feed-forward of tick
+    # 1200 is (-0.0, -0.0, -0.0), and of tick 1201 (0.0, 0.0, 0.0): equal
+    # as floats, so only a comparison of their bits keeps row 1201 from
+    # repeating row 1200
+    def make_setup():
+        setup = _prepare_trial(Scenario.from_dict({**EDGE, "fork_pitch_deg": 0.0,
+                                                   "bite": {"refuse": True}, "horizon_s": 1.5}))
+        plan = setup.plan
+        signs = np.where(plan.times >= 1.2, -1.0, 1.0)[:, None]
+        setup.plan = TrajectoryPlan(plan.times, plan.positions, signs * plan.orientations,
+                                    plan.segments)
+        return setup
+    setup = make_setup()
+    table = _setpoint_table(setup, 0, TransferPhase.SCAN, 0.0)
+    q = table.setpoints[1198:1203, 3:]
+    assert (q[1] == q[0]).all() and (q[2:] == -q[0]).all()
+    ff = table.velocities[1200:1202, 3:]
+    assert (ff == 0.0).all() and np.signbit(ff[0]).all() and not np.signbit(ff[1]).any()
+    assert table.repeats[1199:1203] == [True, False, False, True]
+    report = setup_against_reference(make_setup)
+    assert moving_ticks(report.log) == []
 
 
 def _numpy_and_blas() -> str:
@@ -782,6 +941,23 @@ def test_kernel_calls_per_tick():
         profile.runcall(_tick_kernel, setup)
         calls = sum(stat[1] for stat in pstats.Stats(profile).stats.values())
         assert calls / setup.n_ticks <= 16.0
+
+
+def test_settled_rotation_calls_per_tick():
+    """Quiet ticks whose rotation has settled skip the rotation step and
+    with it the _below_1e_12 pre-test: on the two trials of
+    test_kernel_calls_per_tick it runs 0.276 times per tick, where it ran
+    on every tick (1.000) before. A count under cProfile, unlike a
+    timing, is the same on every run."""
+    suite_nominal = {"food": "carrot", "mouth": {"aperture_m": 0.06, "lateral_halfwidth_m": 0.05},
+                     "bite": {"t_bite_s": 0.5}, "joint_log_stride": 0}
+    for overrides in ({}, suite_nominal):
+        setup = _prepare_trial(Scenario.from_dict(overrides))
+        profile = cProfile.Profile()
+        profile.runcall(_tick_kernel, setup)
+        calls = sum(stat[1] for (_, _, name), stat in pstats.Stats(profile).stats.items()
+                    if name == "_below_1e_12")
+        assert calls / setup.n_ticks <= 0.35
 
 
 def test_stacked_forms_the_plans_rely_on():
